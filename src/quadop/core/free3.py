@@ -19,8 +19,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
-from quadop.core.perms import CYC123, IDENT, REP_INDEX, REPS, SWAP12, Perm, compose, coset_decompose
+from quadop.core.perms import (
+    CYC123, IDENT, REP_INDEX, REPS, S3, SWAP12, Perm, compose, coset_decompose,
+)
 from quadop.errors import InputError
 from quadop.linalg import EchelonBasis, SubspaceQ
 
@@ -75,6 +78,11 @@ class GeneratorSpace:
         """(12) . e_j as a list of (index, coefficient)."""
         return [(m, self.swap[m][j]) for m in range(self.dim) if self.swap[m][j]]
 
+    @cached_property
+    def swap_columns(self) -> tuple[tuple[tuple[int, Fraction], ...], ...]:
+        """swap_column(j) for every j, computed once per space."""
+        return tuple(tuple(self.swap_column(j)) for j in range(self.dim))
+
 
 def free3_action(space: GeneratorSpace, perm: Perm) -> list[list[tuple[int, Fraction]]]:
     """Matrix of perm on F(3), column-sparse: entry list per basis column.
@@ -82,7 +90,8 @@ def free3_action(space: GeneratorSpace, perm: Perm) -> list[list[tuple[int, Frac
     perm . (sigma, i, j) relabels the arguments, giving the triple
     (perm . sigma, i, j).  Decompose perm . sigma = rep . tail over the inner
     (12); a nontrivial tail swaps the two inner arguments, which rewrites the
-    inner generator e_j through the swap matrix.
+    inner generator e_j through the swap matrix.  This is the reference that
+    act, which touches only a vector's support, is tested against.
     """
     d = space.dim
     one = Fraction(1)
@@ -100,15 +109,45 @@ def free3_action(space: GeneratorSpace, perm: Perm) -> list[list[tuple[int, Frac
     return cols
 
 
+def _block_map(perm: Perm) -> tuple[tuple[int, bool], ...]:
+    """For each sigma-block s: the index of the block that perm sends it to,
+    and whether the inner generator is swapped on the way (perm . REPS[s] =
+    rep . (12))."""
+    out = []
+    for sigma in REPS:
+        rep, tail = coset_decompose(compose(perm, sigma))
+        out.append((REP_INDEX[rep], tail != IDENT))
+    return tuple(out)
+
+
+_BLOCK_MAP = {perm: _block_map(perm) for perm in S3}
+
+
 def act(space: GeneratorSpace, perm: Perm, vec: Vec) -> Vec:
-    """Apply perm to a weight-3 vector given as {flat index: coefficient}."""
-    cols = free3_action(space, perm)
+    """Apply perm to a weight-3 vector given as {flat index: coefficient}.
+
+    Touches only the vector's support; the result equals applying the
+    free3_action matrix.  Distinct sigma-blocks go to distinct blocks, so only
+    inner swaps inside one block can make two terms meet.
+    """
+    d = space.dim
+    dd = d * d
+    blocks = _BLOCK_MAP[perm]
+    cols = space.swap_columns
     out: Vec = {}
     for c, coeff in vec.items():
         if not coeff:
             continue
-        for row, entry in cols[c]:
-            val = out.get(row, Fraction(0)) + coeff * entry
+        s, rest = divmod(c, dd)
+        target, swapped = blocks[s]
+        if not swapped:
+            out[target * dd + rest] = coeff
+            continue
+        outer, inner = divmod(rest, d)
+        base = target * dd + outer * d
+        for m, entry in cols[inner]:
+            row = base + m
+            val = out.get(row, 0) + coeff * entry
             if val:
                 out[row] = val
             elif row in out:
@@ -126,9 +165,8 @@ def s3_closure(space: GeneratorSpace, vectors) -> SubspaceQ:
     while True:
         before = eb.rank
         for row in eb.rows():
-            frac_row = {c: Fraction(v) for c, v in row.items()}
             for g in gens:
-                eb.add(act(space, g, frac_row))
+                eb.add(act(space, g, row))
         if eb.rank == before:
             return SubspaceQ.from_echelon(eb)
 

@@ -121,14 +121,24 @@ def _swap_matrix(gen_specs: list[tuple[str, object]]) -> GeneratorSpace:
             cols[j][j] = Fraction(-1)
         elif isinstance(sym, dict) and set(sym) == {"pair"}:
             partner = sym["pair"]
-            if partner not in index:
+            if not isinstance(partner, str) or partner not in index:
                 raise InputError(f"generator {name!r} pairs with unknown {partner!r}")
             cols[j][index[partner]] = Fraction(1)
         elif isinstance(sym, dict) and set(sym) == {"swap"}:
-            for target, coeff in sym["swap"].items():
+            image = sym["swap"]
+            if not isinstance(image, dict):
+                raise InputError(
+                    f"swap image of {name!r} must map names to rationals, got {image!r}"
+                )
+            for target, coeff in image.items():
                 if target not in index:
                     raise InputError(f"swap image of {name!r} mentions unknown {target!r}")
-                cols[j][index[target]] = Fraction(str(coeff))
+                try:
+                    cols[j][index[target]] = Fraction(str(coeff))
+                except (ValueError, ZeroDivisionError):
+                    raise InputError(
+                        f"swap coefficient {coeff!r} of {name!r} is not a rational"
+                    ) from None
         else:
             raise InputError(
                 f"bad symmetry {sym!r} for generator {name!r}; "
@@ -139,25 +149,40 @@ def _swap_matrix(gen_specs: list[tuple[str, object]]) -> GeneratorSpace:
     return GeneratorSpace(names, swap)
 
 
+def _generator_spec(g) -> tuple[str, object]:
+    if isinstance(g, dict) and "name" in g and "symmetry" in g:
+        name, sym = g["name"], g["symmetry"]
+    elif isinstance(g, (list, tuple)) and len(g) == 2:
+        name, sym = g
+    else:
+        raise InputError(
+            f"bad generator {g!r}: expected [name, symmetry] or "
+            '{"name": ..., "symmetry": ...}'
+        )
+    if not isinstance(name, str):
+        raise InputError(f"generator name {name!r} is not a string")
+    return name, sym
+
+
 def make_operad(name: str, generators, relations, *, check: bool = True) -> QuadOperad:
     """Build an operad from generator specs and relation strings.
 
-    generators: iterable of (name, symmetry) pairs or {"name":, "symmetry":}
+    generators: list of (name, symmetry) pairs or {"name":, "symmetry":}
     dicts, symmetry one of "sym", "antisym", {"pair": other-name} or
     {"swap": {name: rational-string}} in column convention.
 
-    relations: iterable of relation strings; their S3-closure is taken, so one
+    relations: list of relation strings; their S3-closure is taken, so one
     representative per orbit suffices.
     """
-    specs = []
-    for g in generators:
-        if isinstance(g, dict):
-            specs.append((g["name"], g["symmetry"]))
-        else:
-            gname, sym = g
-            specs.append((gname, sym))
-    space = _swap_matrix(specs)
-    vectors = [parse_relation(space, text) for text in relations]
+    for key, value in (("generators", generators), ("relations", relations)):
+        if not isinstance(value, (list, tuple)):
+            raise InputError(f"{key} must be a list, got {value!r}")
+    space = _swap_matrix([_generator_spec(g) for g in generators])
+    vectors = []
+    for text in relations:
+        if not isinstance(text, str):
+            raise InputError(f"relation {text!r} is not a string")
+        vectors.append(parse_relation(space, text))
     rel = s3_closure(space, vectors)
     return QuadOperad(name, space, rel, check=check)
 
@@ -171,9 +196,13 @@ def load_operad_file(path: str) -> QuadOperad:
         raise InputError(f"cannot read operad file {path}: {exc}") from None
     except json.JSONDecodeError as exc:
         raise InputError(f"{path} is not valid JSON: {exc}") from None
+    if not isinstance(data, dict):
+        raise InputError(f"{path}: expected a JSON object with keys name, generators, relations")
     for key in ("name", "generators", "relations"):
         if key not in data:
             raise InputError(f"{path}: missing key {key!r}")
+    if not isinstance(data["name"], str):
+        raise InputError(f"{path}: name must be a string")
     return make_operad(data["name"], data["generators"], data["relations"])
 
 

@@ -108,7 +108,7 @@ def _right_comb(space: GeneratorSpace, c, h, a, g, b) -> Vec:
     gi = space.gen_index(g)
     out: Vec = {}
     # e_h(xc, w) = sum_m swap[m][h] e_m(w, xc)
-    for m, coeff in space.swap_column(space.gen_index(h)):
+    for m, coeff in space.swap_columns[space.gen_index(h)]:
         for idx, val in act(space, sigma, {space.flat(IDENT, m, gi): Fraction(1)}).items():
             acc = out.get(idx, Fraction(0)) + coeff * val
             if acc:

@@ -19,7 +19,6 @@ from quadop.core.free3 import GeneratorSpace, act
 from quadop.core.operad import QuadOperad
 from quadop.core.perms import IDENT, REPS
 from quadop.errors import InternalCheckError
-from quadop.linalg import SubspaceQ
 
 Vec = dict[int, Fraction]
 
@@ -37,13 +36,6 @@ def dual_generators(space: GeneratorSpace) -> GeneratorSpace:
     d = space.dim
     swap = tuple(tuple(-space.swap[j][i] for j in range(d)) for i in range(d))
     return GeneratorSpace(names, swap)
-
-
-def pairing_matrix(space: GeneratorSpace) -> list[list[Fraction]]:
-    """Gram matrix of the weight-3 pairing <dual basis, basis>: the identity,
-    by the choice of paired coordinates."""
-    n = space.free3_dim
-    return [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
 
 
 def pairing_equivariant(space: GeneratorSpace, perm, sign_value: int) -> bool:
@@ -119,8 +111,3 @@ def verify_jacobi_duality(P: QuadOperad, dual: QuadOperad | None = None) -> bool
                         elif key in jac:
                             del jac[key]
     return not jac
-
-
-def dual_pair_subspace(P: QuadOperad) -> SubspaceQ:
-    """Convenience for tests: R + R^perp inside F(3) coordinates."""
-    return P.relations.sum_with(P.relations.perp())

@@ -183,15 +183,6 @@ class SubspaceQ:
         """Canonical basis vectors as {col: Fraction} mappings."""
         return [dict(r) for r in self._rows]
 
-    def dense_basis(self) -> list[list[Fraction]]:
-        out = []
-        for r in self._rows:
-            v = [Fraction(0)] * self.ambient_dim
-            for c, x in r:
-                v[c] = x
-            out.append(v)
-        return out
-
     def _membership(self) -> EchelonBasis:
         # Lazily built integer echelon used for contains(); idempotent, so a
         # benign race just builds it twice.
@@ -242,8 +233,23 @@ class SubspaceQ:
 
     def perp(self) -> "SubspaceQ":
         """Orthogonal complement with respect to the standard dot product,
-        i.e. the kernel of the matrix whose rows are the basis."""
-        return kernel_basis(self.dense_basis(), self.ambient_dim)
+        i.e. the kernel of the matrix whose rows are the basis.
+
+        Read straight from the canonical rows: each free (non-pivot) column f
+        gives the kernel vector e_f - sum_p r_p[f] e_p over the rows r_p with
+        pivot p.  Pivot columns are cleared in every other row, so every
+        non-leading entry of a row sits in a free column.
+        """
+        n = self.ambient_dim
+        pivots = set(self.pivots)
+        kern: dict[int, dict[int, Fraction]] = {
+            f: {f: Fraction(1)} for f in range(n) if f not in pivots
+        }
+        for r in self._rows:
+            p = r[0][0]
+            for f, x in r[1:]:
+                kern[f][p] = -x
+        return SubspaceQ.from_vectors(n, kern.values())
 
     def _check_ambient(self, other: "SubspaceQ"):
         if self.ambient_dim != other.ambient_dim:
@@ -261,12 +267,6 @@ class SubspaceQ:
 
     def __repr__(self) -> str:
         return f"SubspaceQ(dim={self.dim}, ambient={self.ambient_dim})"
-
-
-def rref_canonical(rows, ambient_dim: int) -> tuple:
-    """Canonical RREF of a list of vectors: tuple of sparse rows as stored by
-    SubspaceQ.  Mostly a convenience wrapper used by tests."""
-    return SubspaceQ.from_vectors(ambient_dim, rows)._rows
 
 
 def invert_matrix(mat) -> list[list[Fraction]] | None:
@@ -290,23 +290,6 @@ def invert_matrix(mat) -> list[list[Fraction]] | None:
 
 
 def kernel_basis(rows, ncols: int) -> SubspaceQ:
-    """Kernel of the linear map Q^ncols -> Q^len(rows) given by a row list.
-
-    Row-reduce the constraints, then read one kernel vector per free column:
-    set that free coordinate to 1 and solve each pivot coordinate from its
-    RREF row.  The result is re-canonicalised into a SubspaceQ.
-    """
-    constraints = SubspaceQ.from_vectors(ncols, rows)
-    pivot_rows = constraints.basis()
-    pivot_cols = set(constraints.pivots)
-    kern = []
-    for free in range(ncols):
-        if free in pivot_cols:
-            continue
-        v: dict[int, Fraction] = {free: Fraction(1)}
-        for r in pivot_rows:
-            coeff = r.get(free)
-            if coeff:
-                v[min(r)] = -coeff
-        kern.append(v)
-    return SubspaceQ.from_vectors(ncols, kern)
+    """Kernel of the linear map Q^ncols -> Q^len(rows) given by a row list:
+    the annihilator of the rows' span."""
+    return SubspaceQ.from_vectors(ncols, rows).perp()

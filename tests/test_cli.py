@@ -110,3 +110,30 @@ def test_selfcheck_passes(capsys):
     code, out, _ = run(capsys, "selfcheck")
     assert code == 0
     assert "ok" in out.lower()
+
+
+_GOOD_FILE = {
+    "name": "myCom",
+    "generators": [["a", "sym"]],
+    "relations": ["(x1 {a} x2) {a} x3 - x1 {a} (x2 {a} x3)"],
+}
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("generators", "ab", "generators must be a list"),
+        ("generators", [["a", {"swap": {"a": "abc"}}]], "not a rational"),
+        ("relations", [5], "relation 5 is not a string"),
+        ("relations", "(x1 {a} x2) {a} x3", "relations must be a list"),
+    ],
+    ids=["generators-string", "swap-not-rational", "relation-not-string", "relations-string"],
+)
+def test_malformed_operad_file_is_an_input_error(capsys, tmp_path, field, value, message):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({**_GOOD_FILE, field: value}))
+    code, out, err = run(capsys, "dong", str(path))
+    assert code == 1
+    assert out == ""
+    assert "Traceback" not in err
+    assert message in err

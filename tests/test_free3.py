@@ -5,7 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from quadop.core.free3 import GeneratorSpace, act, is_s3_stable, s3_closure
+from quadop.core.catalog import catalog
+from quadop.core.free3 import GeneratorSpace, act, free3_action, is_s3_stable, s3_closure
 from quadop.core.perms import IDENT, REPS, S3, compose
 from quadop.errors import InputError
 from quadop.linalg import SubspaceQ
@@ -15,6 +16,17 @@ ANTI = GeneratorSpace(("b",), ((Fraction(-1),),))
 PAIR = GeneratorSpace(
     ("l", "r"),
     ((Fraction(0), Fraction(1)), (Fraction(1), Fraction(0))),
+)
+# Swaps that are not signed permutation matrices.  RESCALE: (12) e_0 =
+# 1/2 e_1 and (12) e_1 = 2 e_0.  MIXING: (12) e_0 = e_0 + 1/2 e_1 and
+# (12) e_1 = -e_1, so two terms of a vector can land on one monomial.
+RESCALE = GeneratorSpace(
+    ("u", "v"),
+    ((Fraction(0), Fraction(2)), (Fraction(1, 2), Fraction(0))),
+)
+MIXING = GeneratorSpace(
+    ("s", "t"),
+    ((Fraction(1), Fraction(0)), (Fraction(1, 2), Fraction(-1))),
 )
 
 
@@ -41,18 +53,40 @@ def test_bad_spaces_rejected():
         GeneratorSpace(("x",), ((Fraction(1), Fraction(0)),))  # not square
 
 
-def _random_vec(space, rng):
+def _random_vec(space, rng, k=4):
     vec = {}
-    for idx in rng.sample(range(space.free3_dim), k=min(4, space.free3_dim)):
-        coeff = rng.randint(-3, 3)
+    for idx in rng.sample(range(space.free3_dim), k=min(k, space.free3_dim)):
+        coeff = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
         if coeff:
-            vec[idx] = Fraction(coeff)
+            vec[idx] = coeff
     return vec
+
+
+def _apply_matrix(cols, vec):
+    out = {}
+    for c, coeff in vec.items():
+        for row, entry in cols[c]:
+            out[row] = out.get(row, 0) + coeff * entry
+    return {row: val for row, val in out.items() if val}
+
+
+@pytest.mark.parametrize(
+    "space",
+    [SYM, ANTI, PAIR, RESCALE, MIXING, catalog("diAs").space, catalog("NP").space],
+    ids=["SYM", "ANTI", "PAIR", "RESCALE", "MIXING", "diAs", "NP"],
+)
+def test_support_action_matches_matrix(space):
+    rng = random.Random(11)
+    vecs = [_random_vec(space, rng, k) for k in (1, 4, space.free3_dim) for _ in range(3)]
+    for p in S3:
+        cols = free3_action(space, p)
+        for v in vecs:
+            assert act(space, p, v) == _apply_matrix(cols, v)
 
 
 def test_action_is_a_group_homomorphism():
     rng = random.Random(7)
-    for space in (SYM, ANTI, PAIR):
+    for space in (SYM, ANTI, PAIR, RESCALE, MIXING):
         for _ in range(10):
             v = _random_vec(space, rng)
             for p in S3:

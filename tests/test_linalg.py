@@ -13,6 +13,40 @@ def _span(ambient, *vecs):
     return SubspaceQ.from_vectors(ambient, [dict(enumerate(v)) for v in vecs])
 
 
+def _dot(u, w):
+    return sum(x * w[c] for c, x in u.items() if c in w)
+
+
+def _dense_kernel(rows, n):
+    """Kernel of a row list by dense Gauss-Jordan on Fraction lists, with no
+    use of this package's elimination: one vector per free column."""
+    mat = [[Fraction(r.get(c, 0)) for c in range(n)] for r in rows]
+    pivots = []
+    for col in range(n):
+        k = len(pivots)
+        pivot = next((i for i in range(k, len(mat)) if mat[i][col]), None)
+        if pivot is None:
+            continue
+        mat[k], mat[pivot] = mat[pivot], mat[k]
+        lead = mat[k][col]
+        mat[k] = [x / lead for x in mat[k]]
+        for i in range(len(mat)):
+            if i != k and mat[i][col]:
+                f = mat[i][col]
+                mat[i] = [a - f * b for a, b in zip(mat[i], mat[k])]
+        pivots.append(col)
+    kern = []
+    for free in range(n):
+        if free in pivots:
+            continue
+        v = [Fraction(0)] * n
+        v[free] = Fraction(1)
+        for k, p in enumerate(pivots):
+            v[p] = -mat[k][free]
+        kern.append(v)
+    return kern
+
+
 @st.composite
 def subspace_and_ambient(draw, max_dim=6):
     n = draw(st.integers(min_value=1, max_value=max_dim))
@@ -22,6 +56,14 @@ def subspace_and_ambient(draw, max_dim=6):
         for _ in range(nvecs)
     ]
     return n, vecs
+
+
+@st.composite
+def sparse_rational_rows(draw, max_dim=12):
+    n = draw(st.integers(min_value=1, max_value=max_dim))
+    entry = st.fractions(min_value=-5, max_value=5, max_denominator=6)
+    row = st.dictionaries(st.integers(min_value=0, max_value=n - 1), entry, max_size=4)
+    return n, draw(st.lists(row, max_size=n + 2))
 
 
 def test_canonical_form_is_generating_set_independent():
@@ -63,9 +105,23 @@ def test_perp_is_involutive(data):
 def test_perp_annihilates(data):
     n, vecs = data
     s = _span(n, *vecs)
-    for u in s.dense_basis():
-        for w in s.perp().dense_basis():
-            assert sum(a * b for a, b in zip(u, w)) == 0
+    for u in s.basis():
+        for w in s.perp().basis():
+            assert _dot(u, w) == 0
+
+
+@given(sparse_rational_rows())
+@settings(max_examples=100, deadline=None)
+def test_perp_of_sparse_rational_rows(data):
+    n, rows = data
+    s = SubspaceQ.from_vectors(n, rows)
+    p = s.perp()
+    for w in p.basis():
+        for r in rows:
+            assert _dot(r, w) == 0
+    assert s.dim + p.dim == n
+    assert p.perp() == s
+    assert p == _span(n, *_dense_kernel(rows, n))
 
 
 @given(subspace_and_ambient(), subspace_and_ambient())

@@ -54,6 +54,15 @@ def test_unstable_relations_rejected():
         QuadOperad("broken", space, one)
 
 
+def test_unstable_relations_rejected_at_larger_d():
+    P = catalog("diAs")
+    rows = P.relations.basis()
+    for drop in (0, len(rows) // 2, len(rows) - 1):
+        rest = SubspaceQ.from_vectors(P.dim_free3, rows[:drop] + rows[drop + 1:])
+        with pytest.raises(InternalCheckError):
+            QuadOperad("broken", P.space, rest, check=True)
+
+
 def test_projection_kills_relations_and_fixes_free_monomials():
     P = catalog("As")
     for row in P.relations.basis():
