@@ -3,7 +3,8 @@
 Every subcommand accepts ``--json`` for a machine-readable report with
 deterministic key order.  Exit status: 0 on success, 1 for bad input
 (unknown names, malformed files, out-of-window requests), 2 when an
-internal cross-check fails, which indicates a bug rather than bad input.
+internal cross-check fails, which indicates a bug rather than bad input,
+and 3 for any other exception, which is a bug as well.
 """
 
 from __future__ import annotations
@@ -353,6 +354,10 @@ def main(argv=None) -> int:
     except InternalCheckError as exc:
         print(f"internal check failed: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        # Keep a bug apart from exit 1, which means the input was bad.
+        print(f"unexpected error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
     if args.json:
         print(json.dumps(payload, indent=2, sort_keys=True))
     else:

@@ -1,19 +1,23 @@
 """Exact linear algebra over the rationals.
 
 Everything downstream (operad relations, Koszul duals, the locality ideal)
-reduces to row reduction of sparse matrices with rational entries.  The public
-containers speak Fraction, but internally every vector is scaled to a
-primitive integer row (content 1) stored as a dict mapping column -> value.
-That keeps arithmetic exact, keeps gcd stripping cheap, and avoids touching
-the many zero columns that show up in the big band-structured systems.
+reduces to row reduction of sparse matrices with rational entries.  Rows are
+sparse dicts mapping column -> value, so the many zero columns of the big
+band-structured systems are never touched.
 
 Two containers:
 
-* EchelonBasis: an incremental, order-dependent echelon form.  Cheap add and
+* EchelonBasis: an incremental, order-dependent echelon form kept as
+  primitive integer rows (content 1, positive leading value).  Cheap add and
   membership, no canonical form.  Used while sweeping generators into a space.
+  Input entries may be int or Fraction; their numerators and denominators are
+  read directly, so an int vector never becomes a Fraction.  Elimination is
+  integer-preserving: each step forms a*v - b*row in place, and the content
+  is divided out once, when a reduction ends in a nonzero residual.
 * SubspaceQ: a canonical reduced row echelon form (pivots 1, cleared above and
-  below, rows sorted by pivot column).  Two SubspaceQ objects are equal iff
-  they are the same subspace, so equality and hashing are structural.
+  below, rows sorted by pivot column), stored with Fraction entries.  Two
+  SubspaceQ objects are equal iff they are the same subspace, so equality and
+  hashing are structural.
 """
 
 from __future__ import annotations
@@ -21,30 +25,35 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
-# A primitive integer row: column index -> nonzero integer value.
+# An integer row: column index -> nonzero integer value.
 IntRow = dict[int, int]
 
 
 def _as_int_row(vec) -> IntRow:
-    """Normalise a vector (dense sequence or {col: value} mapping, entries
-    int or Fraction) to a primitive integer row."""
-    if isinstance(vec, dict):
-        items = vec.items()
-    else:
-        items = enumerate(vec)
-    fracs = {}
-    for col, val in items:
-        f = Fraction(val)
-        if f:
-            fracs[col] = f
-    if not fracs:
-        return {}
+    """Clear the denominators of a vector (dense sequence or {col: value}
+    mapping, entries int or Fraction).  Always returns a fresh dict, which
+    the caller may reduce in place; the content is not divided out."""
+    items = vec.items() if isinstance(vec, dict) else enumerate(vec)
+    terms = []
     denom_lcm = 1
-    for f in fracs.values():
-        d = f.denominator
-        denom_lcm = denom_lcm // gcd(denom_lcm, d) * d
-    row = {col: int(f * denom_lcm) for col, f in fracs.items()}
-    return _strip_content(row)
+    for col, val in items:
+        try:
+            num, den = val.numerator, val.denominator
+        except AttributeError:
+            raise TypeError(f"entry {val!r} at column {col} is not a rational number") from None
+        if num:
+            terms.append((col, num, den))
+            if den != 1:
+                denom_lcm = denom_lcm // gcd(denom_lcm, den) * den
+    if denom_lcm == 1:
+        return {col: num for col, num, _ in terms}
+    return {col: num * (denom_lcm // den) for col, num, den in terms}
+
+
+def primitive_row(vec) -> IntRow:
+    """The primitive integer row (content 1, positive leading value) on the
+    line through vec; empty for the zero vector."""
+    return _strip_content(_as_int_row(vec))
 
 
 def _strip_content(row: IntRow) -> IntRow:
@@ -62,22 +71,22 @@ def _strip_content(row: IntRow) -> IntRow:
     return row
 
 
-def _eliminate(vec: IntRow, row: IntRow, col: int) -> IntRow:
-    """Return a*vec - b*row with the factors chosen so column `col` cancels.
-    Both inputs must be nonzero at `col`."""
+def _eliminate(vec: IntRow, row: IntRow, col: int) -> None:
+    """Replace vec by a*vec - b*row in place, with the smallest factors that
+    cancel column `col`.  Both must be nonzero at `col`, and row[col] > 0.
+    The content of the result is left in place."""
     a, b = row[col], vec[col]
     g = gcd(a, b)
     fa, fb = a // g, b // g
-    out = {}
-    for c, v in vec.items():
-        out[c] = fa * v
+    if fa != 1:
+        for c, v in vec.items():
+            vec[c] = fa * v
     for c, v in row.items():
-        w = out.get(c, 0) - fb * v
+        w = vec.get(c, 0) - fb * v
         if w:
-            out[c] = w
-        elif c in out:
-            del out[c]
-    return _strip_content(out)
+            vec[c] = w
+        else:
+            del vec[c]
 
 
 class EchelonBasis:
@@ -101,14 +110,16 @@ class EchelonBasis:
 
     def residual(self, vec) -> IntRow:
         """Reduce vec against the current rows.  Empty dict iff vec is in the
-        span; otherwise a primitive row whose pivot is not yet in the basis."""
+        span; otherwise a primitive row whose pivot is not yet in the basis.
+        The caller's vec is never modified."""
         v = _as_int_row(vec)
+        rows = self._rows
         while v:
             col = min(v)
-            row = self._rows.get(col)
+            row = rows.get(col)
             if row is None:
-                return v
-            v = _eliminate(v, row, col)
+                return _strip_content(v)
+            _eliminate(v, row, col)
         return v
 
     def contains(self, vec) -> bool:
@@ -154,21 +165,23 @@ class SubspaceQ:
     @classmethod
     def from_echelon(cls, eb: EchelonBasis) -> "SubspaceQ":
         # Back-substitute to clear pivot columns above, then scale pivots to 1.
+        # Going down from the last pivot, a row is final once its own pivot
+        # is reached, so its content is divided out then, once.
         pivots = sorted(eb._rows)
         reduced: dict[int, IntRow] = {p: dict(eb._rows[p]) for p in pivots}
         for p in reversed(pivots):
-            below = reduced[p]
+            below = reduced[p] = _strip_content(reduced[p])
             for q in pivots:
                 if q >= p:
                     break
                 r = reduced[q]
                 if p in r:
-                    reduced[q] = _eliminate(r, below, p)
+                    _eliminate(r, below, p)
         rows = []
         for p in pivots:
             r = reduced[p]
-            lead = Fraction(r[p])
-            rows.append(tuple((c, Fraction(v) / lead) for c, v in sorted(r.items())))
+            lead = r[p]
+            rows.append(tuple((c, Fraction(v, lead)) for c, v in sorted(r.items())))
         return cls(eb.ambient_dim, tuple(rows))
 
     @property

@@ -19,12 +19,15 @@ from __future__ import annotations
 import math
 import threading
 from dataclasses import dataclass
-from fractions import Fraction
 
 from quadop.core.operad import QuadOperad
 from quadop.core.perms import REPS
 from quadop.errors import InputError
-from quadop.linalg import EchelonBasis, SubspaceQ
+from quadop.linalg import EchelonBasis, IntRow, SubspaceQ, primitive_row
+
+# Largest window radius K.  A T-block has dim P(3) * O(K**2) coordinates and
+# as many generators, so the cost of a sweep grows steeply with K.
+MAX_WINDOW = 16
 
 
 @dataclass(frozen=True)
@@ -64,6 +67,8 @@ class LocalityInstance:
     def __init__(self, P: QuadOperad, K: int):
         if K < 1:
             raise InputError("window radius K must be at least 1")
+        if K > MAX_WINDOW:
+            raise InputError(f"window radius K={K} exceeds the cap of {MAX_WINDOW}")
         self.P = P
         self.K = K
         self.W = 2 * K + 1
@@ -88,10 +93,11 @@ class LocalityInstance:
             out.append([dict(row) for row in eb.rows()])
         return out
 
-    def _projected(self, sigma, outer, inner) -> dict[int, Fraction]:
+    def _projected(self, sigma, outer, inner) -> IntRow:
+        """Image of one monomial in P(3), scaled to a primitive integer row
+        (scaling changes no span and no membership)."""
         flat = self.P.space.flat(sigma, outer, inner)
-        vec = self.P.project({flat: Fraction(1)})
-        return {r: c for r, c in vec.items() if c}
+        return primitive_row(self.P.project({flat: 1}))
 
     # -- T-graded blocks -----------------------------------------------
 
@@ -180,18 +186,19 @@ class LocalityInstance:
                 point = (spec.k - t, spec.n - s + t, spec.m + s)
                 yield coeff, point, base
 
-    def residue_vector(self, spec: ResidueSpec) -> dict[int, Fraction]:
+    def residue_vector(self, spec: ResidueSpec) -> IntRow:
         """Order-N locality obstruction for ((a i-op_k b) j-op c) at the
-        given anchors, in flat window coordinates."""
+        given anchors, in flat window coordinates, with the P(3) image of
+        the monomial scaled to a primitive integer row."""
         self._check_window(spec)
         W = self.W
         K = self.K
-        out: dict[int, Fraction] = {}
+        out: IntRow = {}
         for coeff, (na, nb, nc), base in self._residue_terms(spec):
             offset = (na + K) * W**2 + (nb + K) * W + (nc + K)
             for r, c in base.items():
                 key = r * W**3 + offset
-                out[key] = out.get(key, Fraction(0)) + coeff * c
+                out[key] = out.get(key, 0) + coeff * c
         return {k: v for k, v in out.items() if v}
 
     def contains_residue(self, spec: ResidueSpec) -> bool:
@@ -199,12 +206,12 @@ class LocalityInstance:
         T = spec.k + spec.n + spec.m
         index, basis = self._block(T)
         npts = len(index)
-        vec: dict[int, Fraction] = {}
+        vec: IntRow = {}
         for coeff, point, base in self._residue_terms(spec):
             h = index[point]
             for r, c in base.items():
                 key = r * npts + h
-                vec[key] = vec.get(key, Fraction(0)) + coeff * c
+                vec[key] = vec.get(key, 0) + coeff * c
         vec = {k: v for k, v in vec.items() if v}
         if not vec:
             return True
@@ -246,7 +253,7 @@ class LocalityInstance:
                 for key, c in gen.items():
                     r, h = divmod(key, npts)
                     na, nb, nc = back[h]
-                    row[r * W**3 + (na + K) * W**2 + (nb + K) * W + (nc + K)] = Fraction(c)
+                    row[r * W**3 + (na + K) * W**2 + (nb + K) * W + (nc + K)] = c
                 rows.append(row)
         return SubspaceQ.from_vectors(self.dim_p3 * W**3, rows)
 

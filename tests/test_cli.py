@@ -137,3 +137,21 @@ def test_malformed_operad_file_is_an_input_error(capsys, tmp_path, field, value,
     assert out == ""
     assert "Traceback" not in err
     assert message in err
+
+
+def test_unexpected_exception_exits_3(capsys, monkeypatch):
+    def broken(args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr("quadop.cli.cmd_catalog", broken)
+    code, out, err = run(capsys, "catalog")
+    assert code == 3
+    assert out == ""
+    assert err == "unexpected error: RuntimeError: boom\n"
+
+
+def test_window_above_cap_is_an_input_error(capsys):
+    code, out, err = run(capsys, "locality", "Com", "--window", "10000")
+    assert code == 1
+    assert out == ""
+    assert "exceeds the cap of 16" in err

@@ -1,5 +1,6 @@
 """Exact subspace arithmetic: canonical forms, membership, perp, intersections."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -17,9 +18,10 @@ def _dot(u, w):
     return sum(x * w[c] for c, x in u.items() if c in w)
 
 
-def _dense_kernel(rows, n):
-    """Kernel of a row list by dense Gauss-Jordan on Fraction lists, with no
-    use of this package's elimination: one vector per free column."""
+def _dense_rref(rows, n):
+    """Reduced row echelon form of a row list by dense Gauss-Jordan on
+    Fraction lists, with no use of this package's elimination.  Returns the
+    nonzero rows and their pivot columns."""
     mat = [[Fraction(r.get(c, 0)) for c in range(n)] for r in rows]
     pivots = []
     for col in range(n):
@@ -35,6 +37,12 @@ def _dense_kernel(rows, n):
                 f = mat[i][col]
                 mat[i] = [a - f * b for a, b in zip(mat[i], mat[k])]
         pivots.append(col)
+    return mat[:len(pivots)], pivots
+
+
+def _dense_kernel(rows, n):
+    """Kernel of a row list from its dense RREF: one vector per free column."""
+    mat, pivots = _dense_rref(rows, n)
     kern = []
     for free in range(n):
         if free in pivots:
@@ -64,6 +72,81 @@ def sparse_rational_rows(draw, max_dim=12):
     entry = st.fractions(min_value=-5, max_value=5, max_denominator=6)
     row = st.dictionaries(st.integers(min_value=0, max_value=n - 1), entry, max_size=4)
     return n, draw(st.lists(row, max_size=n + 2))
+
+
+def _primitive(v):
+    """Reference: clear denominators through Fraction, divide out the gcd and
+    make the leading value positive."""
+    fracs = {c: Fraction(x) for c, x in v.items() if x}
+    if not fracs:
+        return {}
+    scale = math.lcm(*(f.denominator for f in fracs.values()))
+    ints = {c: int(f * scale) for c, f in fracs.items()}
+    g = math.gcd(*ints.values())
+    if ints[min(ints)] < 0:
+        g = -g
+    return {c: x // g for c, x in ints.items()}
+
+
+def _reference_residual(rows_by_pivot, vec):
+    """Reference reduction that makes the working row primitive after every
+    elimination step, as the kernel did before it stripped only once."""
+    v = _primitive(vec)
+    while v and min(v) in rows_by_pivot:
+        col = min(v)
+        row = rows_by_pivot[col]
+        g = math.gcd(row[col], v[col])
+        fa, fb = row[col] // g, v[col] // g
+        out = {c: fa * x for c, x in v.items()}
+        for c, x in row.items():
+            out[c] = out.get(c, 0) - fb * x
+        v = _primitive(out)
+    return v
+
+
+_mixed_entry = st.one_of(
+    st.integers(min_value=-6, max_value=6),
+    st.fractions(min_value=-5, max_value=5, max_denominator=6),
+)
+
+
+@st.composite
+def sparse_mixed_rows(draw, max_dim=10):
+    n = draw(st.integers(min_value=1, max_value=max_dim))
+    row = st.dictionaries(st.integers(min_value=0, max_value=n - 1), _mixed_entry, max_size=5)
+    return n, draw(st.lists(row, max_size=n + 3)), draw(st.lists(row, min_size=1, max_size=4))
+
+
+@given(sparse_mixed_rows())
+@settings(max_examples=150, deadline=None)
+def test_residual_matches_per_step_stripping(data):
+    n, rows, probes = data
+    eb = EchelonBasis(n)
+    for vec in rows + probes:
+        before = dict(vec)
+        got = eb.residual(vec)
+        assert vec == before
+        assert got == _reference_residual({min(r): r for r in eb.rows()}, vec)
+        if got:
+            assert got[min(got)] > 0
+            assert math.gcd(*got.values()) == 1
+            assert all(type(x) is int for x in got.values())
+        grew = eb.add(vec)
+        assert vec == before
+        assert grew == bool(got)
+    for row in eb.rows():
+        assert row[min(row)] > 0 and math.gcd(*row.values()) == 1
+    dense, pivots = _dense_rref(rows + probes, n)
+    canon = SubspaceQ.from_echelon(eb)
+    assert canon.pivots == tuple(pivots)
+    assert canon.basis() == [{c: x for c, x in enumerate(r) if x} for r in dense]
+
+
+def test_non_rational_entries_are_rejected():
+    with pytest.raises(TypeError, match="not a rational number"):
+        EchelonBasis(2).add({0: 0.5})
+    with pytest.raises(TypeError, match="not a rational number"):
+        EchelonBasis(2).add(["1/2", 1])
 
 
 def test_canonical_form_is_generating_set_independent():

@@ -4,14 +4,28 @@ from fractions import Fraction
 
 import pytest
 
-from quadop.core.catalog import catalog
+from quadop.core.catalog import catalog, resolve
 from quadop.errors import InputError
-from quadop.locality import LocalityInstance, ResidueSpec, build_instance
+from quadop.locality import MAX_WINDOW, LocalityInstance, ResidueSpec, build_instance
 
 
 def test_window_size_validation():
     with pytest.raises(InputError):
         LocalityInstance(catalog("Lie"), 0)
+
+
+def test_window_cap_is_checked_before_building(monkeypatch):
+    # The pair bases are built first thing after the checks; if the cap were
+    # checked later, this would fail with the AssertionError instead.
+    def never(self):
+        raise AssertionError("pair bases built for an over-cap window")
+
+    monkeypatch.setattr(LocalityInstance, "_build_pair_bases", never)
+    assert MAX_WINDOW >= 8
+    with pytest.raises(InputError, match=f"exceeds the cap of {MAX_WINDOW}"):
+        LocalityInstance(catalog("Lie"), MAX_WINDOW + 1)
+    with pytest.raises(InputError, match="exceeds the cap"):
+        build_instance(catalog("Lie"), 10**6)
 
 
 def test_lie_bracket_is_local_of_order_two():
@@ -119,3 +133,42 @@ def test_bad_spec_parameters(spec):
     lab = LocalityInstance(catalog("preLie"), 4)
     with pytest.raises(InputError):
         lab.contains_residue(spec)
+
+
+# Minimal locality order of every (inner, outer) pair of the 19 criterion-02
+# entries at K=6, k=0, anchor (0,0), Nmax 4, in row-major pair order, with
+# "-" for "none found in window".
+_TABLE_ORDERS = {
+    "Com": "1",
+    "Lie": "2",
+    "As": "1111",
+    "Pois": "1112",
+    "Nov": "1111",
+    "NP": "111111111",
+    "Alt": "2222",
+    "Perm": "1111",
+    "Leib": "2222",
+    "diAs": "1111111111111111",
+    "diNov": "1111111111111111",
+    "dual(GD)": "111111111",
+    "ComTriAs": "111111111",
+    "Zinb": "1-1-",
+    "preLie": "-2-2",
+    "preAs": "--11--11--11--11",
+    "dual(NP)": "222211211",
+    "GD": "11-11--22",
+    "postLie": "-22-22-22",
+}
+
+
+@pytest.mark.parametrize("name", sorted(_TABLE_ORDERS))
+def test_whole_table_sweep(name):
+    P = resolve(name)
+    outcomes = build_instance(P, 6).sweep(k=0, Nmax=4, n=0, m=0)
+    d = P.dim_gens
+    got = "".join(
+        "-" if outcomes[i, j] is None else str(outcomes[i, j])
+        for i in range(d)
+        for j in range(d)
+    )
+    assert got == _TABLE_ORDERS[name]
