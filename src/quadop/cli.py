@@ -1,10 +1,11 @@
 """Command line front end.
 
 Every subcommand accepts ``--json`` for a machine-readable report with
-deterministic key order.  Exit status: 0 on success, 1 for bad input
-(unknown names, malformed files, out-of-window requests), 2 when an
-internal cross-check fails, which indicates a bug rather than bad input,
-and 3 for any other exception, which is a bug as well.
+deterministic key order.  Exit status: 0 on success (``--help`` included),
+1 for bad input (usage errors, unknown names, malformed files,
+out-of-window requests), 2 when an internal cross-check fails, which
+indicates a bug rather than bad input, and 3 for any other exception, which
+is a bug as well.  Every failure prints one line to stderr.
 """
 
 from __future__ import annotations
@@ -110,10 +111,7 @@ def cmd_dong(args) -> tuple[dict, list[str]]:
     report = dong_verdict(P)
     payload = _payload(P, dong=report.as_dict())
     lines = [f"operad {P.name}: {report.verdict}"]
-    lines.append(
-        f"  kernel dimension {report.kernel_dim}"
-        + ("" if report.method_agreement else "  (routes disagree!)")
-    )
+    lines.append(f"  kernel dimension {report.kernel_dim}")
     d = report.dims
     lines.append(
         f"  dims: gen={d['gen']} free3={d['free3']} relations={d['relations']} "
@@ -257,6 +255,14 @@ def cmd_selfcheck(args) -> tuple[dict, list[str]]:
         B = black_product(As, catalog("Lie"))
         if not verify_black_tensor(As, catalog("Lie"), B):
             raise InternalCheckError("black(As, Lie) failed the tensor check")
+        for left, right in (("As", "Lie"), ("Leib", "Nov")):
+            P, Q = catalog(left), catalog(right)
+            B = black_product(P, Q)
+            D = dual_operad(white_product(dual_operad(P), dual_operad(Q)))
+            if (B.space.swap, B.relations) != (D.space.swap, D.relations):
+                raise InternalCheckError(
+                    f"black({left}, {right}) is not the dual of white(dual, dual)"
+                )
 
     def check_split():
         pre = split(catalog("Lie"), "pre")
@@ -290,8 +296,15 @@ def _add_operad_arg(sub):
     sub.add_argument("operad", help="catalog name, dual(NAME), or path to a JSON file")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors are bad input: exit 1, not argparse's 2."""
+
+    def error(self, message):
+        raise InputError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="quadop",
         description="exact calculator for binary quadratic operads",
     )
@@ -344,9 +357,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         payload, lines = args.handler(args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -60,7 +60,10 @@ def _tokenize(text: str) -> list[tuple[str, object]]:
                 raise InputError("empty generator name in braces")
             toks.append(("gen", name))
         elif m.group("int"):
-            toks.append(("int", int(m.group("int"))))
+            try:
+                toks.append(("int", int(m.group("int"))))
+            except ValueError:  # more digits than int() accepts
+                raise InputError(f"integer at position {m.start('int')} is too long") from None
         else:
             toks.append(("punct", m.group("punct")))
     return toks

@@ -1,14 +1,15 @@
-"""The Dong property via the Koszul-dual rank criterion.
+"""The Dong property via the Koszul-dual criterion.
 
-An operad P has the property exactly when the "composable pair" block of the
-dual free space meets the dual relations trivially: writing B for the span of
-the d*d monomials (id, i, j) in F_{V'}(3), the verdict is Dong iff
+Writing B for the span of the d*d monomials (id, i, j) of the dual free space,
+P is Dong iff B meets the dual relations R-perp trivially.  The pairing with
+F(3) is the identity on matching monomials and the block is the flat columns
+c < d*d, so w on B lies in R-perp iff w . r = 0 for every relation row r of
+P: the obstruction is the kernel of P's canonical relation rows restricted
+to the block columns, and no dual operad is built.
 
-    B  intersect  R-perp  =  0.
-
-Equivalently the d*d images of those monomials in P!(3) are linearly
-independent.  Both routes are computed on every call and must agree; a
-disagreement is an internal conventions bug, not a property of the input.
+A NotDong verdict prints that kernel's canonical basis in the dual generators
+as witnesses, and each is replayed with dot products only (replay_witnesses).
+A failed replay is an internal bug, not a property of the input.
 """
 
 from __future__ import annotations
@@ -16,24 +17,23 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+from quadop.core.free3 import GeneratorSpace
 from quadop.core.operad import QuadOperad
-from quadop.core.parser import pretty_print
-from quadop.core.perms import IDENT
-from quadop.errors import InternalCheckError
-from quadop.koszul import dual_operad
-from quadop.linalg import EchelonBasis, SubspaceQ
+from quadop.core.parser import parse_relation, pretty_print
+from quadop.errors import InputError, InternalCheckError
+from quadop.koszul import dual_generators
+from quadop.linalg import SubspaceQ, kernel_basis
 
 
 @dataclass
 class DongReport:
     operad: str
     verdict: str  # "Dong" or "NotDong"
-    method_agreement: bool
+    method_agreement: bool  # the witness replay passed (vacuous for Dong)
     kernel_dim: int
     witnesses: list[str]
     dims: dict[str, int]
     kernel: SubspaceQ = field(repr=False, default=None)
-    dual_name: str = ""
 
     def as_dict(self) -> dict:
         return {
@@ -46,58 +46,65 @@ class DongReport:
         }
 
 
-def dong_verdict(P: QuadOperad, dual: QuadOperad | None = None) -> DongReport:
-    """Decide the Dong property of P and report both routes' evidence.
+def replay_witnesses(P: QuadOperad, dspace: GeneratorSpace, witnesses: list[str]) -> None:
+    """Check printed witnesses against P with dot products, no elimination.
 
-    Witnesses are the canonical basis of the kernel block, pretty-printed in
-    the dual generators; they parse back to kernel elements.
+    Each must parse in the dual generators dspace to a nonzero vector on the
+    identity block with a leading column no earlier witness has, and pair to
+    zero with every canonical relation row of P.  Raises InternalCheckError.
     """
-    if dual is None:
-        dual = dual_operad(P)
+    by_col: dict[int, list[tuple[int, Fraction]]] = {}
+    for k, row in enumerate(P.relations.basis()):
+        for c, a in row.items():
+            by_col.setdefault(c, []).append((k, a))
+    leads = set()
+    for w in witnesses:
+        try:
+            vec = parse_relation(dspace, w)
+        except InputError:
+            vec = {}
+        dots: dict[int, Fraction] = {}
+        for c, x in vec.items():
+            for k, a in by_col.get(c, ()):
+                dots[k] = dots.get(k, 0) + x * a
+        if not vec or max(vec) >= P.dim_gens ** 2 or min(vec) in leads or any(dots.values()):
+            raise InternalCheckError(
+                f"witness {w!r} of {P.name} is not a new nonzero block vector in R-perp"
+            )
+        leads.add(min(vec))
+
+
+def dong_verdict(P: QuadOperad, dual: QuadOperad | None = None) -> DongReport:
+    """Decide the Dong property of P.
+
+    Witnesses are the canonical basis of the block kernel, printed in the
+    generators of `dual` when it is given and of dual_generators(P.space)
+    otherwise; they parse back to kernel elements.
+    """
     d = P.dim_gens
-    dspace = dual.space
-
-    # Route 1: intersect the (id, *, *) block with the dual relations.
-    block = SubspaceQ.from_vectors(
-        dspace.free3_dim,
-        [{dspace.flat(IDENT, i, j): Fraction(1)} for i in range(d) for j in range(d)],
-    )
-    kernel = block.intersect(dual.relations)
-    verdict_1 = kernel.dim == 0
-
-    # Route 2: rank of the block's image in P!(3).
-    image = EchelonBasis(dual.dim_p3)
-    for i in range(d):
-        for j in range(d):
-            image.add(dual.project({dspace.flat(IDENT, i, j): Fraction(1)}))
-    verdict_2 = image.rank == d * d
-
-    agreement = verdict_1 == verdict_2
-    if image.rank + kernel.dim != d * d:
-        agreement = False
-    report = DongReport(
+    block = d * d
+    dspace = dual.space if dual is not None else dual_generators(P.space)
+    rows = [{c: a for c, a in row.items() if c < block} for row in P.relations.basis()]
+    vectors = kernel_basis(rows, block).basis()
+    kernel = SubspaceQ.from_vectors(P.dim_free3, vectors)
+    witnesses = [pretty_print(dspace, w) for w in vectors]
+    replay_witnesses(P, dspace, witnesses)
+    return DongReport(
         operad=P.name,
-        verdict="Dong" if verdict_1 else "NotDong",
-        method_agreement=agreement,
-        kernel_dim=kernel.dim,
-        witnesses=[pretty_print(dspace, row) for row in kernel.basis()],
+        verdict="Dong" if not vectors else "NotDong",
+        method_agreement=True,
+        kernel_dim=len(vectors),
+        witnesses=witnesses,
         dims={
             "gen": d,
             "free3": P.dim_free3,
             "relations": P.dim_relations,
             "p3": P.dim_p3,
-            "dual_relations": dual.dim_relations,
-            "dual_p3": dual.dim_p3,
+            "dual_relations": P.dim_p3,
+            "dual_p3": P.dim_relations,
         },
         kernel=kernel,
-        dual_name=dual.name,
     )
-    if not agreement:
-        raise InternalCheckError(
-            f"Dong routes disagree on {P.name}: intersection kernel {kernel.dim}, "
-            f"image rank {image.rank} of {d * d}"
-        )
-    return report
 
 
 def dong_table(operads) -> list[DongReport]:

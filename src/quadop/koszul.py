@@ -62,8 +62,6 @@ def dual_operad(P: QuadOperad, *, name: str | None = None) -> QuadOperad:
     """Koszul dual: dual generators with the annihilator of R as relations."""
     space = dual_generators(P.space)
     rel = P.relations.perp()
-    if rel.dim + P.relations.dim != P.space.free3_dim:
-        raise InternalCheckError("annihilator dimension is off")
     # Stability of the annihilator is a theorem given the sign-twisted action;
     # the QuadOperad constructor re-checks it as a guard against convention bugs.
     return QuadOperad(name or f"dual({P.name})", space, rel)

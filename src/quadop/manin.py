@@ -6,11 +6,10 @@ that maps to zero under the evaluation
     Phi: F_{V(x)W}(3) -> P(3) (x) Q(3),
     (sigma, (i,p), (j,q)) |-> [image of (sigma,i,j) in P(3)] (x) [image of (sigma,p,q) in Q(3)].
 
-Black product: Koszul dual of the white product of the duals, rebuilt over
-generators g•h so the paired coordinates line up with the white index scheme.
-Its relation space equals the span of the elementwise products r (x) s over
-relation bases of P and Q; both constructions are computed and compared on
-every call.
+Black product: the operad over generators g•h whose relations are spanned by
+the elementwise products r (x) s over relation bases of P and Q.  This equals
+the Koszul dual of the white product of the duals; that identity is checked
+by `quadop selfcheck` and the tests, not on every call.
 
 Splitting: each generator of Q splits into succ/prec (and perp in the post
 flavour), with the (12)-action twisted by a sign on the succ/prec pair.  The
@@ -24,10 +23,10 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import product as iproduct
 
-from quadop.core.free3 import GeneratorSpace, Vec, s3_closure
+from quadop.core.free3 import GeneratorSpace, Vec, act
 from quadop.core.operad import QuadOperad
 from quadop.core.perms import IDENT, REPS
-from quadop.errors import InputError, InternalCheckError
+from quadop.errors import InputError
 from quadop.koszul import dual_operad
 from quadop.linalg import SubspaceQ, kernel_basis
 
@@ -76,9 +75,10 @@ def white_product(P: QuadOperad, Q: QuadOperad) -> QuadOperad:
     return QuadOperad(f"white({P.name},{Q.name})", space, rel)
 
 
-def black_direct(P: QuadOperad, Q: QuadOperad) -> QuadOperad:
-    """Black product built from its relation span: the elementwise products
-    of relation vectors, (r . s)[(sigma,(i,p),(j,q))] = r[(sigma,i,j)] s[(sigma,p,q)]."""
+def black_product(P: QuadOperad, Q: QuadOperad) -> QuadOperad:
+    """Manin black product P • Q, built from its relation span: the elementwise
+    products of relation vectors,
+    (r . s)[(sigma,(i,p),(j,q))] = r[(sigma,i,j)] s[(sigma,p,q)]."""
     space = _product_space(P, Q, "•", -1)
     pair = _pair_index(P, Q)
     vectors = []
@@ -97,20 +97,6 @@ def black_direct(P: QuadOperad, Q: QuadOperad) -> QuadOperad:
                 vectors.append(vec)
     rel = SubspaceQ.from_vectors(space.free3_dim, vectors)
     return QuadOperad(f"black({P.name},{Q.name})", space, rel)
-
-
-def black_product(P: QuadOperad, Q: QuadOperad) -> QuadOperad:
-    """Manin black product P • Q, with the direct span construction checked
-    against the dual-of-white route on every call."""
-    direct = black_direct(P, Q)
-    wd = white_product(dual_operad(P), dual_operad(Q))
-    rel = wd.relations.perp()
-    if rel != direct.relations:
-        raise InternalCheckError(
-            f"black product routes disagree on ({P.name},{Q.name}): "
-            f"dual-of-white gives dim {rel.dim}, relation span gives dim {direct.relations.dim}"
-        )
-    return direct
 
 
 def replicate(kind: str, P: QuadOperad) -> QuadOperad:
@@ -135,7 +121,7 @@ def _split_space(Q: QuadOperad, mode: str, twist: int) -> GeneratorSpace:
     likewise for prec, while perp keeps the plain action.  twist=+1 gives the
     Rota-Baxter model convention ((12) acts without the extra sign on all
     three blocks); the substitution table is only S3-consistent there, so the
-    relation closure runs in that space and is transported afterwards.
+    seeds are built in that space and transported afterwards.
     """
     e = Q.dim_gens
     blocks = ("succ", "prec", "perp") if mode == "post" else ("succ", "prec")
@@ -182,7 +168,6 @@ def _split_monomial(space: GeneratorSpace, Q: QuadOperad, mode: str,
         shapes = [(perp(i), succ(j))]
     else:  # M = {k1, k2, k3}
         shapes = [(perp(i), perp(j))]
-    from quadop.core.free3 import act
 
     out: Vec = {}
     for outer, inner in shapes:
@@ -203,10 +188,10 @@ def split(Q: QuadOperad, mode: str) -> QuadOperad:
     The relation seeds come from the substitution table applied to the
     canonical relation basis of Q; their span is already S3-stable in the
     Rota-Baxter model convention (splitting a permuted identity with a
-    permuted subset is the permuted splitting), and that is asserted.  The
-    result is then expressed in the sign-twisted convention by flipping every
-    prec leg, a diagonal change of basis that conjugates one S2-action into
-    the other.
+    permuted subset is the permuted splitting).  The seeds are expressed in
+    the sign-twisted convention by flipping every prec leg, a diagonal change
+    of basis that conjugates one S2-action into the other, so the
+    constructor's S3-stability guard also checks the substitution table.
     """
     if mode not in ("pre", "post"):
         raise InputError(f"split mode must be 'pre' or 'post', got {mode!r}")
@@ -229,13 +214,6 @@ def split(Q: QuadOperad, mode: str) -> QuadOperad:
                     elif idx in vec:
                         del vec[idx]
             vectors.append(vec)
-    plain = SubspaceQ.from_vectors(model.free3_dim, vectors)
-    rel_model = s3_closure(model, vectors)
-    if rel_model.dim != plain.dim:
-        raise InternalCheckError(
-            f"splitting seeds of {Q.name} were not S3-stable "
-            f"({plain.dim} -> {rel_model.dim}); table convention bug"
-        )
     e = Q.dim_gens
     space = _split_space(Q, mode, -1)
 
@@ -243,9 +221,9 @@ def split(Q: QuadOperad, mode: str) -> QuadOperad:
         return -1 if e <= g < 2 * e else 1
 
     moved = []
-    for row in rel_model.basis():
+    for vec in vectors:
         out: Vec = {}
-        for c, val in row.items():
+        for c, val in vec.items():
             _, outer, inner = model.unflat(c)
             s = leg_sign(outer) * leg_sign(inner)
             out[c] = val if s == 1 else -val

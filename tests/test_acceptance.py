@@ -21,7 +21,6 @@ from quadop.koszul import dual_operad, pairing_equivariant, verify_jacobi_dualit
 from quadop.linalg import invert_matrix
 from quadop.locality import build_instance
 from quadop.manin import black_product, replicate, split, white_product
-from quadop.manin import black_direct
 
 from helpers import random_involutive_space, random_operad
 
@@ -170,7 +169,7 @@ def test_criterion_07_product_identities():
         assert B.dim_p3 == P.dim_p3
     for left, right in (("Leib", "Nov"), ("Nov", "Pois"), ("As", "Lie")):
         P, Q = catalog(left), catalog(right)
-        direct = black_direct(P, Q)
+        direct = black_product(P, Q)
         via_duals = white_product(dual_operad(P), dual_operad(Q)).relations.perp()
         assert direct.relations == via_duals
     _budget(t0, 60)

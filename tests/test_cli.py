@@ -1,6 +1,7 @@
 """Command-line interface, exercised in-process through main()."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -155,3 +156,37 @@ def test_window_above_cap_is_an_input_error(capsys):
     assert code == 1
     assert out == ""
     assert "exceeds the cap of 16" in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["locality", "Com", "--window", "abc"], "invalid int value: 'abc'"),
+        ([], "the following arguments are required: command"),
+        (["product", "--white", "--black", "As", "Lie"], "not allowed with argument"),
+    ],
+    ids=["bad-int", "no-command", "exclusive-kinds"],
+)
+def test_usage_error_exits_1(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert message in err
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    assert "usage: quadop" in capsys.readouterr().out
+
+
+def test_readme_dong_transcript(capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text().splitlines()
+    start = readme.index("$ quadop dong preLie") + 1
+    code, out, _ = run(capsys, "dong", "preLie")
+    assert code == 0
+    assert readme[start + 4] == "```"
+    assert out == "\n".join(readme[start:start + 4]) + "\n"
+    assert "  witness: (x1 {p1} x2) {p1} x3 - (x1 {p2} x2) {p1} x3" in readme[start:start + 4]

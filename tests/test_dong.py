@@ -1,11 +1,18 @@
 """The identity-block criterion and its report plumbing."""
 
+from fractions import Fraction
+
 import pytest
 
+import quadop.dong
 from quadop.core.catalog import catalog, catalog_names, resolve
 from quadop.core.operad import make_operad
-from quadop.dong import dong_table, dong_verdict
-from quadop.koszul import dual_operad
+from quadop.core.parser import parse_relation, pretty_print
+from quadop.core.perms import IDENT
+from quadop.dong import dong_table, dong_verdict, replay_witnesses
+from quadop.errors import InternalCheckError
+from quadop.koszul import dual_generators, dual_operad
+from quadop.linalg import SubspaceQ
 
 # Verdicts as the criterion computes them.  These freeze package behaviour;
 # every entry was cross-checked by an independent implementation and, for the
@@ -32,12 +39,28 @@ COMPUTED_VERDICTS = {
     "dual(NP)": "Dong",
 }
 
+ZINB_WITNESS = "(x1 {z1'} x2) {z2'} x3 - (x1 {z2'} x2) {z2'} x3"
+
 
 @pytest.mark.parametrize("spec", sorted(COMPUTED_VERDICTS))
 def test_verdicts(spec):
     report = dong_verdict(resolve(spec))
     assert report.verdict == COMPUTED_VERDICTS[spec]
     assert report.method_agreement
+
+
+@pytest.mark.parametrize("spec", sorted(COMPUTED_VERDICTS))
+def test_kernel_is_the_block_meet_of_the_dual_relations(spec):
+    # The definition, computed the long way: intersect the identity block
+    # with the relations of the dual operad.
+    P = resolve(spec)
+    D = dual_operad(P)
+    d = P.dim_gens
+    block = SubspaceQ.from_vectors(
+        D.dim_free3,
+        [{D.space.flat(IDENT, i, j): Fraction(1)} for i in range(d) for j in range(d)],
+    )
+    assert dong_verdict(P).kernel == block.intersect(D.relations)
 
 
 def test_kernel_dimension_accounts_for_the_block():
@@ -60,7 +83,62 @@ def test_witnesses_parse_back_into_the_kernel():
 
 def test_zinb_witness_text():
     report = dong_verdict(catalog("Zinb"))
-    assert report.witnesses == ["(x1 {z1'} x2) {z2'} x3 - (x1 {z2'} x2) {z2'} x3"]
+    assert report.witnesses == [ZINB_WITNESS]
+
+
+@pytest.mark.parametrize("witnesses", [[ZINB_WITNESS], []], ids=["printed", "none"])
+def test_replay_accepts_true_witnesses(witnesses):
+    Zinb = catalog("Zinb")
+    replay_witnesses(Zinb, dual_generators(Zinb.space), witnesses)
+
+
+@pytest.mark.parametrize(
+    "witnesses",
+    [
+        ["(x1 {z1'} x2) {z2'} x3 + (x1 {z2'} x2) {z2'} x3"],  # sign flipped
+        ["(x1 {z1'} x2) {z2'} x3"],  # term dropped
+        ["(x1 {z2'} x2) {z2'} x3"],  # the other term dropped
+        ["0"],  # zero
+        [ZINB_WITNESS, "2 * (x1 {z1'} x2) {z2'} x3 - 2 * (x1 {z2'} x2) {z2'} x3"],  # dependent
+        ["(x2 {z1'} x3) {z2'} x1 - (x2 {z2'} x3) {z2'} x1"],  # off the block
+        ["(x1 {q} x2) {z2'} x3"],  # does not parse
+    ],
+    ids=["sign-flipped", "term-dropped", "other-term-dropped", "zero", "dependent",
+         "off-block", "unparsable"],
+)
+def test_replay_rejects_tampered_witnesses(witnesses):
+    Zinb = catalog("Zinb")
+    with pytest.raises(InternalCheckError):
+        replay_witnesses(Zinb, dual_generators(Zinb.space), witnesses)
+
+
+def test_off_block_witness_is_in_the_dual_relations():
+    # The off-block case above fails only for leaving the block: the same
+    # vector moved by (123) still lies in the dual relations.
+    Zinb = catalog("Zinb")
+    D = dual_operad(Zinb)
+    assert D.relations.contains(D.parse(ZINB_WITNESS))
+    assert D.relations.contains(
+        D.parse("(x2 {z1'} x3) {z2'} x1 - (x2 {z2'} x3) {z2'} x1"))
+
+
+def test_verdict_raises_when_a_printed_witness_is_wrong(monkeypatch):
+    def drop_last_term(space, vec):
+        return pretty_print(space, dict(sorted(vec.items())[:-1]))
+
+    monkeypatch.setattr(quadop.dong, "pretty_print", drop_last_term)
+    with pytest.raises(InternalCheckError):
+        dong_verdict(catalog("Zinb"))
+    dong_verdict(catalog("As"))  # Dong: nothing printed, nothing to replay
+
+
+def test_kernel_lives_in_the_dual_free_space():
+    P = catalog("Zinb")
+    D = dual_operad(P)
+    report = dong_verdict(P, D)
+    assert report.witnesses == [ZINB_WITNESS]
+    assert report.kernel.ambient_dim == D.dim_free3
+    assert report.kernel.contains(parse_relation(D.space, ZINB_WITNESS))
 
 
 def test_report_dims_keys():

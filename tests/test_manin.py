@@ -91,11 +91,13 @@ def test_black_with_lie_keeps_dimensions():
 
 
 def test_black_is_dual_of_white_of_duals():
-    # black_product cross-checks its two routes internally; reaching the
-    # return is the assertion.  Exercise a few shapes.
     for left, right in (("Leib", "Nov"), ("Nov", "Pois"), ("As", "Lie")):
-        B = black_product(catalog(left), catalog(right))
-        assert B.dim_gens == catalog(left).dim_gens * catalog(right).dim_gens
+        P, Q = catalog(left), catalog(right)
+        B = black_product(P, Q)
+        assert B.dim_gens == P.dim_gens * Q.dim_gens
+        W = white_product(dual_operad(P), dual_operad(Q))
+        assert B.relations == W.relations.perp()
+        assert B.space.swap == dual_operad(W).space.swap
 
 
 def test_black_tensor_certificate():

@@ -1,9 +1,13 @@
 """Operad construction, projections to the quotient, and basis changes."""
 
 import json
+import os
+import tempfile
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quadop.core.catalog import catalog
 from quadop.core.free3 import GeneratorSpace
@@ -117,6 +121,80 @@ def test_load_operad_file_errors(tmp_path):
     incomplete.write_text(json.dumps({"name": "x", "generators": []}))
     with pytest.raises(InputError):
         load_operad_file(str(incomplete))
+
+
+# Mostly well-formed pieces, each branch also drawing arbitrary JSON, so that
+# drawn files reach every stage of the loader before they go wrong.
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+_NAME = st.sampled_from(["a", "b", "c"])
+_ANY_NAME = _NAME | _NAME | st.text(max_size=3) | _JSON
+_SYMMETRY = (
+    st.sampled_from(["sym", "antisym"])
+    | st.fixed_dictionaries({"pair": _ANY_NAME})
+    | st.fixed_dictionaries({"swap": st.dictionaries(
+        _NAME | st.text(max_size=3), st.sampled_from(["1", "-1", "1/2", "0", "1/0"]) | _JSON, max_size=2)})
+    | _JSON
+)
+_GENERATOR = (
+    st.tuples(_NAME, st.sampled_from(["sym", "antisym"])).map(list)
+    | st.tuples(_ANY_NAME, _SYMMETRY).map(list)
+    | st.fixed_dictionaries({"name": _ANY_NAME, "symmetry": _SYMMETRY})
+    | _JSON
+)
+_WELL_FORMED_RELATION = st.sampled_from([
+    "(x1 {a} x2) {a} x3 - x1 {a} (x2 {a} x3)",
+    "(x1 {a} x2) {b} x3 + (x2 {b} x3) {a} x1",
+    "2/3 * (x3 {b} x1) {b} x2",
+    "x1 {c} (x2 {a} x3) - 1/2 * (x1 {b} x2) {c} x3",
+    "0",
+])
+_RELATION = (
+    _WELL_FORMED_RELATION
+    | st.just("(x1 {a} x2) {a} x3 (x2 {a} x3)")
+    | st.text(alphabet="x123{}()+-*/ ab0", max_size=30)
+    | _JSON
+)
+_FILE = (
+    st.fixed_dictionaries({
+        "name": st.text(max_size=6),
+        "generators": st.sampled_from([
+            [["a", "sym"]],
+            [["a", "antisym"], ["b", "sym"]],
+            [["a", {"pair": "b"}], ["b", {"pair": "a"}]],
+            [["a", "sym"], ["b", {"swap": {"c": "-1"}}], ["c", {"swap": {"b": "-1"}}]],
+        ]),
+        "relations": st.lists(_WELL_FORMED_RELATION, max_size=3)
+        | st.lists(_RELATION, max_size=3),
+    })
+    | st.fixed_dictionaries({
+        "name": st.text(max_size=6) | _JSON,
+        "generators": st.lists(_GENERATOR, min_size=1, max_size=3) | _JSON,
+        "relations": st.lists(_RELATION, max_size=3) | _JSON,
+    })
+    | _JSON
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_FILE)
+def test_loader_fuzz_returns_an_operad_or_input_error(data):
+    fd, path = tempfile.mkstemp(suffix=".json")
+    try:
+        with os.fdopen(fd, "w") as fh:
+            json.dump(data, fh)
+        try:
+            P = load_operad_file(path)
+        except InputError:
+            return
+    finally:
+        os.unlink(path)
+    assert isinstance(P, QuadOperad)
+    assert P.name == data["name"]
+    assert P.dim_relations + P.dim_p3 == 3 * len(data["generators"]) ** 2
 
 
 def test_change_basis_preserves_dims_and_roundtrips():

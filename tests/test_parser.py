@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quadop.core.free3 import GeneratorSpace
 from quadop.core.parser import monomial_str, parse_relation, pretty_print
@@ -94,3 +96,31 @@ def test_pretty_print_roundtrip_random():
 def test_bad_relations_raise(bad):
     with pytest.raises(InputError):
         parse_relation(SYM, bad)
+
+
+# Fragments of the grammar, valid and broken, so that drawn texts often get
+# deep into the parser before they go wrong.
+_FRAGMENTS = ["x1", "x2", "x3", "x4", "{p}", "{c1}", "{c2}", "{}", "{", "}", "(", ")",
+              "+", "-", "*", "/", "0", "1", "3/2", "12", " ", "{q}", "$"]
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(
+    st.lists(st.sampled_from(_FRAGMENTS), max_size=24).map("".join),
+    st.text(alphabet="x123{}()+-*/ 0pc\u0661", max_size=40),
+))
+def test_parser_fuzz_returns_a_vector_or_input_error(text):
+    try:
+        vec = parse_relation(TRIPLE, text)
+    except InputError:
+        return
+    assert isinstance(vec, dict)
+    for idx, coeff in vec.items():
+        assert 0 <= idx < TRIPLE.free3_dim
+        assert isinstance(coeff, Fraction) and coeff
+    assert parse_relation(TRIPLE, pretty_print(TRIPLE, vec)) == vec
+
+
+def test_overlong_integer_is_an_input_error():
+    with pytest.raises(InputError):
+        parse_relation(SYM, "1" * 5000 + " * (x1 {m} x2) {m} x3")
