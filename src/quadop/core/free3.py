@@ -173,7 +173,7 @@ def s3_closure(space: GeneratorSpace, vectors) -> SubspaceQ:
 
 def is_s3_stable(space: GeneratorSpace, sub: SubspaceQ) -> bool:
     for g in (SWAP12, CYC123):
-        for row in sub.basis():
+        for row in sub.rows():
             if not sub.contains(act(space, g, row)):
                 return False
     return True

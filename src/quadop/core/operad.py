@@ -18,6 +18,10 @@ from quadop.linalg import SubspaceQ, invert_matrix
 
 _SYMMETRY_KINDS = ("sym", "antisym", "pair", "swap")
 
+# Fraction("1e<k>") builds 10**|k| before any other check, so a swap
+# coefficient's decimal exponent is held to the int<->str digit cap.
+_MAX_EXPONENT = 4300
+
 
 class QuadOperad:
     """A presented binary quadratic operad over Q."""
@@ -133,8 +137,15 @@ def _swap_matrix(gen_specs: list[tuple[str, object]]) -> GeneratorSpace:
             for target, coeff in image.items():
                 if target not in index:
                     raise InputError(f"swap image of {name!r} mentions unknown {target!r}")
+                text = str(coeff)
                 try:
-                    cols[j][index[target]] = Fraction(str(coeff))
+                    _, e, exponent = text.lower().partition("e")
+                    if e and abs(int(exponent)) > _MAX_EXPONENT:
+                        raise InputError(
+                            f"swap coefficient {coeff!r} of {name!r} has an exponent "
+                            f"beyond {_MAX_EXPONENT} in magnitude"
+                        )
+                    cols[j][index[target]] = Fraction(text)
                 except (ValueError, ZeroDivisionError):
                     raise InputError(
                         f"swap coefficient {coeff!r} of {name!r} is not a rational"
@@ -194,7 +205,7 @@ def load_operad_file(path: str) -> QuadOperad:
             data = json.load(fh)
     except OSError as exc:
         raise InputError(f"cannot read operad file {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad JSON, bad UTF-8, or an int beyond the digit cap
         raise InputError(f"{path} is not valid JSON: {exc}") from None
     if not isinstance(data, dict):
         raise InputError(f"{path}: expected a JSON object with keys name, generators, relations")
@@ -227,7 +238,7 @@ def change_basis(P: QuadOperad, T, *, name: str | None = None) -> QuadOperad:
             if lhs != rhs:
                 raise InputError("basis change matrix does not commute with the swap")
     moved = []
-    for row in P.relations.basis():
+    for row in P.relations.rows():
         out: Vec = {}
         for c, coeff in row.items():
             sigma, i, j = space.unflat(c)

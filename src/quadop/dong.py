@@ -53,8 +53,8 @@ def replay_witnesses(P: QuadOperad, dspace: GeneratorSpace, witnesses: list[str]
     identity block with a leading column no earlier witness has, and pair to
     zero with every canonical relation row of P.  Raises InternalCheckError.
     """
-    by_col: dict[int, list[tuple[int, Fraction]]] = {}
-    for k, row in enumerate(P.relations.basis()):
+    by_col: dict[int, list[tuple[int, int]]] = {}
+    for k, row in enumerate(P.relations.rows()):
         for c, a in row.items():
             by_col.setdefault(c, []).append((k, a))
     leads = set()
@@ -84,9 +84,10 @@ def dong_verdict(P: QuadOperad, dual: QuadOperad | None = None) -> DongReport:
     d = P.dim_gens
     block = d * d
     dspace = dual.space if dual is not None else dual_generators(P.space)
-    rows = [{c: a for c, a in row.items() if c < block} for row in P.relations.basis()]
-    vectors = kernel_basis(rows, block).basis()
-    kernel = SubspaceQ.from_vectors(P.dim_free3, vectors)
+    rows = [{c: a for c, a in row.items() if c < block} for row in P.relations.rows()]
+    block_kernel = kernel_basis(rows, block)
+    vectors = block_kernel.basis()
+    kernel = SubspaceQ.from_vectors(P.dim_free3, block_kernel.rows())
     witnesses = [pretty_print(dspace, w) for w in vectors]
     replay_witnesses(P, dspace, witnesses)
     return DongReport(
@@ -95,14 +96,7 @@ def dong_verdict(P: QuadOperad, dual: QuadOperad | None = None) -> DongReport:
         method_agreement=True,
         kernel_dim=len(vectors),
         witnesses=witnesses,
-        dims={
-            "gen": d,
-            "free3": P.dim_free3,
-            "relations": P.dim_relations,
-            "p3": P.dim_p3,
-            "dual_relations": P.dim_p3,
-            "dual_p3": P.dim_relations,
-        },
+        dims={**P.dims(), "dual_relations": P.dim_p3, "dual_p3": P.dim_relations},
         kernel=kernel,
     )
 

@@ -5,19 +5,21 @@ reduces to row reduction of sparse matrices with rational entries.  Rows are
 sparse dicts mapping column -> value, so the many zero columns of the big
 band-structured systems are never touched.
 
-Two containers:
+One row type: every row is a primitive integer row (content 1, positive
+leading value).  Input entries may be int or Fraction; their numerators and
+denominators are read directly, so an int vector never becomes a Fraction.
 
-* EchelonBasis: an incremental, order-dependent echelon form kept as
-  primitive integer rows (content 1, positive leading value).  Cheap add and
+* EchelonBasis: an incremental, order-dependent echelon form.  Cheap add and
   membership, no canonical form.  Used while sweeping generators into a space.
-  Input entries may be int or Fraction; their numerators and denominators are
-  read directly, so an int vector never becomes a Fraction.  Elimination is
-  integer-preserving: each step forms a*v - b*row in place, and the content
-  is divided out once, when a reduction ends in a nonzero residual.
-* SubspaceQ: a canonical reduced row echelon form (pivots 1, cleared above and
-  below, rows sorted by pivot column), stored with Fraction entries.  Two
-  SubspaceQ objects are equal iff they are the same subspace, so equality and
-  hashing are structural.
+  Elimination is integer-preserving: each step forms a*v - b*row in place,
+  and the content is divided out once, when a reduction ends in a nonzero
+  residual.
+* SubspaceQ: a canonical wrapper around one reduced EchelonBasis.  Its rows
+  are the reduced row echelon form (pivot columns cleared in every other
+  row), each scaled to its primitive integer row.  That form is unique for a
+  given subspace, so equality and hashing are structural, and membership runs
+  on the canonical rows themselves.  basis() is the Fraction edge: it scales
+  each row to pivot entry 1.
 """
 
 from __future__ import annotations
@@ -139,21 +141,20 @@ class EchelonBasis:
 
 
 class SubspaceQ:
-    """A subspace of Q^n in canonical reduced row echelon form.
+    """A subspace of Q^n in canonical form.
 
-    The basis is stored sparsely as a tuple of rows, each row a tuple of
-    (column, Fraction) pairs in column order, with pivot entry 1 and pivot
-    columns cleared in all other rows.  This form is unique for a given
-    subspace, so __eq__ and __hash__ compare subspaces, not presentations.
+    The basis is a reduced EchelonBasis: rows sorted by pivot column, pivot
+    columns cleared in all other rows, each row a primitive integer row with
+    its entries in column order.  This form is unique for a given subspace,
+    so __eq__ and __hash__ compare subspaces, not presentations.
     """
 
-    __slots__ = ("ambient_dim", "_rows", "_memb")
+    __slots__ = ("ambient_dim", "_eb")
 
-    def __init__(self, ambient_dim: int, canonical_rows: tuple):
+    def __init__(self, eb: EchelonBasis):
         # Not meant to be called directly; use from_vectors / from_echelon.
-        self.ambient_dim = ambient_dim
-        self._rows = canonical_rows
-        self._memb: EchelonBasis | None = None
+        self.ambient_dim = eb.ambient_dim
+        self._eb = eb
 
     @classmethod
     def from_vectors(cls, ambient_dim: int, vectors) -> "SubspaceQ":
@@ -164,9 +165,9 @@ class SubspaceQ:
 
     @classmethod
     def from_echelon(cls, eb: EchelonBasis) -> "SubspaceQ":
-        # Back-substitute to clear pivot columns above, then scale pivots to 1.
-        # Going down from the last pivot, a row is final once its own pivot
-        # is reached, so its content is divided out then, once.
+        # Back-substitute to clear pivot columns above.  Going down from the
+        # last pivot, a row is final once its own pivot is reached, so its
+        # content is divided out then, once.
         pivots = sorted(eb._rows)
         reduced: dict[int, IntRow] = {p: dict(eb._rows[p]) for p in pivots}
         for p in reversed(pivots):
@@ -177,51 +178,40 @@ class SubspaceQ:
                 r = reduced[q]
                 if p in r:
                     _eliminate(r, below, p)
-        rows = []
-        for p in pivots:
-            r = reduced[p]
-            lead = r[p]
-            rows.append(tuple((c, Fraction(v, lead)) for c, v in sorted(r.items())))
-        return cls(eb.ambient_dim, tuple(rows))
+        canon = EchelonBasis(eb.ambient_dim)
+        canon._rows = {p: dict(sorted(reduced[p].items())) for p in pivots}
+        return cls(canon)
 
     @property
     def dim(self) -> int:
-        return len(self._rows)
+        return self._eb.rank
 
     @property
     def pivots(self) -> tuple[int, ...]:
-        return tuple(r[0][0] for r in self._rows)
+        return tuple(self._eb._rows)
+
+    def rows(self) -> list[IntRow]:
+        """The canonical rows in pivot order (primitive integer form).  They
+        are shared with the subspace; do not modify them."""
+        return list(self._eb._rows.values())
 
     def basis(self) -> list[dict[int, Fraction]]:
-        """Canonical basis vectors as {col: Fraction} mappings."""
-        return [dict(r) for r in self._rows]
-
-    def _membership(self) -> EchelonBasis:
-        # Lazily built integer echelon used for contains(); idempotent, so a
-        # benign race just builds it twice.
-        eb = self._memb
-        if eb is None:
-            eb = EchelonBasis(self.ambient_dim)
-            for r in self._rows:
-                eb.add(dict(r))
-            self._memb = eb
-        return eb
+        """Canonical basis vectors as {col: Fraction} mappings, pivot entry 1."""
+        out = []
+        for p, r in self._eb._rows.items():
+            lead = r[p]
+            out.append({c: Fraction(v, lead) for c, v in r.items()})
+        return out
 
     def contains(self, vec) -> bool:
-        return self._membership().contains(vec)
+        return self._eb.contains(vec)
 
     def contains_subspace(self, other: "SubspaceQ") -> bool:
-        memb = self._membership()
-        return all(memb.contains(dict(r)) for r in other._rows)
+        return all(self._eb.contains(r) for r in other.rows())
 
     def sum_with(self, other: "SubspaceQ") -> "SubspaceQ":
         self._check_ambient(other)
-        eb = EchelonBasis(self.ambient_dim)
-        for r in self._rows:
-            eb.add(dict(r))
-        for r in other._rows:
-            eb.add(dict(r))
-        return SubspaceQ.from_echelon(eb)
+        return SubspaceQ.from_vectors(self.ambient_dim, self.rows() + other.rows())
 
     def intersect(self, other: "SubspaceQ") -> "SubspaceQ":
         """Zassenhaus: echelonise rows [u|u] for u in self and [w|0] for w in
@@ -230,14 +220,13 @@ class SubspaceQ:
         self._check_ambient(other)
         n = self.ambient_dim
         eb = EchelonBasis(2 * n)
-        for r in self._rows:
-            v = {}
-            for c, x in r:
-                v[c] = x
+        for r in self.rows():
+            v = dict(r)
+            for c, x in r.items():
                 v[c + n] = x
             eb.add(v)
-        for r in other._rows:
-            eb.add(dict(r))
+        for r in other.rows():
+            eb.add(r)
         inter = []
         for pivot, row in eb._rows.items():
             if pivot >= n:
@@ -249,19 +238,18 @@ class SubspaceQ:
         i.e. the kernel of the matrix whose rows are the basis.
 
         Read straight from the canonical rows: each free (non-pivot) column f
-        gives the kernel vector e_f - sum_p r_p[f] e_p over the rows r_p with
-        pivot p.  Pivot columns are cleared in every other row, so every
-        non-leading entry of a row sits in a free column.
+        gives the kernel vector e_f - sum_p (r_p[f] / r_p[p]) e_p over the rows
+        r_p with pivot p.  Pivot columns are cleared in every other row, so
+        every non-leading entry of a row sits in a free column.
         """
         n = self.ambient_dim
-        pivots = set(self.pivots)
-        kern: dict[int, dict[int, Fraction]] = {
-            f: {f: Fraction(1)} for f in range(n) if f not in pivots
-        }
-        for r in self._rows:
-            p = r[0][0]
-            for f, x in r[1:]:
-                kern[f][p] = -x
+        rows = self._eb._rows
+        kern: dict[int, dict] = {f: {f: 1} for f in range(n) if f not in rows}
+        for p, r in rows.items():
+            lead = r[p]
+            for f, x in r.items():
+                if f != p:
+                    kern[f][p] = Fraction(-x, lead)
         return SubspaceQ.from_vectors(n, kern.values())
 
     def _check_ambient(self, other: "SubspaceQ"):
@@ -273,10 +261,10 @@ class SubspaceQ:
     def __eq__(self, other) -> bool:
         if not isinstance(other, SubspaceQ):
             return NotImplemented
-        return self.ambient_dim == other.ambient_dim and self._rows == other._rows
+        return self.ambient_dim == other.ambient_dim and self._eb._rows == other._eb._rows
 
     def __hash__(self) -> int:
-        return hash((self.ambient_dim, self._rows))
+        return hash((self.ambient_dim, tuple(tuple(r.items()) for r in self.rows())))
 
     def __repr__(self) -> str:
         return f"SubspaceQ(dim={self.dim}, ambient={self.ambient_dim})"

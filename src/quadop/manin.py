@@ -82,12 +82,12 @@ def black_product(P: QuadOperad, Q: QuadOperad) -> QuadOperad:
     space = _product_space(P, Q, "•", -1)
     pair = _pair_index(P, Q)
     vectors = []
-    for r in P.relations.basis():
+    for r in P.relations.rows():
         by_sigma_r: dict[int, list] = {0: [], 1: [], 2: []}
         for c, a in r.items():
             sigma, i, j = P.space.unflat(c)
             by_sigma_r[REPS.index(sigma)].append((sigma, i, j, a))
-        for s in Q.relations.basis():
+        for s in Q.relations.rows():
             vec: Vec = {}
             for c, b in s.items():
                 sigma_q, p, q = Q.space.unflat(c)
@@ -202,7 +202,7 @@ def split(Q: QuadOperad, mode: str) -> QuadOperad:
     else:
         subsets = [frozenset(s) for s in ({1}, {2}, {3})]
     vectors = []
-    for f in Q.relations.basis():
+    for f in Q.relations.rows():
         for M in subsets:
             vec: Vec = {}
             for c, coeff in f.items():
@@ -249,7 +249,7 @@ def verify_black_tensor(P: QuadOperad, Q: QuadOperad, B: QuadOperad) -> bool:
         )
     dual = dual_operad(P)
     pair = _pair_index(P, Q)
-    for h in Q.relations.basis():
+    for h in Q.relations.rows():
         total: dict[tuple[int, int], Fraction] = {}
         for c, coeff in h.items():
             tau, jo, ji = Q.space.unflat(c)

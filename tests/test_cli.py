@@ -1,5 +1,6 @@
 """Command-line interface, exercised in-process through main()."""
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -49,6 +50,41 @@ def test_json_output_is_deterministic(capsys):
     first = run(capsys, "--json", "dual", "NP")
     second = run(capsys, "--json", "dual", "NP")
     assert first == second
+
+
+# sha256 of `--json show NAME` followed by `--json dual NAME`, frozen from the
+# implementation that stored canonical rows as Fraction tuples.  It pins the
+# printed canonical relations of every catalog entry and of its dual.
+_SHOW_DUAL_SHA256 = {
+    "Alt": "a1d8b5bd35d7908a7f0132a2a878610a020634db83c5e2bb4512c95afc566f9b",
+    "As": "c0b3a4761698128221527193d5c9e04130433af3741ed85032173b34354ca71a",
+    "Com": "766ec67f451fe954b693c6b917853e588bd5b1c6465f74ad91bdc3441659d3f3",
+    "GD": "fc553f6317a5944d327352eda1a796f816675edc20c16736ccaf3ab880c1d605",
+    "Lie": "4ee1211033ec4da1ef5531429d8e452fc70b8def97c47516fbbd468774888880",
+    "NP": "c0f318042fae4fa3c5933677952e62fe2822196ed0721c37edcb758c17315061",
+    "Nov": "a77f38eb5cc76a9fb35abfd6e937e5ee014527a9091e07858d79f6d0e44cee75",
+    "Perm": "04d10497b3daab3384cc547e5b5a6658ae8eff4624918aaed6f7fa7af9d07849",
+    "Pois": "1930f659bf33333f2209e134eb90b50159ca7d72013fa0bdf13e94b9e8b13e3e",
+    "Zinb": "d0a59b681b008002107f407b54c0e83d7bbfe06aee563289dac9ee4bdc6d53de",
+    "ComTriAs": "142a80feb391194547d956238862e867c35f99314706b05b77b95df71a4b138c",
+    "Leib": "0afd49171b5079479bbb0333356ba4e218f1f16ef96b2c07f4126aaf4de909ca",
+    "diAs": "022674bd5c0ac255beb6004e2dffcba146a30aa8315f2af1f7525b2b0b17e767",
+    "diNov": "dcb998f4339f4701760f8b3cc8944978f3bd384bab6f277b22feeb21acdd02ab",
+    "postLie": "2b53a5b7907281fc0f057f7d5ebcea57be5b91727f66f316a4f341739a77de95",
+    "preAs": "e226fa66f11bcb282605c151ce48133b55aa4d6f0000931d9389a885caee242e",
+    "preLie": "3a19e61a17c9f611388120988ff4f500663978a4834f87b0218ad70da6dc26fb",
+}
+
+
+def test_show_and_dual_json_are_frozen(capsys):
+    assert sorted(_SHOW_DUAL_SHA256) == sorted(catalog_names())
+    for name, digest in _SHOW_DUAL_SHA256.items():
+        h = hashlib.sha256()
+        for command in ("show", "dual"):
+            code, out, err = run(capsys, "--json", command, name)
+            assert code == 0, err
+            h.update(out.encode())
+        assert h.hexdigest() == digest, name
 
 
 def test_dual_json_primes_names(capsys):
@@ -127,8 +163,11 @@ _GOOD_FILE = {
         ("generators", [["a", {"swap": {"a": "abc"}}]], "not a rational"),
         ("relations", [5], "relation 5 is not a string"),
         ("relations", "(x1 {a} x2) {a} x3", "relations must be a list"),
+        ("generators", [["a", {"swap": {"b": "1e999999999"}}], ["b", {"swap": {"a": "1"}}]],
+         "has an exponent beyond 4300"),
     ],
-    ids=["generators-string", "swap-not-rational", "relation-not-string", "relations-string"],
+    ids=["generators-string", "swap-not-rational", "relation-not-string", "relations-string",
+         "swap-huge-exponent"],
 )
 def test_malformed_operad_file_is_an_input_error(capsys, tmp_path, field, value, message):
     path = tmp_path / "bad.json"
@@ -137,7 +176,17 @@ def test_malformed_operad_file_is_an_input_error(capsys, tmp_path, field, value,
     assert code == 1
     assert out == ""
     assert "Traceback" not in err
+    assert err.count("\n") == 1
     assert message in err
+
+
+def test_operad_file_integer_beyond_digit_cap_is_an_input_error(capsys, tmp_path):
+    path = tmp_path / "bad.json"
+    text = json.dumps({**_GOOD_FILE, "generators": [["a", {"swap": {"a": 0}}]]})
+    path.write_text(text.replace('"a": 0', '"a": ' + "1" * 5000))
+    code, out, err = run(capsys, "show", str(path))
+    assert (code, out) == (1, "")
+    assert "not valid JSON" in err
 
 
 def test_unexpected_exception_exits_3(capsys, monkeypatch):

@@ -140,6 +140,10 @@ def test_residual_matches_per_step_stripping(data):
     canon = SubspaceQ.from_echelon(eb)
     assert canon.pivots == tuple(pivots)
     assert canon.basis() == [{c: x for c, x in enumerate(r) if x} for r in dense]
+    for row in canon.rows():
+        assert all(type(x) is int for x in row.values())
+        assert row[min(row)] > 0 and math.gcd(*row.values()) == 1
+    assert canon.rows() == [_primitive(b) for b in canon.basis()]
 
 
 def test_non_rational_entries_are_rejected():
@@ -155,6 +159,11 @@ def test_canonical_form_is_generating_set_independent():
     assert a == b
     assert hash(a) == hash(b)
     assert a.dim == 2
+    # The same plane from generators that carry denominators.
+    c = _span(3, [Fraction(1, 2), Fraction(1, 3), Fraction(5, 6)],
+              [Fraction(-2, 7), 0, Fraction(-2, 7)])
+    assert a == c
+    assert hash(a) == hash(c)
 
 
 def test_membership():
