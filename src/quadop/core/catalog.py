@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import os
 import re
-import threading
 
 from quadop.core.operad import QuadOperad, load_operad_file, make_operad
 from quadop.errors import InputError
@@ -158,7 +157,6 @@ _DERIVED = {
 }
 
 _cache: dict[str, QuadOperad] = {}
-_cache_lock = threading.Lock()
 
 
 def catalog_names() -> list[str]:
@@ -177,8 +175,8 @@ def catalog(name: str) -> QuadOperad:
         op = _DERIVED[name]()
     else:
         raise InputError(f"unknown operad {name!r}; known: {', '.join(catalog_names())}")
-    with _cache_lock:
-        return _cache.setdefault(name, op)
+    _cache[name] = op
+    return op
 
 
 _DUAL_RE = re.compile(r"^dual\((.+)\)$")

@@ -13,6 +13,10 @@ where sigma runs over the transversal REPS = {id, (123), (132)} of the inner
 The S2 action on V is recorded as a matrix in column convention:
 
     (12) . e_j = sum_m swap[m][j] e_m.
+
+Each space keeps the nonzeros of its swap columns; both the action on a
+vector's support and the check that the swap matrix is an involution read
+them, so neither costs a dense d**3 pass.
 """
 
 from __future__ import annotations
@@ -43,12 +47,16 @@ class GeneratorSpace:
             raise InputError(f"swap matrix must be {d}x{d}")
         if len(set(self.names)) != d:
             raise InputError("generator names must be distinct")
-        # (12) is an involution, so its matrix must square to the identity.
-        for i in range(d):
-            for j in range(d):
-                acc = sum((self.swap[i][m] * self.swap[m][j] for m in range(d)), Fraction(0))
-                if acc != (1 if i == j else 0):
-                    raise InputError("swap matrix is not an involution")
+        # (12) is an involution, so its matrix must square to the identity:
+        # column j of S*S, summed over the nonzeros of S's columns, is e_j.
+        cols = self.swap_columns
+        for j, col in enumerate(cols):
+            acc: dict[int, Fraction] = {}
+            for m, x in col:
+                for i, y in cols[m]:
+                    acc[i] = acc.get(i, 0) + y * x
+            if {i: v for i, v in acc.items() if v} != {j: 1}:
+                raise InputError("swap matrix is not an involution")
 
     @property
     def dim(self) -> int:

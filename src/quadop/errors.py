@@ -1,7 +1,8 @@
 """Exception taxonomy shared across the package.
 
 The CLI maps these onto exit codes: InputError -> 1, InternalCheckError -> 2.
-Everything else is a plain bug and escapes as a normal traceback.
+Any other exception is a plain bug: the CLI prints one
+``unexpected error: <type>: <message>`` line and exits 3.
 """
 
 
@@ -16,6 +17,7 @@ class InputError(QuadopError):
 
 
 class InternalCheckError(QuadopError):
-    """A cross-validation the code performs on itself failed (for example the
-    two Dong methods disagree, or the two black-product constructions differ).
+    """A check the code performs on its own results failed: the S3-stability
+    guard on a constructed relation space, the replay of a Dong witness, or
+    one of the ``selfcheck`` cross-checks (for example dual(dual(P)) == P).
     This never indicates bad input; it indicates a convention bug."""

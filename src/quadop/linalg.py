@@ -20,6 +20,13 @@ denominators are read directly, so an int vector never becomes a Fraction.
   given subspace, so equality and hashing are structural, and membership runs
   on the canonical rows themselves.  basis() is the Fraction edge: it scales
   each row to pivot entry 1.
+
+  from_echelon reaches that form by column-indexed back-substitution: going
+  from the last pivot upwards, each echelon row is reduced only at the pivot
+  columns in its own support, by the rows below it, which are already
+  reduced and hold no pivot column but their own.  One pass per row, in any
+  order, with no scan over the other pivots, so the cost follows the rows'
+  nonzeros instead of the square of the rank.
 """
 
 from __future__ import annotations
@@ -165,19 +172,17 @@ class SubspaceQ:
 
     @classmethod
     def from_echelon(cls, eb: EchelonBasis) -> "SubspaceQ":
-        # Back-substitute to clear pivot columns above.  Going down from the
-        # last pivot, a row is final once its own pivot is reached, so its
-        # content is divided out then, once.
+        # Back-substitute from the last pivot upwards.  A reduced row holds no
+        # pivot column but its own, so clearing the later pivot columns in
+        # row p's own support with the reduced rows introduces no new ones:
+        # one pass per row, in any order, then its content is divided out.
         pivots = sorted(eb._rows)
-        reduced: dict[int, IntRow] = {p: dict(eb._rows[p]) for p in pivots}
+        reduced: dict[int, IntRow] = {}
         for p in reversed(pivots):
-            below = reduced[p] = _strip_content(reduced[p])
-            for q in pivots:
-                if q >= p:
-                    break
-                r = reduced[q]
-                if p in r:
-                    _eliminate(r, below, p)
+            row = dict(eb._rows[p])
+            for q in [c for c in row if c in reduced]:
+                _eliminate(row, reduced[q], q)
+            reduced[p] = _strip_content(row)
         canon = EchelonBasis(eb.ambient_dim)
         canon._rows = {p: dict(sorted(reduced[p].items())) for p in pivots}
         return cls(canon)
@@ -205,13 +210,6 @@ class SubspaceQ:
 
     def contains(self, vec) -> bool:
         return self._eb.contains(vec)
-
-    def contains_subspace(self, other: "SubspaceQ") -> bool:
-        return all(self._eb.contains(r) for r in other.rows())
-
-    def sum_with(self, other: "SubspaceQ") -> "SubspaceQ":
-        self._check_ambient(other)
-        return SubspaceQ.from_vectors(self.ambient_dim, self.rows() + other.rows())
 
     def intersect(self, other: "SubspaceQ") -> "SubspaceQ":
         """Zassenhaus: echelonise rows [u|u] for u in self and [w|0] for w in

@@ -17,7 +17,6 @@ negative outcomes are evidence, not proof.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 
 from quadop.core.operad import QuadOperad
@@ -76,7 +75,6 @@ class LocalityInstance:
         self.space_dim = self.dim_p3 * self.W**3
         self._pair_bases = self._build_pair_bases()
         self._blocks: dict[int, tuple[dict[tuple[int, int, int], int], EchelonBasis]] = {}
-        self._lock = threading.Lock()
 
     # -- pair data -----------------------------------------------------
 
@@ -110,16 +108,15 @@ class LocalityInstance:
         return pts
 
     def _block(self, T: int):
-        with self._lock:
-            cached = self._blocks.get(T)
-            if cached is not None:
-                return cached
-            index = {p: h for h, p in enumerate(self._points(T))}
-            basis = EchelonBasis(self.dim_p3 * len(index))
-            for gen in self._block_generators(T, index):
-                basis.add(gen)
-            self._blocks[T] = (index, basis)
-            return index, basis
+        cached = self._blocks.get(T)
+        if cached is not None:
+            return cached
+        index = {p: h for h, p in enumerate(self._points(T))}
+        basis = EchelonBasis(self.dim_p3 * len(index))
+        for gen in self._block_generators(T, index):
+            basis.add(gen)
+        self._blocks[T] = (index, basis)
+        return index, basis
 
     def _block_generators(self, T, index):
         """Order-1 pair relations, one per (pair vector, placement).

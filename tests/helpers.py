@@ -4,7 +4,7 @@ from fractions import Fraction
 
 from quadop.core.free3 import GeneratorSpace, s3_closure
 from quadop.core.operad import QuadOperad
-from quadop.linalg import invert_matrix
+from quadop.linalg import SubspaceQ, invert_matrix
 
 
 def random_involutive_space(rng, d):
@@ -37,3 +37,14 @@ def random_operad(rng, d, nseeds=2, name="random"):
         })
     rel = s3_closure(space, seeds)
     return QuadOperad(name, space, rel)
+
+
+def span_sum(a, b):
+    """The sum of two subspaces of the same ambient space."""
+    assert a.ambient_dim == b.ambient_dim
+    return SubspaceQ.from_vectors(a.ambient_dim, a.rows() + b.rows())
+
+
+def contains_subspace(big, small):
+    """Whether every canonical row of small lies in big."""
+    return all(big.contains(r) for r in small.rows())

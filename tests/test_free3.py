@@ -4,12 +4,15 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quadop.core.catalog import catalog
 from quadop.core.free3 import GeneratorSpace, act, free3_action, is_s3_stable, s3_closure
 from quadop.core.perms import IDENT, REPS, S3, compose
 from quadop.errors import InputError
 from quadop.linalg import SubspaceQ
+from helpers import random_involutive_space
 
 SYM = GeneratorSpace(("m",), ((Fraction(1),),))
 ANTI = GeneratorSpace(("b",), ((Fraction(-1),),))
@@ -51,6 +54,75 @@ def test_bad_spaces_rejected():
         GeneratorSpace(("x", "x"), ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1))))
     with pytest.raises(InputError):
         GeneratorSpace(("x",), ((Fraction(1), Fraction(0)),))  # not square
+
+
+def _dense_is_involution(swap):
+    """Reference: S*S == I entry by entry, dense, in Fraction arithmetic."""
+    d = len(swap)
+    return all(
+        sum((Fraction(swap[i][m]) * swap[m][j] for m in range(d)), Fraction(0)) == (i == j)
+        for i in range(d)
+        for j in range(d)
+    )
+
+
+def _accepted(swap):
+    try:
+        GeneratorSpace(tuple(f"g{i}" for i in range(len(swap))), swap)
+    except InputError as exc:
+        assert str(exc) == "swap matrix is not an involution"
+        return False
+    return True
+
+
+_small_entry = st.sampled_from(
+    [0, 0, 0, 1, -1, 2, -2, Fraction(1, 2), Fraction(-1, 2), Fraction(1, 3)]
+)
+
+
+@st.composite
+def swap_matrices(draw):
+    """Random involutions, the same with one entry perturbed, and small
+    matrices with many zeros (mostly not involutions)."""
+    d = draw(st.integers(min_value=1, max_value=4))
+    kind = draw(st.sampled_from(["involution", "perturbed", "small"]))
+    if kind == "small":
+        return tuple(
+            tuple(Fraction(draw(_small_entry)) for _ in range(d)) for _ in range(d)
+        )
+    rng = random.Random(draw(st.integers(min_value=0, max_value=2**32)))
+    swap = [list(row) for row in random_involutive_space(rng, d).swap]
+    if kind == "perturbed":
+        i = draw(st.integers(min_value=0, max_value=d - 1))
+        j = draw(st.integers(min_value=0, max_value=d - 1))
+        swap[i][j] += draw(_small_entry.filter(bool))
+    return tuple(tuple(row) for row in swap)
+
+
+@given(swap_matrices())
+@settings(max_examples=200, deadline=None)
+def test_involution_check_matches_dense_product(swap):
+    assert _accepted(swap) == _dense_is_involution(swap)
+
+
+@pytest.mark.parametrize(
+    "swap, involution",
+    [
+        # Off-diagonal terms of S*S cancel exactly.
+        (((0, 2), (Fraction(1, 2), 0)), True),
+        (((1, 0), (Fraction(1, 2), -1)), True),
+        (((Fraction(1, 2), Fraction(3, 2)), (Fraction(1, 2), Fraction(-1, 2))), True),
+        # Off-diagonal terms cancel but the diagonal is 2 or -1.
+        (((1, 1), (1, -1)), False),
+        (((0, 1), (-1, 0)), False),
+        # Only one off-diagonal term survives.
+        (((1, 0), (Fraction(1, 2), 1)), False),
+    ],
+)
+def test_involution_check_with_cancellation(swap, involution):
+    swap = tuple(tuple(Fraction(x) for x in row) for row in swap)
+    assert _dense_is_involution(swap) == involution
+    assert _accepted(swap) == involution
 
 
 def _random_vec(space, rng, k=4):

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quadop.linalg import EchelonBasis, SubspaceQ, invert_matrix, kernel_basis
+from helpers import contains_subspace, span_sum
 
 
 def _span(ambient, *vecs):
@@ -146,6 +147,33 @@ def test_residual_matches_per_step_stripping(data):
     assert canon.rows() == [_primitive(b) for b in canon.basis()]
 
 
+@st.composite
+def wide_sparse_rows(draw, max_dim=24):
+    n = draw(st.integers(min_value=1, max_value=max_dim))
+    row = st.dictionaries(st.integers(min_value=0, max_value=n - 1), _mixed_entry, max_size=8)
+    return n, draw(st.lists(row, max_size=n + 3))
+
+
+@given(wide_sparse_rows())
+@settings(max_examples=100, deadline=None)
+def test_from_echelon_matches_dense_rref(data):
+    # Rows with up to 8 entries carry several pivot columns each, so the
+    # back-substitution clears them in more than one order.
+    n, rows = data
+    eb = EchelonBasis(n)
+    for vec in rows:
+        eb.add(vec)
+    before = [dict(r) for r in eb.rows()]
+    canon = SubspaceQ.from_echelon(eb)
+    assert eb.rows() == before
+    dense, pivots = _dense_rref(rows, n)
+    assert canon.pivots == tuple(pivots)
+    assert canon.basis() == [{c: x for c, x in enumerate(r) if x} for r in dense]
+    assert canon.rows() == [_primitive(b) for b in canon.basis()]
+    for row in canon.rows():
+        assert list(row) == sorted(row)
+
+
 def test_non_rational_entries_are_rejected():
     with pytest.raises(TypeError, match="not a rational number"):
         EchelonBasis(2).add({0: 0.5})
@@ -223,18 +251,18 @@ def test_dimension_formula(data_a, data_b):
     a = _span(n, *[v + [0] * (n - len(v)) for v in data_a[1]])
     b = _span(n, *[v + [0] * (n - len(v)) for v in data_b[1]])
     meet = a.intersect(b)
-    join = a.sum_with(b)
+    join = span_sum(a, b)
     assert a.dim + b.dim == meet.dim + join.dim
     for row in meet.basis():
         assert a.contains(row) and b.contains(row)
-    assert join.contains_subspace(a) and join.contains_subspace(b)
+    assert contains_subspace(join, a) and contains_subspace(join, b)
 
 
 def test_intersect_subset_case():
     big = _span(3, [1, 0, 0], [0, 1, 0])
     small = _span(3, [1, 1, 0])
     assert big.intersect(small) == small
-    assert big.sum_with(small) == big
+    assert span_sum(big, small) == big
 
 
 def test_echelon_rank_matches_subspace_dim():
@@ -282,4 +310,4 @@ def test_ambient_mismatch_raises():
     a = _span(2, [1, 0])
     b = _span(3, [1, 0, 0])
     with pytest.raises(ValueError):
-        a.sum_with(b)
+        a.intersect(b)

@@ -1,10 +1,12 @@
 """White and black products, replication, and dendriform-style splitting."""
 
+import hashlib
 from fractions import Fraction
 
 import pytest
 
 from quadop.core.catalog import catalog
+from quadop.dong import dong_verdict
 from quadop.errors import InputError
 from quadop.koszul import dual_operad
 from quadop.linalg import SubspaceQ
@@ -61,6 +63,25 @@ def test_white_perm_as_is_diassociative():
     W = white_product(catalog("Perm"), catalog("As"))
     assert (W.dim_gens, W.dim_relations, W.dim_p3) == (4, 30, 18)
     assert W.relations == catalog("diAs").relations
+
+
+def _relations_digest(P):
+    return hashlib.sha256("\n".join(P.show_relations()).encode()).hexdigest()[:16]
+
+
+def test_d64_white_product_dual_and_verdict_are_pinned():
+    # Frozen from the construction before the column-indexed back-substitution
+    # and the sparse involution check; any change in the canonical relations
+    # changes the digests.
+    diAs = catalog("diAs")
+    W = white_product(diAs, white_product(diAs, diAs))
+    dual = dual_operad(W)
+    report = dong_verdict(W, dual)
+    assert W.dims() == {"gen": 64, "free3": 12288, "relations": 7752, "p3": 4536}
+    assert dual.dims() == {"gen": 64, "free3": 12288, "relations": 4536, "p3": 7752}
+    assert _relations_digest(W) == "00f53c6899c563b2"
+    assert _relations_digest(dual) == "94e2ab640ee90ff1"
+    assert (report.verdict, report.kernel_dim) == ("NotDong", 1296)
 
 
 def test_diassociative_dictionary():
