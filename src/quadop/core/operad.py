@@ -14,7 +14,7 @@ from fractions import Fraction
 from quadop.core.free3 import GeneratorSpace, Vec, is_s3_stable, s3_closure
 from quadop.core.parser import parse_relation, pretty_print
 from quadop.errors import InputError, InternalCheckError
-from quadop.linalg import SubspaceQ, invert_matrix
+from quadop.linalg import SubspaceQ, add_scaled, invert_matrix
 
 _SYMMETRY_KINDS = ("sym", "antisym", "pair", "swap")
 
@@ -84,12 +84,7 @@ class QuadOperad:
         cols = self.p3_projection()
         out: dict[int, Fraction] = {}
         for c, coeff in vec.items():
-            for k, entry in cols[c].items():
-                val = out.get(k, Fraction(0)) + coeff * entry
-                if val:
-                    out[k] = val
-                elif k in out:
-                    del out[k]
+            add_scaled(out, cols[c], coeff)
         return out
 
     def parse(self, text: str) -> Vec:
@@ -242,19 +237,9 @@ def change_basis(P: QuadOperad, T, *, name: str | None = None) -> QuadOperad:
         out: Vec = {}
         for c, coeff in row.items():
             sigma, i, j = space.unflat(c)
-            for a in range(d):
-                if not Tinv[a][i]:
-                    continue
-                for b in range(d):
-                    f = Tinv[a][i] * Tinv[b][j]
-                    if not f:
-                        continue
-                    idx = space.flat(sigma, a, b)
-                    val = out.get(idx, Fraction(0)) + coeff * f
-                    if val:
-                        out[idx] = val
-                    elif idx in out:
-                        del out[idx]
+            add_scaled(out, ((space.flat(sigma, a, b), Tinv[a][i] * Tinv[b][j])
+                             for a in range(d) if Tinv[a][i]
+                             for b in range(d) if Tinv[b][j]), coeff)
         moved.append(out)
     rel = SubspaceQ.from_vectors(space.free3_dim, moved)
     if rel.dim != P.relations.dim:

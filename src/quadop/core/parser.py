@@ -30,6 +30,7 @@ from fractions import Fraction
 from quadop.core.free3 import GeneratorSpace, Vec, act
 from quadop.core.perms import IDENT, Perm
 from quadop.errors import InputError
+from quadop.linalg import add_scaled
 
 _TOKEN_RE = re.compile(
     r"""\s*(?:
@@ -112,12 +113,7 @@ def _right_comb(space: GeneratorSpace, c, h, a, g, b) -> Vec:
     out: Vec = {}
     # e_h(xc, w) = sum_m swap[m][h] e_m(w, xc)
     for m, coeff in space.swap_columns[space.gen_index(h)]:
-        for idx, val in act(space, sigma, {space.flat(IDENT, m, gi): Fraction(1)}).items():
-            acc = out.get(idx, Fraction(0)) + coeff * val
-            if acc:
-                out[idx] = acc
-            elif idx in out:
-                del out[idx]
+        add_scaled(out, act(space, sigma, {space.flat(IDENT, m, gi): Fraction(1)}), coeff)
     return out
 
 
@@ -174,13 +170,7 @@ def parse_relation(space: GeneratorSpace, text: str) -> Vec:
         cur.take()
         sign = -1
     while True:
-        term = _parse_term(space, cur)
-        for idx, val in term.items():
-            acc = out.get(idx, Fraction(0)) + sign * val
-            if acc:
-                out[idx] = acc
-            elif idx in out:
-                del out[idx]
+        add_scaled(out, _parse_term(space, cur), sign)
         if cur.at_end():
             return out
         kind, val = cur.take()

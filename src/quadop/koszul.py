@@ -19,6 +19,7 @@ from quadop.core.free3 import GeneratorSpace, act
 from quadop.core.operad import QuadOperad
 from quadop.core.perms import IDENT, REPS
 from quadop.errors import InternalCheckError
+from quadop.linalg import add_scaled
 
 Vec = dict[int, Fraction]
 
@@ -100,12 +101,5 @@ def verify_jacobi_duality(P: QuadOperad, dual: QuadOperad | None = None) -> bool
                 unit_p = {space.flat(IDENT, j, i): Fraction(1)}
                 u = dual.project(act(dspace, pi, unit_d))
                 v = P.project(act(space, pi, unit_p))
-                for r, a in u.items():
-                    for c, b in v.items():
-                        key = (r, c)
-                        val = jac.get(key, Fraction(0)) + a * b
-                        if val:
-                            jac[key] = val
-                        elif key in jac:
-                            del jac[key]
+                add_scaled(jac, (((r, c), a * b) for r, a in u.items() for c, b in v.items()))
     return not jac

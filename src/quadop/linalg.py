@@ -32,7 +32,7 @@ denominators are read directly, so an int vector never becomes a Fraction.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 # An integer row: column index -> nonzero integer value.
 IntRow = dict[int, int]
@@ -231,24 +231,32 @@ class SubspaceQ:
                 inter.append({c - n: v for c, v in row.items()})
         return SubspaceQ.from_vectors(n, inter)
 
-    def perp(self) -> "SubspaceQ":
-        """Orthogonal complement with respect to the standard dot product,
-        i.e. the kernel of the matrix whose rows are the basis.
-
-        Read straight from the canonical rows: each free (non-pivot) column f
-        gives the kernel vector e_f - sum_p (r_p[f] / r_p[p]) e_p over the rows
-        r_p with pivot p.  Pivot columns are cleared in every other row, so
-        every non-leading entry of a row sits in a free column.
-        """
-        n = self.ambient_dim
+    def annihilator_rows(self) -> list[IntRow]:
+        """Primitive integer rows spanning the orthogonal complement, one per
+        free (non-pivot) column f: the kernel vector
+        e_f - sum_p (r_p[f] / r_p[p]) e_p over the rows r_p with pivot p,
+        scaled by the lcm of those pivot entries.  Pivot columns are cleared
+        in every other row, so every non-leading entry of a row sits in a
+        free column."""
         rows = self._eb._rows
-        kern: dict[int, dict] = {f: {f: 1} for f in range(n) if f not in rows}
+        terms: dict[int, list] = {f: [] for f in range(self.ambient_dim) if f not in rows}
         for p, r in rows.items():
-            lead = r[p]
             for f, x in r.items():
                 if f != p:
-                    kern[f][p] = Fraction(-x, lead)
-        return SubspaceQ.from_vectors(n, kern.values())
+                    terms[f].append((p, x, r[p]))
+        out = []
+        for f, ts in terms.items():
+            scale = lcm(*(lead for _, _, lead in ts))
+            row = {p: -x * (scale // lead) for p, x, lead in ts}
+            row[f] = scale
+            out.append(_strip_content(row))
+        return out
+
+    def perp(self) -> "SubspaceQ":
+        """Orthogonal complement with respect to the standard dot product,
+        i.e. the kernel of the matrix whose rows are the basis: the span of
+        annihilator_rows(), canonicalised once."""
+        return SubspaceQ.from_vectors(self.ambient_dim, self.annihilator_rows())
 
     def _check_ambient(self, other: "SubspaceQ"):
         if self.ambient_dim != other.ambient_dim:
@@ -286,6 +294,19 @@ def invert_matrix(mat) -> list[list[Fraction]] | None:
                 f = aug[r][col]
                 aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
     return [row[n:] for row in aug]
+
+
+def add_scaled(out: dict, terms, scale=1) -> dict:
+    """Add scale times terms (a mapping, or an iterable of (key, value)
+    pairs) into out in place, dropping entries that cancel.  Returns out.
+    A scale of 1 skips the product, which costs as much as a Fraction sum."""
+    for k, v in terms.items() if isinstance(terms, dict) else terms:
+        acc = out.get(k, 0) + (v if scale == 1 else scale * v)
+        if acc:
+            out[k] = acc
+        elif k in out:
+            del out[k]
+    return out
 
 
 def kernel_basis(rows, ncols: int) -> SubspaceQ:

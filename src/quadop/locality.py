@@ -221,6 +221,8 @@ class LocalityInstance:
         None means no certificate exists inside this window, not a proof
         of non-locality.
         """
+        if Nmax < 0:
+            raise InputError(f"largest locality order Nmax must be >= 0, got {Nmax}")
         for N in range(Nmax + 1):
             if self.contains_residue(ResidueSpec(i=i, k=k, j=j, N=N, n=n, m=m)):
                 return N
@@ -228,6 +230,8 @@ class LocalityInstance:
 
     def sweep(self, k: int = 0, Nmax: int = 4, n: int = 0, m: int = 0):
         """min_locality_order for every (inner, outer) operation pair."""
+        if Nmax < 0:  # checked here too, for an operad with no pairs to search
+            raise InputError(f"largest locality order Nmax must be >= 0, got {Nmax}")
         d = self.P.dim_gens
         return {
             (i, j): self.min_locality_order(i, k, j, Nmax=Nmax, n=n, m=m)

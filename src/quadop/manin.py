@@ -1,15 +1,18 @@
 """Manin products, replication, and dendriform splitting.
 
-White product: generators are pairs g*h, and the relations are everything
-that maps to zero under the evaluation
+Both Manin products are one tensor construction.  The tensor row of r over
+P's F(3) and s over Q's F(3) is their elementwise product on matching
+sigma-blocks, (r . s)[(sigma,(i,p),(j,q))] = r[(sigma,i,j)] s[(sigma,p,q)].
 
-    Phi: F_{V(x)W}(3) -> P(3) (x) Q(3),
-    (sigma, (i,p), (j,q)) |-> [image of (sigma,i,j) in P(3)] (x) [image of (sigma,p,q) in Q(3)].
+White product: generators are pairs g*h, and the relations are the
+annihilator of the tensor rows of the annihilators, (R_P^perp . R_Q^perp)^perp.
+The annihilator rows of R are the coordinate functionals of P(3), so this is
+the kernel of the evaluation F_{V(x)W}(3) -> P(3) (x) Q(3).
 
-Black product: the operad over generators g•h whose relations are spanned by
-the elementwise products r (x) s over relation bases of P and Q.  This equals
-the Koszul dual of the white product of the duals; that identity is checked
-by `quadop selfcheck` and the tests, not on every call.
+Black product: generators g•h, relations spanned by the tensor rows of the
+relation bases, R_P . R_Q.  This equals the Koszul dual of the white product
+of the duals, (P o Q)^! = P^! • Q^!; that identity is checked by
+`quadop selfcheck` and the tests, not on every call.
 
 Splitting: each generator of Q splits into succ/prec (and perp in the post
 flavour), with the (12)-action twisted by a sign on the succ/prec pair.  The
@@ -21,14 +24,13 @@ according to how M sits relative to its arguments.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import product as iproduct
 
 from quadop.core.free3 import GeneratorSpace, Vec, act
 from quadop.core.operad import QuadOperad
 from quadop.core.perms import IDENT, REPS
 from quadop.errors import InputError
 from quadop.koszul import dual_operad
-from quadop.linalg import SubspaceQ, kernel_basis
+from quadop.linalg import IntRow, SubspaceQ, add_scaled, kernel_basis
 
 
 def _pair_index(P: QuadOperad, Q: QuadOperad):
@@ -55,47 +57,44 @@ def _product_space(P: QuadOperad, Q: QuadOperad, sep: str, sign: int) -> Generat
     return GeneratorSpace(names, swap)
 
 
-def white_product(P: QuadOperad, Q: QuadOperad) -> QuadOperad:
-    """Manin white product P o Q."""
-    space = _product_space(P, Q, "*", 1)
-    pair = _pair_index(P, Q)
-    dP, dQ = P.dim_gens, Q.dim_gens
-    projP = P.p3_projection()
-    projQ = Q.p3_projection()
-    rows: dict[tuple[int, int], dict[int, Fraction]] = {}
-    for s_idx, sigma in enumerate(REPS):
-        for i, p, j, q in iproduct(range(dP), range(dQ), range(dP), range(dQ)):
-            col = space.flat(sigma, pair(i, p), pair(j, q))
-            colP = projP[P.space.flat(sigma, i, j)]
-            colQ = projQ[Q.space.flat(sigma, p, q)]
-            for alpha, a in colP.items():
-                for beta, b in colQ.items():
-                    rows.setdefault((alpha, beta), {})[col] = a * b
-    rel = kernel_basis(list(rows.values()), space.free3_dim)
-    return QuadOperad(f"white({P.name},{Q.name})", space, rel)
-
-
-def black_product(P: QuadOperad, Q: QuadOperad) -> QuadOperad:
-    """Manin black product P • Q, built from its relation span: the elementwise
-    products of relation vectors,
+def _tensor_rows(P: QuadOperad, rows_P, Q: QuadOperad, rows_Q,
+                 space: GeneratorSpace) -> list[IntRow]:
+    """The nonzero elementwise products of rows over P's and Q's F(3),
+    placed in the product space:
     (r . s)[(sigma,(i,p),(j,q))] = r[(sigma,i,j)] s[(sigma,p,q)]."""
-    space = _product_space(P, Q, "•", -1)
     pair = _pair_index(P, Q)
     vectors = []
-    for r in P.relations.rows():
-        by_sigma_r: dict[int, list] = {0: [], 1: [], 2: []}
+    for r in rows_P:
+        by_sigma: dict[tuple, list] = {sigma: [] for sigma in REPS}
         for c, a in r.items():
             sigma, i, j = P.space.unflat(c)
-            by_sigma_r[REPS.index(sigma)].append((sigma, i, j, a))
-        for s in Q.relations.rows():
-            vec: Vec = {}
+            by_sigma[sigma].append((i, j, a))
+        for s in rows_Q:
+            vec: IntRow = {}
             for c, b in s.items():
-                sigma_q, p, q = Q.space.unflat(c)
-                for sigma, i, j, a in by_sigma_r[REPS.index(sigma_q)]:
+                sigma, p, q = Q.space.unflat(c)
+                for i, j, a in by_sigma[sigma]:
                     vec[space.flat(sigma, pair(i, p), pair(j, q))] = a * b
             if vec:
                 vectors.append(vec)
-    rel = SubspaceQ.from_vectors(space.free3_dim, vectors)
+    return vectors
+
+
+def white_product(P: QuadOperad, Q: QuadOperad) -> QuadOperad:
+    """Manin white product P o Q: the annihilator of the tensor rows of the
+    annihilators, (R_P^perp . R_Q^perp)^perp."""
+    space = _product_space(P, Q, "*", 1)
+    rows = _tensor_rows(P, P.relations.annihilator_rows(),
+                        Q, Q.relations.annihilator_rows(), space)
+    return QuadOperad(f"white({P.name},{Q.name})", space, kernel_basis(rows, space.free3_dim))
+
+
+def black_product(P: QuadOperad, Q: QuadOperad) -> QuadOperad:
+    """Manin black product P • Q: the span of the tensor rows of the
+    relations, R_P . R_Q."""
+    space = _product_space(P, Q, "•", -1)
+    rows = _tensor_rows(P, P.relations.rows(), Q, Q.relations.rows(), space)
+    rel = SubspaceQ.from_vectors(space.free3_dim, rows)
     return QuadOperad(f"black({P.name},{Q.name})", space, rel)
 
 
@@ -171,13 +170,7 @@ def _split_monomial(space: GeneratorSpace, Q: QuadOperad, mode: str,
 
     out: Vec = {}
     for outer, inner in shapes:
-        unit = {space.flat(IDENT, outer, inner): Fraction(1)}
-        for idx, val in act(space, sigma, unit).items():
-            acc = out.get(idx, Fraction(0)) + val
-            if acc:
-                out[idx] = acc
-            elif idx in out:
-                del out[idx]
+        add_scaled(out, act(space, sigma, {space.flat(IDENT, outer, inner): Fraction(1)}))
     return out
 
 
@@ -201,33 +194,21 @@ def split(Q: QuadOperad, mode: str) -> QuadOperad:
                    ({1}, {2}, {3}, {1, 2}, {1, 3}, {2, 3}, {1, 2, 3})]
     else:
         subsets = [frozenset(s) for s in ({1}, {2}, {3})]
-    vectors = []
+    e = Q.dim_gens
+
+    def flipped(c: int) -> bool:  # exactly one of the two legs is a prec
+        _, outer, inner = model.unflat(c)
+        return (e <= outer < 2 * e) != (e <= inner < 2 * e)
+
+    moved = []
     for f in Q.relations.rows():
         for M in subsets:
             vec: Vec = {}
             for c, coeff in f.items():
                 sigma, i, j = Q.space.unflat(c)
-                for idx, val in _split_monomial(model, Q, mode, sigma, i, j, M).items():
-                    acc = vec.get(idx, Fraction(0)) + coeff * val
-                    if acc:
-                        vec[idx] = acc
-                    elif idx in vec:
-                        del vec[idx]
-            vectors.append(vec)
-    e = Q.dim_gens
+                add_scaled(vec, _split_monomial(model, Q, mode, sigma, i, j, M), coeff)
+            moved.append({c: -v if flipped(c) else v for c, v in vec.items()})
     space = _split_space(Q, mode, -1)
-
-    def leg_sign(g: int) -> int:
-        return -1 if e <= g < 2 * e else 1
-
-    moved = []
-    for vec in vectors:
-        out: Vec = {}
-        for c, val in vec.items():
-            _, outer, inner = model.unflat(c)
-            s = leg_sign(outer) * leg_sign(inner)
-            out[c] = val if s == 1 else -val
-        moved.append(out)
     rel = SubspaceQ.from_vectors(space.free3_dim, moved)
     return QuadOperad(f"split_{mode}({Q.name})", space, rel)
 
@@ -257,14 +238,8 @@ def verify_black_tensor(P: QuadOperad, Q: QuadOperad, B: QuadOperad) -> bool:
                 for ii in range(dP):
                     u = dual.project({dual.space.flat(tau, io, ii): Fraction(1)})
                     v = B.project({B.space.flat(tau, pair(io, jo), pair(ii, ji)): Fraction(1)})
-                    for r, a in u.items():
-                        for col, b in v.items():
-                            key = (r, col)
-                            val = total.get(key, Fraction(0)) + coeff * a * b
-                            if val:
-                                total[key] = val
-                            elif key in total:
-                                del total[key]
+                    add_scaled(total, (((r, col), a * b) for r, a in u.items()
+                                       for col, b in v.items()), coeff)
         if total:
             return False
     return True

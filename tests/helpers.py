@@ -1,10 +1,13 @@
 """Shared randomised constructions for the test suite."""
 
 from fractions import Fraction
+from itertools import product as iproduct
 
 from quadop.core.free3 import GeneratorSpace, s3_closure
 from quadop.core.operad import QuadOperad
-from quadop.linalg import SubspaceQ, invert_matrix
+from quadop.core.perms import REPS
+from quadop.linalg import SubspaceQ, invert_matrix, kernel_basis
+from quadop.manin import _pair_index, _product_space
 
 
 def random_involutive_space(rng, d):
@@ -48,3 +51,25 @@ def span_sum(a, b):
 def contains_subspace(big, small):
     """Whether every canonical row of small lies in big."""
     return all(big.contains(r) for r in small.rows())
+
+
+def white_by_projection(P, Q):
+    """Relations of the white product P o Q as the kernel of the evaluation
+    F_{V(x)W}(3) -> P(3) (x) Q(3), read from the Fraction columns of the two
+    p3_projection maps.  Kept as the reference for white_product, which
+    reaches the same subspace through the annihilator rows."""
+    space = _product_space(P, Q, "*", 1)
+    pair = _pair_index(P, Q)
+    dP, dQ = P.dim_gens, Q.dim_gens
+    projP = P.p3_projection()
+    projQ = Q.p3_projection()
+    rows: dict[tuple[int, int], dict[int, Fraction]] = {}
+    for s_idx, sigma in enumerate(REPS):
+        for i, p, j, q in iproduct(range(dP), range(dQ), range(dP), range(dQ)):
+            col = space.flat(sigma, pair(i, p), pair(j, q))
+            colP = projP[P.space.flat(sigma, i, j)]
+            colQ = projQ[Q.space.flat(sigma, p, q)]
+            for alpha, a in colP.items():
+                for beta, b in colQ.items():
+                    rows.setdefault((alpha, beta), {})[col] = a * b
+    return kernel_basis(list(rows.values()), space.free3_dim)

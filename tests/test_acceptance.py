@@ -217,6 +217,23 @@ def test_criterion_09_closure_under_constructions():
     _budget(t0, 300)
 
 
+def test_criterion_09_products_are_local_exactly_when_dong():
+    # Every product of criterion 9, swept at window K=4: every pair has a
+    # locality order exactly when the operad is Dong.
+    t0 = time.monotonic()
+    core = ["Com", "Lie", "As", "Nov", "Pois"]
+    products = [black_product(catalog(a), catalog(b))
+                for a, b in itertools.combinations_with_replacement(core, 2)]
+    products += [replicate(kind, catalog(name)) for name in core for kind in ("di", "tri")]
+    products += [split(catalog(name), mode) for name in TEXTUAL_NAMES for mode in ("pre", "post")]
+    assert len(products) == 45
+    for P in products:
+        sweep = build_instance(P, K=4).sweep()
+        every_pair_local = all(order is not None for order in sweep.values())
+        assert every_pair_local == (dong_verdict(P).verdict == "Dong"), (P.name, sweep)
+    _budget(t0, 30)
+
+
 def test_criterion_10_basis_invariance():
     rng = random.Random(10)
     t0 = time.monotonic()

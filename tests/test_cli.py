@@ -224,6 +224,13 @@ def test_usage_error_exits_1(capsys, argv, message):
     assert message in err
 
 
+def test_negative_n_max_exits_1(capsys):
+    code, out, err = run(capsys, "locality", "Com", "--n-max", "-1")
+    assert code == 1
+    assert out == ""
+    assert err == "error: largest locality order Nmax must be >= 0, got -1\n"
+
+
 def test_help_exits_0(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--help"])

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quadop.linalg import EchelonBasis, SubspaceQ, invert_matrix, kernel_basis
+from quadop.linalg import EchelonBasis, SubspaceQ, add_scaled, invert_matrix, kernel_basis
 from helpers import contains_subspace, span_sum
 
 
@@ -311,3 +311,23 @@ def test_ambient_mismatch_raises():
     b = _span(3, [1, 0, 0])
     with pytest.raises(ValueError):
         a.intersect(b)
+
+
+def test_add_scaled_drops_cancelled_entries():
+    out = {0: Fraction(1, 2), 3: Fraction(2)}
+    result = add_scaled(out, {0: Fraction(1, 4), 3: Fraction(1)}, -2)
+    assert result is out
+    assert out == {}
+
+
+def test_add_scaled_accepts_pairs_and_keeps_the_rest():
+    out = {1: 5}
+    result = add_scaled(out, iter([(1, 2), (2, -1), (2, 1), (4, 3)]))
+    assert result is out
+    assert out == {1: 7, 4: 3}
+
+
+def test_add_scaled_fraction_scale_on_int_values():
+    out = add_scaled({}, {0: 2, 1: 3}, Fraction(1, 3))
+    assert out == {0: Fraction(2, 3), 1: Fraction(1)}
+    assert all(isinstance(v, Fraction) for v in out.values())

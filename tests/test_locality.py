@@ -135,6 +135,14 @@ def test_bad_spec_parameters(spec):
         lab.contains_residue(spec)
 
 
+def test_negative_nmax_is_an_input_error():
+    lab = LocalityInstance(catalog("Com"), 2)
+    with pytest.raises(InputError, match="Nmax must be >= 0"):
+        lab.min_locality_order(0, 0, 0, Nmax=-1)
+    with pytest.raises(InputError, match="Nmax must be >= 0"):
+        lab.sweep(Nmax=-1)
+
+
 # Minimal locality order of every (inner, outer) pair of the 19 criterion-02
 # entries at K=6, k=0, anchor (0,0), Nmax 4, in row-major pair order, with
 # "-" for "none found in window".

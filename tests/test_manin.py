@@ -12,6 +12,8 @@ from quadop.koszul import dual_operad
 from quadop.linalg import SubspaceQ
 from quadop.manin import black_product, replicate, split, verify_black_tensor, white_product
 
+from helpers import white_by_projection
+
 
 def transport_relations(src, dst, G):
     """Push src's relations through the generator dictionary G, where
@@ -63,6 +65,22 @@ def test_white_perm_as_is_diassociative():
     W = white_product(catalog("Perm"), catalog("As"))
     assert (W.dim_gens, W.dim_relations, W.dim_p3) == (4, 30, 18)
     assert W.relations == catalog("diAs").relations
+
+
+@pytest.mark.parametrize("a", ["Com", "Lie", "As", "Perm", "Nov", "diAs"])
+def test_white_matches_projection_reference(a):
+    # white_product shares its tensor loop with black_product; the reference
+    # builds the same kernel from the Fraction columns of p3_projection.
+    for b in ("Com", "Lie", "As", "Perm", "Nov", "diAs"):
+        P, Q = catalog(a), catalog(b)
+        assert white_product(P, Q).relations == white_by_projection(P, Q), (a, b)
+
+
+def test_white_matches_projection_reference_at_d24():
+    P, Q = replicate("tri", catalog("As")), catalog("diAs")
+    W = white_product(P, Q)
+    assert W.dim_gens == 24
+    assert W.relations == white_by_projection(P, Q)
 
 
 def _relations_digest(P):
