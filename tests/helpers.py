@@ -2,11 +2,12 @@
 
 from fractions import Fraction
 from itertools import product as iproduct
+from math import comb
 
 from quadop.core.free3 import GeneratorSpace, s3_closure
 from quadop.core.operad import QuadOperad
-from quadop.core.perms import REPS
-from quadop.linalg import SubspaceQ, invert_matrix, kernel_basis
+from quadop.core.perms import IDENT, REPS
+from quadop.linalg import SubspaceQ, add_scaled, invert_matrix, kernel_basis, primitive_row
 from quadop.manin import _pair_index, _product_space
 
 
@@ -73,3 +74,99 @@ def white_by_projection(P, Q):
                 for beta, b in colQ.items():
                     rows.setdefault((alpha, beta), {})[col] = a * b
     return kernel_basis(list(rows.values()), space.free3_dim)
+
+
+# Minimal locality order of every (inner, outer) pair of the 19 criterion-02
+# entries at k=0, anchor (0,0), Nmax 4, in row-major pair order, with "-" for
+# "none found in window".  Frozen at window 6; the orders are the same at 8.
+TABLE_ORDERS = {
+    "Com": "1",
+    "Lie": "2",
+    "As": "1111",
+    "Pois": "1112",
+    "Nov": "1111",
+    "NP": "111111111",
+    "Alt": "2222",
+    "Perm": "1111",
+    "Leib": "2222",
+    "diAs": "1111111111111111",
+    "diNov": "1111111111111111",
+    "dual(GD)": "111111111",
+    "ComTriAs": "111111111",
+    "Zinb": "1-1-",
+    "preLie": "-2-2",
+    "preAs": "--11--11--11--11",
+    "dual(NP)": "222211211",
+    "GD": "11-11--22",
+    "postLie": "-22-22-22",
+}
+
+
+def window_coordinate(lab, r, point):
+    """Flat coordinate of P(3) coordinate r at window point (n_a, n_b, n_c):
+    r*W**3 + (n_a+K)*W**2 + (n_b+K)*W + (n_c+K) with W = 2K+1."""
+    K, W = lab.K, lab.W
+    na, nb, nc = point
+    return r * W**3 + (na + K) * W**2 + (nb + K) * W + (nc + K)
+
+
+def neighbour_generators(lab, T=None):
+    """The order-1 locality relations as differences of neighbouring
+    placements, in flat window coordinates: for each sigma in REPS, each
+    projected monomial u of that sigma and each placement (alpha, beta,
+    gamma) (alpha on the family x_sigma(1), beta on x_sigma(2), gamma on the
+    outer one) whose twin (alpha-1, beta+1, gamma) is in the window,
+    u (x) (e_here - e_twin).  All of them, or only those of total index T.
+    Kept as the reference for the hub generators of LocalityInstance."""
+    P, K = lab.P, lab.K
+    d = P.dim_gens
+
+    def placement(sigma, alpha, beta, gamma):
+        pt = [0, 0, 0]
+        for family, n in zip(sigma, (alpha, beta, gamma)):
+            pt[family - 1] = n
+        return tuple(pt)
+
+    for sigma in REPS:
+        monomials = [
+            primitive_row(P.project({P.space.flat(sigma, i, j): 1}))
+            for i in range(d)
+            for j in range(d)
+        ]
+        for alpha, beta, gamma in iproduct(range(-K + 1, K + 1), range(-K, K), range(-K, K + 1)):
+            if T is not None and alpha + beta + gamma != T:
+                continue
+            here = placement(sigma, alpha, beta, gamma)
+            twin = placement(sigma, alpha - 1, beta + 1, gamma)
+            for u in monomials:
+                if u:
+                    row = {}
+                    for r, c in u.items():
+                        row[window_coordinate(lab, r, here)] = c
+                        row[window_coordinate(lab, r, twin)] = -c
+                    yield row
+
+
+def ideal_subspace(lab):
+    """The whole locality ideal of a window, in flat window coordinates,
+    from the neighbour differences.  Quadratic in the window volume; for
+    small K."""
+    return SubspaceQ.from_vectors(lab.space_dim, neighbour_generators(lab))
+
+
+def residue_vector(lab, spec):
+    """Order-N locality obstruction for ((a i-op_k b) j-op c) at the anchors
+    (n, m), in flat window coordinates: the sum over s <= N and t <= k of
+    (-1)**(s+t) C(N, s) C(k, t) times the P(3) image of the monomial
+    (x1 {i} x2) {j} x3, scaled to a primitive integer row, placed at
+    (k-t, n-s+t, m+s)."""
+    assert spec.required_radius() <= lab.K, spec
+    P = lab.P
+    base = primitive_row(P.project({P.space.flat(IDENT, spec.j, spec.i): 1}))
+    out = {}
+    for s in range(spec.N + 1):
+        for t in range(spec.k + 1):
+            coeff = (-1) ** (s + t) * comb(spec.N, s) * comb(spec.k, t)
+            point = (spec.k - t, spec.n - s + t, spec.m + s)
+            add_scaled(out, ((window_coordinate(lab, r, point), c) for r, c in base.items()), coeff)
+    return out

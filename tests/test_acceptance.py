@@ -7,10 +7,12 @@ shows up here as a single readable line.
 """
 
 import itertools
+import json
 import random
 import time
 from fractions import Fraction
 
+from quadop.cli import main
 from quadop.core.catalog import _TEXTUAL, catalog, catalog_names, resolve
 from quadop.core.free3 import act
 from quadop.core.operad import change_basis, make_operad
@@ -22,7 +24,7 @@ from quadop.linalg import invert_matrix
 from quadop.locality import build_instance
 from quadop.manin import black_product, replicate, split, white_product
 
-from helpers import random_involutive_space, random_operad
+from helpers import TABLE_ORDERS, random_involutive_space, random_operad
 
 TEXTUAL_NAMES = ["Alt", "As", "Com", "GD", "Lie", "NP", "Nov", "Perm", "Pois", "Zinb"]
 
@@ -275,6 +277,22 @@ def test_criterion_11_locality_sweep():
         if name == "Lie":
             assert all(order <= 2 for order in sweep.values()), sweep
     _budget(t0, 300)
+
+
+def test_criterion_11_whole_table_sweep_orders(capsys):
+    """The frozen minimal orders of all 19 criterion-02 entries, read from
+    `quadop --json locality` at windows 6 and 8."""
+    t0 = time.monotonic()
+    for K in (6, 8):
+        for name, orders in TABLE_ORDERS.items():
+            assert main(["--json", "locality", name, "--window", str(K)]) == 0
+            pairs = json.loads(capsys.readouterr().out)["locality"]["pairs"]
+            got = "".join(
+                "-" if N is None else str(N)
+                for _, N in sorted(pairs.items(), key=lambda kv: tuple(map(int, kv[0].split(","))))
+            )
+            assert got == orders, (name, K)
+    _budget(t0, 30)
 
 
 def test_criterion_12_parser_round_trip():

@@ -6,7 +6,16 @@ import pytest
 
 from quadop.core.catalog import catalog, resolve
 from quadop.errors import InputError
+from quadop.linalg import SubspaceQ
 from quadop.locality import MAX_WINDOW, LocalityInstance, ResidueSpec, build_instance
+
+from helpers import (
+    TABLE_ORDERS,
+    ideal_subspace,
+    neighbour_generators,
+    residue_vector,
+    window_coordinate,
+)
 
 
 def test_window_size_validation():
@@ -73,9 +82,9 @@ def test_order_recursion():
     at (n-1, m+1), which is what makes membership monotone in N."""
     lab = LocalityInstance(catalog("preLie"), 5)
     for N in (0, 1, 2):
-        lhs = lab.residue_vector(ResidueSpec(0, 1, 1, N + 1, n=1, m=-1))
-        a = lab.residue_vector(ResidueSpec(0, 1, 1, N, n=1, m=-1))
-        b = lab.residue_vector(ResidueSpec(0, 1, 1, N, n=0, m=0))
+        lhs = residue_vector(lab, ResidueSpec(0, 1, 1, N + 1, n=1, m=-1))
+        a = residue_vector(lab, ResidueSpec(0, 1, 1, N, n=1, m=-1))
+        b = residue_vector(lab, ResidueSpec(0, 1, 1, N, n=0, m=0))
         diff = dict(a)
         for idx, c in b.items():
             v = diff.get(idx, Fraction(0)) - c
@@ -91,7 +100,7 @@ def test_residue_is_homogeneous_in_total_index():
     spec = ResidueSpec(1, 1, 0, 2, n=0, m=-1)
     W = 2 * lab.K + 1
     total = spec.k + spec.n + spec.m
-    vec = lab.residue_vector(spec)
+    vec = residue_vector(lab, spec)
     assert vec
     for idx in vec:
         rem = idx % W**3
@@ -103,14 +112,14 @@ def test_residue_is_homogeneous_in_total_index():
 
 def test_blockwise_membership_matches_dense_ideal():
     lab = LocalityInstance(catalog("Lie"), 2)
-    ideal = lab.ideal_subspace()
+    ideal = ideal_subspace(lab)
     assert ideal.dim == 213
     for N in range(3):
         for n, m in ((0, 0), (1, -1)):
             spec = ResidueSpec(0, 0, 0, N, n=n, m=m)
             if spec.required_radius() > lab.K:
                 continue
-            dense = ideal.contains(lab.residue_vector(spec))
+            dense = ideal.contains(residue_vector(lab, spec))
             assert lab.contains_residue(spec) == dense
 
 
@@ -143,33 +152,7 @@ def test_negative_nmax_is_an_input_error():
         lab.sweep(Nmax=-1)
 
 
-# Minimal locality order of every (inner, outer) pair of the 19 criterion-02
-# entries at K=6, k=0, anchor (0,0), Nmax 4, in row-major pair order, with
-# "-" for "none found in window".
-_TABLE_ORDERS = {
-    "Com": "1",
-    "Lie": "2",
-    "As": "1111",
-    "Pois": "1112",
-    "Nov": "1111",
-    "NP": "111111111",
-    "Alt": "2222",
-    "Perm": "1111",
-    "Leib": "2222",
-    "diAs": "1111111111111111",
-    "diNov": "1111111111111111",
-    "dual(GD)": "111111111",
-    "ComTriAs": "111111111",
-    "Zinb": "1-1-",
-    "preLie": "-2-2",
-    "preAs": "--11--11--11--11",
-    "dual(NP)": "222211211",
-    "GD": "11-11--22",
-    "postLie": "-22-22-22",
-}
-
-
-@pytest.mark.parametrize("name", sorted(_TABLE_ORDERS))
+@pytest.mark.parametrize("name", sorted(TABLE_ORDERS))
 def test_whole_table_sweep(name):
     P = resolve(name)
     outcomes = build_instance(P, 6).sweep(k=0, Nmax=4, n=0, m=0)
@@ -179,4 +162,41 @@ def test_whole_table_sweep(name):
         for i in range(d)
         for j in range(d)
     )
-    assert got == _TABLE_ORDERS[name]
+    assert got == TABLE_ORDERS[name]
+
+
+@pytest.mark.parametrize("name", sorted(TABLE_ORDERS))
+def test_hub_blocks_span_the_neighbour_differences(name):
+    """Each T-block, as eliminated from the hub generators, spans exactly
+    the neighbour differences of total index T."""
+    P = resolve(name)
+    for K in (2, 3):
+        lab = LocalityInstance(P, K)
+        for T in range(-3 * K, 3 * K + 1):
+            index, basis = lab._block(T)
+            point = {h: p for p, h in index.items()}
+            rows = []
+            for row in basis.rows():
+                flat = {}
+                for key, c in row.items():
+                    r, h = divmod(key, len(index))
+                    flat[window_coordinate(lab, r, point[h])] = c
+                rows.append(flat)
+            hub = SubspaceQ.from_vectors(lab.space_dim, rows)
+            neighbours = SubspaceQ.from_vectors(lab.space_dim, neighbour_generators(lab, T))
+            assert hub == neighbours, (K, T)
+
+
+@pytest.mark.parametrize("name", sorted(TABLE_ORDERS))
+def test_hub_rows_of_one_sigma_have_distinct_pivots(name):
+    """Within one sigma the hub rows are already in echelon form."""
+    P = resolve(name)
+    for K in (2, 3):
+        lab = LocalityInstance(P, K)
+        pair_bases = lab._pair_bases
+        for blk in range(len(pair_bases)):
+            lab._pair_bases = [pb if b == blk else [] for b, pb in enumerate(pair_bases)]
+            for T in range(-3 * K, 3 * K + 1):
+                index = {p: h for h, p in enumerate(lab._points(T))}
+                pivots = [min(row) for row in lab._block_generators(T, index)]
+                assert len(set(pivots)) == len(pivots), (K, blk, T)
