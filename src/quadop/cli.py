@@ -30,15 +30,10 @@ _WINDOW_NOTE = (
 
 
 def _generator_entries(space) -> list[dict]:
-    entries = []
-    for j, name in enumerate(space.names):
-        column = {
-            space.names[m]: str(space.swap[m][j])
-            for m in range(space.dim)
-            if space.swap[m][j]
-        }
-        entries.append({"name": name, "swap": column})
-    return entries
+    return [
+        {"name": name, "swap": {space.names[m]: str(x) for m, x in column}}
+        for name, column in zip(space.names, space.swap_columns)
+    ]
 
 
 def _summary(P) -> dict:

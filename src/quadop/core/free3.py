@@ -14,9 +14,11 @@ The S2 action on V is recorded as a matrix in column convention:
 
     (12) . e_j = sum_m swap[m][j] e_m.
 
-Each space keeps the nonzeros of its swap columns; both the action on a
-vector's support and the check that the swap matrix is an involution read
-them, so neither costs a dense d**3 pass.
+Everything but the dense `swap` field reads one sparse form, swap_columns:
+the nonzeros of each column as (m, coeff), an int where integral, so an
+integer row acts to an integer row.  Derived spaces are built from column
+dicts by from_columns, the one place that transposes.  Neither the action on
+a vector's support nor the involution check costs a dense d**3 pass.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from quadop.core.perms import (
 from quadop.errors import InputError
 from quadop.linalg import EchelonBasis, SubspaceQ
 
-Vec = dict[int, Fraction]
+Vec = dict[int, int | Fraction]
 
 
 @dataclass(frozen=True)
@@ -47,6 +49,13 @@ class GeneratorSpace:
             raise InputError(f"swap matrix must be {d}x{d}")
         if len(set(self.names)) != d:
             raise InputError("generator names must be distinct")
+        for name in self.names:
+            # The relation grammar reads a name verbatim between braces, stripped.
+            if not name or "{" in name or "}" in name or name != name.strip():
+                raise InputError(
+                    f"generator name {name!r} must be nonempty, without braces "
+                    "and without surrounding whitespace"
+                )
         # (12) is an involution, so its matrix must square to the identity:
         # column j of S*S, summed over the nonzeros of S's columns, is e_j.
         cols = self.swap_columns
@@ -82,39 +91,25 @@ class GeneratorSpace:
         outer, inner = divmod(rest, d)
         return REPS[sigma_idx], outer, inner
 
-    def swap_column(self, j: int) -> list[tuple[int, Fraction]]:
-        """(12) . e_j as a list of (index, coefficient)."""
-        return [(m, self.swap[m][j]) for m in range(self.dim) if self.swap[m][j]]
-
     @cached_property
-    def swap_columns(self) -> tuple[tuple[tuple[int, Fraction], ...], ...]:
-        """swap_column(j) for every j, computed once per space."""
-        return tuple(tuple(self.swap_column(j)) for j in range(self.dim))
+    def swap_columns(self) -> tuple[tuple[tuple[int, int | Fraction], ...], ...]:
+        """(12) . e_j as (m, coeff) pairs for every column j, computed once
+        per space; an integral coefficient is an int."""
+        d = self.dim
+        return tuple(
+            tuple((m, x.numerator if x.denominator == 1 else x)
+                  for m in range(d) if (x := self.swap[m][j]))
+            for j in range(d)
+        )
 
-
-def free3_action(space: GeneratorSpace, perm: Perm) -> list[list[tuple[int, Fraction]]]:
-    """Matrix of perm on F(3), column-sparse: entry list per basis column.
-
-    perm . (sigma, i, j) relabels the arguments, giving the triple
-    (perm . sigma, i, j).  Decompose perm . sigma = rep . tail over the inner
-    (12); a nontrivial tail swaps the two inner arguments, which rewrites the
-    inner generator e_j through the swap matrix.  This is the reference that
-    act, which touches only a vector's support, is tested against.
-    """
-    d = space.dim
-    one = Fraction(1)
-    cols: list[list[tuple[int, Fraction]]] = []
-    for sigma in REPS:
-        rep, tail = coset_decompose(compose(perm, sigma))
-        for i in range(d):
-            for j in range(d):
-                if tail == IDENT:
-                    cols.append([(space.flat(rep, i, j), one)])
-                else:
-                    cols.append(
-                        [(space.flat(rep, i, m), c) for m, c in space.swap_column(j)]
-                    )
-    return cols
+    @classmethod
+    def from_columns(cls, names, cols) -> "GeneratorSpace":
+        """The space with (12) . e_j = sum_m cols[j][m] e_m, cols a list of
+        {m: coeff} dicts: the one place that transposes swap columns into
+        the row-major matrix."""
+        d = len(cols)
+        swap = tuple(tuple(Fraction(col.get(m, 0)) for col in cols) for m in range(d))
+        return cls(tuple(names), swap)
 
 
 def _block_map(perm: Perm) -> tuple[tuple[int, bool], ...]:
@@ -134,9 +129,8 @@ _BLOCK_MAP = {perm: _block_map(perm) for perm in S3}
 def act(space: GeneratorSpace, perm: Perm, vec: Vec) -> Vec:
     """Apply perm to a weight-3 vector given as {flat index: coefficient}.
 
-    Touches only the vector's support; the result equals applying the
-    free3_action matrix.  Distinct sigma-blocks go to distinct blocks, so only
-    inner swaps inside one block can make two terms meet.
+    Touches only the vector's support.  Distinct sigma-blocks go to distinct
+    blocks, so only inner swaps inside one block can make two terms meet.
     """
     d = space.dim
     dd = d * d

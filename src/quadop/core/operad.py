@@ -111,18 +111,17 @@ class QuadOperad:
 def _swap_matrix(gen_specs: list[tuple[str, object]]) -> GeneratorSpace:
     names = tuple(name for name, _ in gen_specs)
     index = {name: i for i, name in enumerate(names)}
-    d = len(names)
-    cols: list[list[Fraction]] = [[Fraction(0)] * d for _ in range(d)]
+    cols: list[dict[int, int | Fraction]] = [{} for _ in names]
     for j, (name, sym) in enumerate(gen_specs):
         if sym == "sym":
-            cols[j][j] = Fraction(1)
+            cols[j][j] = 1
         elif sym == "antisym":
-            cols[j][j] = Fraction(-1)
+            cols[j][j] = -1
         elif isinstance(sym, dict) and set(sym) == {"pair"}:
             partner = sym["pair"]
             if not isinstance(partner, str) or partner not in index:
                 raise InputError(f"generator {name!r} pairs with unknown {partner!r}")
-            cols[j][index[partner]] = Fraction(1)
+            cols[j][index[partner]] = 1
         elif isinstance(sym, dict) and set(sym) == {"swap"}:
             image = sym["swap"]
             if not isinstance(image, dict):
@@ -150,9 +149,8 @@ def _swap_matrix(gen_specs: list[tuple[str, object]]) -> GeneratorSpace:
                 f"bad symmetry {sym!r} for generator {name!r}; "
                 f"expected one of {_SYMMETRY_KINDS}"
             )
-    # cols[j][m] is the coefficient of e_m in (12)e_j; transpose into row form.
-    swap = tuple(tuple(cols[j][m] for j in range(d)) for m in range(d))
-    return GeneratorSpace(names, swap)
+    # cols[j][m] is the coefficient of e_m in (12)e_j.
+    return GeneratorSpace.from_columns(names, cols)
 
 
 def _generator_spec(g) -> tuple[str, object]:

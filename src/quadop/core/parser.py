@@ -101,7 +101,7 @@ def _left_comb(space: GeneratorSpace, a, g, b, h, c) -> Vec:
     sigma: Perm = (a, b, c)
     if set(sigma) != {1, 2, 3}:
         raise InputError(f"each of x1, x2, x3 must occur exactly once, got x{a}, x{b}, x{c}")
-    unit = {space.flat(IDENT, space.gen_index(h), space.gen_index(g)): Fraction(1)}
+    unit = {space.flat(IDENT, space.gen_index(h), space.gen_index(g)): 1}
     return act(space, sigma, unit)
 
 
@@ -113,7 +113,7 @@ def _right_comb(space: GeneratorSpace, c, h, a, g, b) -> Vec:
     out: Vec = {}
     # e_h(xc, w) = sum_m swap[m][h] e_m(w, xc)
     for m, coeff in space.swap_columns[space.gen_index(h)]:
-        add_scaled(out, act(space, sigma, {space.flat(IDENT, m, gi): Fraction(1)}), coeff)
+        add_scaled(out, act(space, sigma, {space.flat(IDENT, m, gi): 1}), coeff)
     return out
 
 
@@ -141,7 +141,7 @@ def _parse_mono(space: GeneratorSpace, cur: _Cursor) -> Vec:
 
 
 def _parse_term(space: GeneratorSpace, cur: _Cursor) -> Vec:
-    coeff = Fraction(1)
+    coeff = 1
     if cur.peek()[0] == "int":
         num = cur.take()[1]
         denom = 1
@@ -150,7 +150,7 @@ def _parse_term(space: GeneratorSpace, cur: _Cursor) -> Vec:
             denom = cur.expect("int")
             if denom == 0:
                 raise InputError("zero denominator")
-        coeff = Fraction(num, denom)
+        coeff = num if denom == 1 else Fraction(num, denom)
         cur.expect("punct", "*")
     mono = _parse_mono(space, cur)
     if coeff == 1:
@@ -159,7 +159,8 @@ def _parse_term(space: GeneratorSpace, cur: _Cursor) -> Vec:
 
 
 def parse_relation(space: GeneratorSpace, text: str) -> Vec:
-    """Parse a relation string into {flat index: Fraction} over the space."""
+    """Parse a relation string into {flat index: coefficient} over the space;
+    a relation written with integer coefficients gives int values."""
     toks = _tokenize(text)
     if toks == [("int", 0)]:
         return {}

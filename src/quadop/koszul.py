@@ -34,29 +34,9 @@ def dual_generators(space: GeneratorSpace) -> GeneratorSpace:
         names = tuple(n[:-1] for n in space.names)
     else:
         names = tuple(n + "'" for n in space.names)
-    d = space.dim
-    swap = tuple(tuple(-space.swap[j][i] for j in range(d)) for i in range(d))
-    return GeneratorSpace(names, swap)
-
-
-def pairing_equivariant(space: GeneratorSpace, perm, sign_value: int) -> bool:
-    """Check <perm.u, perm.v> = sign(perm) <u, v> on all basis pairs."""
-    from quadop.core.free3 import free3_action
-
-    dual = dual_generators(space)
-    a_dual = free3_action(dual, perm)
-    a_prim = free3_action(space, perm)
-    n = space.free3_dim
-    for c1 in range(n):
-        col1 = dict(a_dual[c1])
-        for c2 in range(n):
-            acc = Fraction(0)
-            for row, val in a_prim[c2]:
-                if row in col1:
-                    acc += col1[row] * val
-            if acc != (sign_value if c1 == c2 else 0):
-                return False
-    return True
+    # Column i of -swap^T is row i of swap, negated.
+    cols = [{j: -x for j, x in enumerate(row) if x} for row in space.swap]
+    return GeneratorSpace.from_columns(names, cols)
 
 
 def dual_operad(P: QuadOperad, *, name: str | None = None) -> QuadOperad:

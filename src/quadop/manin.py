@@ -14,11 +14,12 @@ relation bases, R_P . R_Q.  This equals the Koszul dual of the white product
 of the duals, (P o Q)^! = P^! • Q^!; that identity is checked by
 `quadop selfcheck` and the tests, not on every call.
 
-Splitting: each generator of Q splits into succ/prec (and perp in the post
-flavour), with the (12)-action twisted by a sign on the succ/prec pair.  The
-relations of the split operad are indexed by a relation f of Q and a nonempty
-subset M of the three argument positions; each monomial of f is rewritten
-according to how M sits relative to its arguments.
+Splitting (Bai, Bellier, Guo and Ni, IMRN 2013): each generator of Q splits
+into succ/prec (and perp in the post flavour), with the (12)-action twisted
+by a sign on the succ/prec pair.  The relations of the split operad are
+indexed by a relation f of Q and a nonempty subset M of the three argument
+positions; each monomial of f is rewritten according to how M sits relative
+to its arguments, and signed when exactly one of its legs is a prec.
 """
 
 from __future__ import annotations
@@ -43,18 +44,15 @@ def _pair_index(P: QuadOperad, Q: QuadOperad):
 
 
 def _product_space(P: QuadOperad, Q: QuadOperad, sep: str, sign: int) -> GeneratorSpace:
+    """Swap columns: the signed Kronecker product of P's and Q's."""
     names = tuple(f"{g}{sep}{h}" for g in P.space.names for h in Q.space.names)
-    dP, dQ = P.dim_gens, Q.dim_gens
-    swap = tuple(
-        tuple(
-            sign * P.space.swap[m][i] * Q.space.swap[q][p]
-            for i in range(dP)
-            for p in range(dQ)
-        )
-        for m in range(dP)
-        for q in range(dQ)
-    )
-    return GeneratorSpace(names, swap)
+    pair = _pair_index(P, Q)
+    cols = [
+        {pair(m, q): sign * a * b for m, a in col_P for q, b in col_Q}
+        for col_P in P.space.swap_columns
+        for col_Q in Q.space.swap_columns
+    ]
+    return GeneratorSpace.from_columns(names, cols)
 
 
 def _tensor_rows(P: QuadOperad, rows_P, Q: QuadOperad, rows_Q,
@@ -112,31 +110,21 @@ def replicate(kind: str, P: QuadOperad) -> QuadOperad:
 # Splitting: generator g of Q becomes succ/prec (+ perp) copies.
 
 
-def _split_space(Q: QuadOperad, mode: str, twist: int) -> GeneratorSpace:
-    """Generator space of the split operad.
-
-    twist=-1 gives the convention used for the result, matching the black
-    product's sign-twisted tensor: (12)succ_i = -sum swap[m][i] prec_m and
-    likewise for prec, while perp keeps the plain action.  twist=+1 gives the
-    Rota-Baxter model convention ((12) acts without the extra sign on all
-    three blocks); the substitution table is only S3-consistent there, so the
-    seeds are built in that space and transported afterwards.
-    """
+def _split_space(Q: QuadOperad, mode: str) -> GeneratorSpace:
+    """Generator space of the split operad, matching the black product's
+    sign-twisted tensor: (12)succ_i = -sum swap[m][i] prec_m and likewise for
+    prec, while perp keeps the plain action."""
     e = Q.dim_gens
     blocks = ("succ", "prec", "perp") if mode == "post" else ("succ", "prec")
     names = tuple(f"{g}_{suffix}" for suffix in blocks for g in Q.space.names)
-    d = len(blocks) * e
-    cols: list[list[Fraction]] = [[Fraction(0)] * d for _ in range(d)]
-    sw = Q.space.swap
-    for i in range(e):
-        for m in range(e):
-            if sw[m][i]:
-                cols[i][e + m] = twist * sw[m][i]
-                cols[e + i][m] = twist * sw[m][i]
-                if mode == "post":
-                    cols[2 * e + i][2 * e + m] = sw[m][i]
-    swap = tuple(tuple(cols[j][m] for j in range(d)) for m in range(d))
-    return GeneratorSpace(names, swap)
+    # For each block: the offset of the block (12) sends it to, and the sign.
+    images = ((e, -1), (0, -1), (2 * e, 1))[:len(blocks)]
+    cols = [
+        {offset + m: sign * x for m, x in col}
+        for offset, sign in images
+        for col in Q.space.swap_columns
+    ]
+    return GeneratorSpace.from_columns(names, cols)
 
 
 def _split_monomial(space: GeneratorSpace, Q: QuadOperad, mode: str,
@@ -147,6 +135,8 @@ def _split_monomial(space: GeneratorSpace, Q: QuadOperad, mode: str,
     e_i(e_j(x_k1, x_k2), x_k3); the subset M selects which arguments the
     splitting points at, and the table below assigns the split operations.
     Star is the sum of all components of the split.
+    Each shape carries its sign under D (x) D, D = -1 on prec legs: the
+    table is S3-consistent for the unsigned (Rota-Baxter) action D S D.
     """
     e = Q.dim_gens
     succ, prec = lambda g: g, lambda g: e + g
@@ -170,7 +160,8 @@ def _split_monomial(space: GeneratorSpace, Q: QuadOperad, mode: str,
 
     out: Vec = {}
     for outer, inner in shapes:
-        add_scaled(out, act(space, sigma, {space.flat(IDENT, outer, inner): Fraction(1)}))
+        sign = -1 if (e <= outer < 2 * e) != (e <= inner < 2 * e) else 1
+        add_scaled(out, act(space, sigma, {space.flat(IDENT, outer, inner): sign}))
     return out
 
 
@@ -178,38 +169,28 @@ def split(Q: QuadOperad, mode: str) -> QuadOperad:
     """Dendriform-style splitting of Q (mode 'pre') or its perp-extended
     version (mode 'post').
 
-    The relation seeds come from the substitution table applied to the
-    canonical relation basis of Q; their span is already S3-stable in the
-    Rota-Baxter model convention (splitting a permuted identity with a
-    permuted subset is the permuted splitting).  The seeds are expressed in
-    the sign-twisted convention by flipping every prec leg, a diagonal change
-    of basis that conjugates one S2-action into the other, so the
-    constructor's S3-stability guard also checks the substitution table.
+    The relations are spanned by the substitution table applied to the
+    canonical relation basis of Q, for every relation and subset M, built
+    directly in the split space.  Their span is S3-stable because the table
+    is; the constructor's S3-stability guard checks the table.
     """
     if mode not in ("pre", "post"):
         raise InputError(f"split mode must be 'pre' or 'post', got {mode!r}")
-    model = _split_space(Q, mode, +1)
+    space = _split_space(Q, mode)
     if mode == "post":
         subsets = [frozenset(s) for s in
                    ({1}, {2}, {3}, {1, 2}, {1, 3}, {2, 3}, {1, 2, 3})]
     else:
         subsets = [frozenset(s) for s in ({1}, {2}, {3})]
-    e = Q.dim_gens
-
-    def flipped(c: int) -> bool:  # exactly one of the two legs is a prec
-        _, outer, inner = model.unflat(c)
-        return (e <= outer < 2 * e) != (e <= inner < 2 * e)
-
-    moved = []
+    seeds = []
     for f in Q.relations.rows():
         for M in subsets:
             vec: Vec = {}
             for c, coeff in f.items():
                 sigma, i, j = Q.space.unflat(c)
-                add_scaled(vec, _split_monomial(model, Q, mode, sigma, i, j, M), coeff)
-            moved.append({c: -v if flipped(c) else v for c, v in vec.items()})
-    space = _split_space(Q, mode, -1)
-    rel = SubspaceQ.from_vectors(space.free3_dim, moved)
+                add_scaled(vec, _split_monomial(space, Q, mode, sigma, i, j, M), coeff)
+            seeds.append(vec)
+    rel = SubspaceQ.from_vectors(space.free3_dim, seeds)
     return QuadOperad(f"split_{mode}({Q.name})", space, rel)
 
 

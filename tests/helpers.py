@@ -4,9 +4,11 @@ from fractions import Fraction
 from itertools import product as iproduct
 from math import comb
 
-from quadop.core.free3 import GeneratorSpace, s3_closure
+from quadop.core.free3 import GeneratorSpace, Vec, act, s3_closure
 from quadop.core.operad import QuadOperad
-from quadop.core.perms import IDENT, REPS
+from quadop.core.perms import IDENT, REPS, compose, coset_decompose
+from quadop.errors import InputError
+from quadop.koszul import dual_generators
 from quadop.linalg import SubspaceQ, add_scaled, invert_matrix, kernel_basis, primitive_row
 from quadop.manin import _pair_index, _product_space
 
@@ -41,6 +43,152 @@ def random_operad(rng, d, nseeds=2, name="random"):
         })
     rel = s3_closure(space, seeds)
     return QuadOperad(name, space, rel)
+
+
+def free3_action(space, perm):
+    """Matrix of perm on F(3), column-sparse: entry list per basis column.
+
+    perm . (sigma, i, j) relabels the arguments, giving the triple
+    (perm . sigma, i, j).  Decompose perm . sigma = rep . tail over the inner
+    (12); a nontrivial tail swaps the two inner arguments, which rewrites the
+    inner generator e_j through the swap columns.  Kept as the reference for
+    act, which touches only a vector's support.
+    """
+    d = space.dim
+    cols = []
+    for sigma in REPS:
+        rep, tail = coset_decompose(compose(perm, sigma))
+        for i in range(d):
+            for j in range(d):
+                if tail == IDENT:
+                    cols.append([(space.flat(rep, i, j), 1)])
+                else:
+                    cols.append(
+                        [(space.flat(rep, i, m), c) for m, c in space.swap_columns[j]]
+                    )
+    return cols
+
+
+def pairing_equivariant(space, perm, sign_value):
+    """Check <perm.u, perm.v> = sign(perm) <u, v> on all basis pairs of the
+    weight-3 pairing between the dual free space and the free space."""
+    dual = dual_generators(space)
+    a_dual = free3_action(dual, perm)
+    a_prim = free3_action(space, perm)
+    n = space.free3_dim
+    for c1 in range(n):
+        col1 = dict(a_dual[c1])
+        for c2 in range(n):
+            acc = Fraction(0)
+            for row, val in a_prim[c2]:
+                if row in col1:
+                    acc += col1[row] * val
+            if acc != (sign_value if c1 == c2 else 0):
+                return False
+    return True
+
+
+def _model_split_space(Q: QuadOperad, mode: str, twist: int) -> GeneratorSpace:
+    """Generator space of the split operad.
+
+    twist=-1 gives the convention used for the result, matching the black
+    product's sign-twisted tensor: (12)succ_i = -sum swap[m][i] prec_m and
+    likewise for prec, while perp keeps the plain action.  twist=+1 gives the
+    Rota-Baxter model convention ((12) acts without the extra sign on all
+    three blocks); the substitution table is only S3-consistent there, so the
+    seeds are built in that space and transported afterwards.
+    """
+    e = Q.dim_gens
+    blocks = ("succ", "prec", "perp") if mode == "post" else ("succ", "prec")
+    names = tuple(f"{g}_{suffix}" for suffix in blocks for g in Q.space.names)
+    d = len(blocks) * e
+    cols: list[list[Fraction]] = [[Fraction(0)] * d for _ in range(d)]
+    sw = Q.space.swap
+    for i in range(e):
+        for m in range(e):
+            if sw[m][i]:
+                cols[i][e + m] = twist * sw[m][i]
+                cols[e + i][m] = twist * sw[m][i]
+                if mode == "post":
+                    cols[2 * e + i][2 * e + m] = sw[m][i]
+    swap = tuple(tuple(cols[j][m] for j in range(d)) for m in range(d))
+    return GeneratorSpace(names, swap)
+
+
+def _model_split_monomial(space: GeneratorSpace, Q: QuadOperad, mode: str,
+                          sigma, i: int, j: int, M: frozenset) -> Vec:
+    """Rewrite of the monomial (sigma, i, j) of Q for argument subset M.
+
+    With k1, k2, k3 = sigma(1), sigma(2), sigma(3) the monomial reads
+    e_i(e_j(x_k1, x_k2), x_k3); the subset M selects which arguments the
+    splitting points at, and the table below assigns the split operations.
+    Star is the sum of all components of the split.
+    """
+    e = Q.dim_gens
+    succ, prec = lambda g: g, lambda g: e + g
+    perp = lambda g: 2 * e + g
+    k1, k2, k3 = sigma
+    star = [succ(j), prec(j)] + ([perp(j)] if mode == "post" else [])
+    if M == {k1}:
+        shapes = [(prec(i), prec(j))]
+    elif M == {k2}:
+        shapes = [(prec(i), succ(j))]
+    elif M == {k3}:
+        shapes = [(succ(i), s) for s in star]
+    elif M == {k1, k2}:
+        shapes = [(prec(i), perp(j))]
+    elif M == {k1, k3}:
+        shapes = [(perp(i), prec(j))]
+    elif M == {k2, k3}:
+        shapes = [(perp(i), succ(j))]
+    else:  # M = {k1, k2, k3}
+        shapes = [(perp(i), perp(j))]
+
+    out: Vec = {}
+    for outer, inner in shapes:
+        add_scaled(out, act(space, sigma, {space.flat(IDENT, outer, inner): Fraction(1)}))
+    return out
+
+
+def split_in_model_space(Q: QuadOperad, mode: str) -> QuadOperad:
+    """Dendriform-style splitting of Q (mode 'pre') or its perp-extended
+    version (mode 'post'), built in a second space and moved over.
+
+    The relation seeds come from the substitution table applied to the
+    canonical relation basis of Q; their span is already S3-stable in the
+    Rota-Baxter model convention (splitting a permuted identity with a
+    permuted subset is the permuted splitting).  The seeds are expressed in
+    the sign-twisted convention by flipping every prec leg, a diagonal change
+    of basis that conjugates one S2-action into the other, so the
+    constructor's S3-stability guard also checks the substitution table.
+    Kept as the reference for manin.split, which builds the same seeds in
+    the result space with a sign per split monomial.
+    """
+    if mode not in ("pre", "post"):
+        raise InputError(f"split mode must be 'pre' or 'post', got {mode!r}")
+    model = _model_split_space(Q, mode, +1)
+    if mode == "post":
+        subsets = [frozenset(s) for s in
+                   ({1}, {2}, {3}, {1, 2}, {1, 3}, {2, 3}, {1, 2, 3})]
+    else:
+        subsets = [frozenset(s) for s in ({1}, {2}, {3})]
+    e = Q.dim_gens
+
+    def flipped(c: int) -> bool:  # exactly one of the two legs is a prec
+        _, outer, inner = model.unflat(c)
+        return (e <= outer < 2 * e) != (e <= inner < 2 * e)
+
+    moved = []
+    for f in Q.relations.rows():
+        for M in subsets:
+            vec: Vec = {}
+            for c, coeff in f.items():
+                sigma, i, j = Q.space.unflat(c)
+                add_scaled(vec, _model_split_monomial(model, Q, mode, sigma, i, j, M), coeff)
+            moved.append({c: -v if flipped(c) else v for c, v in vec.items()})
+    space = _model_split_space(Q, mode, -1)
+    rel = SubspaceQ.from_vectors(space.free3_dim, moved)
+    return QuadOperad(f"split_{mode}({Q.name})", space, rel)
 
 
 def span_sum(a, b):

@@ -19,12 +19,12 @@ from quadop.core.operad import change_basis, make_operad
 from quadop.core.parser import parse_relation, pretty_print
 from quadop.core.perms import IDENT, S3, sign
 from quadop.dong import dong_verdict
-from quadop.koszul import dual_operad, pairing_equivariant, verify_jacobi_duality
+from quadop.koszul import dual_operad, verify_jacobi_duality
 from quadop.linalg import invert_matrix
 from quadop.locality import build_instance
 from quadop.manin import black_product, replicate, split, white_product
 
-from helpers import TABLE_ORDERS, random_involutive_space, random_operad
+from helpers import TABLE_ORDERS, pairing_equivariant, random_involutive_space, random_operad
 
 TEXTUAL_NAMES = ["Alt", "As", "Com", "GD", "Lie", "NP", "Nov", "Perm", "Pois", "Zinb"]
 

@@ -165,9 +165,14 @@ _GOOD_FILE = {
         ("relations", "(x1 {a} x2) {a} x3", "relations must be a list"),
         ("generators", [["a", {"swap": {"b": "1e999999999"}}], ["b", {"swap": {"a": "1"}}]],
          "has an exponent beyond 4300"),
+        ("generators", [["a}b", "sym"]], "generator name 'a}b'"),
+        ("generators", [["a{", "sym"]], "generator name 'a{'"),
+        ("generators", [[" a", "sym"]], "generator name ' a'"),
+        ("generators", [["a", "sym"], ["", "sym"]], "generator name ''"),
     ],
     ids=["generators-string", "swap-not-rational", "relation-not-string", "relations-string",
-         "swap-huge-exponent"],
+         "swap-huge-exponent", "name-closing-brace", "name-opening-brace", "name-space",
+         "name-empty"],
 )
 def test_malformed_operad_file_is_an_input_error(capsys, tmp_path, field, value, message):
     path = tmp_path / "bad.json"
@@ -178,6 +183,22 @@ def test_malformed_operad_file_is_an_input_error(capsys, tmp_path, field, value,
     assert "Traceback" not in err
     assert err.count("\n") == 1
     assert message in err
+
+
+def test_dual_name_that_would_be_empty_is_an_input_error(capsys, tmp_path):
+    # A lone generator named "'" loads and prints, but its dual would be
+    # named "", which no relation can mention.
+    path = tmp_path / "prime.json"
+    path.write_text(json.dumps({
+        "name": "prime",
+        "generators": [["'", "sym"]],
+        "relations": ["(x1 {'} x2) {'} x3 - x1 {'} (x2 {'} x3)"],
+    }))
+    assert run(capsys, "show", str(path))[0] == 0
+    code, out, err = run(capsys, "dong", str(path))
+    assert (code, out) == (1, "")
+    assert "generator name ''" in err
+    assert err.count("\n") == 1
 
 
 def test_operad_file_integer_beyond_digit_cap_is_an_input_error(capsys, tmp_path):

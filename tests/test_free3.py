@@ -7,12 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quadop.core.catalog import catalog
-from quadop.core.free3 import GeneratorSpace, act, free3_action, is_s3_stable, s3_closure
+from quadop.core.catalog import catalog, catalog_names
+from quadop.core.free3 import GeneratorSpace, act, is_s3_stable, s3_closure
 from quadop.core.perms import IDENT, REPS, S3, compose
 from quadop.errors import InputError
 from quadop.linalg import SubspaceQ
-from helpers import random_involutive_space
+from helpers import free3_action, random_involutive_space
 
 SYM = GeneratorSpace(("m",), ((Fraction(1),),))
 ANTI = GeneratorSpace(("b",), ((Fraction(-1),),))
@@ -195,3 +195,29 @@ def test_jacobi_span_has_dimension_one():
     jac = {ANTI.flat(rep, 0, 0): Fraction(1) for rep in REPS}
     closed = s3_closure(ANTI, [jac])
     assert closed.dim == 1
+
+
+def test_catalog_swaps_keep_integer_rows_integer():
+    # An integral swap coefficient is an int, so the S3 closure and the
+    # stability guard never turn an integer relation row into Fractions.
+    for name in catalog_names():
+        P = catalog(name)
+        for col in P.space.swap_columns:
+            assert all(type(x) is int for _, x in col), name
+        for row in P.relations.rows():
+            for p in S3:
+                assert all(type(v) is int for v in act(P.space, p, row).values()), name
+
+
+@given(st.integers(min_value=0, max_value=2**32), st.integers(min_value=1, max_value=4))
+@settings(max_examples=100, deadline=None)
+def test_from_columns_reproduces_the_swap_matrix(seed, d):
+    space = random_involutive_space(random.Random(seed), d)
+    cols = [{m: space.swap[m][j] for m in range(d) if space.swap[m][j]} for j in range(d)]
+    rebuilt = GeneratorSpace.from_columns(space.names, cols)
+    assert rebuilt.names == space.names
+    assert rebuilt.swap == space.swap
+    assert [dict(col) for col in rebuilt.swap_columns] == cols
+    for col in rebuilt.swap_columns:
+        for _, x in col:
+            assert type(x) is int or x.denominator != 1

@@ -3,13 +3,13 @@
 import random
 
 import pytest
-from helpers import random_operad
+from helpers import pairing_equivariant, random_operad
 
 from quadop.core.catalog import catalog, catalog_names
 from quadop.core.free3 import s3_closure
 from quadop.core.operad import make_operad
 from quadop.core.perms import S3, sign
-from quadop.koszul import dual_operad, pairing_equivariant, verify_jacobi_duality
+from quadop.koszul import dual_operad, verify_jacobi_duality
 
 
 @pytest.mark.parametrize("name", sorted(catalog_names()))

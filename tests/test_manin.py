@@ -5,14 +5,14 @@ from fractions import Fraction
 
 import pytest
 
-from quadop.core.catalog import catalog
+from quadop.core.catalog import catalog, catalog_names
 from quadop.dong import dong_verdict
 from quadop.errors import InputError
 from quadop.koszul import dual_operad
 from quadop.linalg import SubspaceQ
 from quadop.manin import black_product, replicate, split, verify_black_tensor, white_product
 
-from helpers import white_by_projection
+from helpers import split_in_model_space, white_by_projection
 
 
 def transport_relations(src, dst, G):
@@ -188,6 +188,16 @@ def test_split_swap_convention():
     assert sw[1][0] == 1 and sw[0][1] == 1
     assert sw[2][2] == -1
     assert sw[0][0] == sw[1][1] == 0
+
+
+@pytest.mark.parametrize("name", catalog_names())
+def test_split_matches_model_space_reference(name):
+    Q = catalog(name)
+    for mode in ("pre", "post"):
+        got, ref = split(Q, mode), split_in_model_space(Q, mode)
+        assert got.space.names == ref.space.names
+        assert got.space.swap == ref.space.swap
+        assert got.relations == ref.relations
 
 
 def test_split_pre_lie_is_dual_perm():
