@@ -8,20 +8,41 @@ ideal"), and the question whether an iterated product ``(a k-th b)`` is
 local to ``c`` of some order N becomes exact membership of a residue
 vector in that subspace.
 
-The ideal preserves the total index T, so it is built one T-block at a
-time.  Within a block, each sigma-line (fixed outer index gamma, inner
-indices summing to T - gamma) contributes v (x) (e_h - e_hub) for every
-canonical pair row v and every placement h other than the line's hub,
-the placement with the largest block index.  These differences to one
-point span the same sum-zero vectors as the differences of neighbours,
-and each row reaches its line's hub in one elimination step.  The pair
-rows are the canonical reduced rows of each sigma's pair space, and the
-lines are added from gamma = K down to -K, one sigma at a time.
+The ideal preserves the total index T, so it splits into T-blocks.  Each
+sigma in REPS has a pair space V_sigma in P(3), the span of the images of
+that sigma's monomials, and its placements in a block fall into sigma-lines
+(outer index gamma fixed, the two inner indices summing to T - gamma).  The
+block of the ideal is the sum over sigma of V_sigma (x) D_sigma, where
+D_sigma holds the functions on the block's points that sum to zero on every
+sigma-line.
+
+Three subspaces of one space decompose it into indecomposable pieces of
+only nine types (the D4 quiver is of finite type: Gelfand-Ponomarev 1970,
+Gabriel 1972).  Eight are lines (1; S), one for each set S of the sigmas
+whose pair space contains the line; the ninth is a plane whose three pair
+spaces are three distinct lines e1, e2 and e1 - e2.  P(3) is decomposed
+once per instance into such summands, with integer rows only, and the
+decomposition checks itself: the summand vectors are a basis of P(3), and
+for each sigma the vectors assigned to it span exactly V_sigma.  The block
+of the ideal is then the direct sum, over summands, of the summand tensored
+with the sum of the D_sigma of its sigmas, so membership is decided summand
+by summand.  A residue is base (x) f, with base one P(3) row and f an
+integer function on the block's points, and only the summands on which
+base has a nonzero coordinate take part:
+
+* a line of type S holds u (x) f exactly when f sums to zero on every part
+  of the join of the sigma-line partitions, sigma in S (the annihilator of
+  D_P + D_Q is the functions constant on the parts of both, so
+  D_P + D_Q = D_{P v Q}); for S empty every point is its own part;
+* a plane holds (c1 e1 + c2 e2) (x) f exactly when (c1 f, c2 f) lies in
+  e1 (x) D_1 + e2 (x) D_2 + (e1 - e2) (x) D_3, an elimination in 2 * npts
+  columns built once per T from line differences to each line's hub.
 
 Membership is a sound certificate: every ideal generator is a genuine
-relation, so a residue found inside the span really does vanish.  A
-failed membership only says no witness exists inside the window, so
-negative outcomes are evidence, not proof.
+relation, so a residue found inside the span really does vanish, and a
+found order certifies exactly that.  A failed membership only says no
+witness exists inside the window (for a line summand: some part with a
+nonzero sum), so negative outcomes are evidence, not proof.
 """
 
 from __future__ import annotations
@@ -31,12 +52,17 @@ from dataclasses import dataclass
 
 from quadop.core.operad import QuadOperad
 from quadop.core.perms import REPS
-from quadop.errors import InputError
-from quadop.linalg import EchelonBasis, IntRow, SubspaceQ, primitive_row
+from quadop.errors import InputError, InternalCheckError
+from quadop.linalg import EchelonBasis, IntRow, SubspaceQ, add_scaled, primitive_row
 
-# Largest window radius K.  A T-block has dim P(3) * O(K**2) coordinates and
-# as many generators, so the cost of a sweep grows steeply with K.
+# Largest window radius K.  A T-block has npts = O(K**2) points; its plane
+# elimination has 2 * npts columns and about 3 * npts rows, so the cost of a
+# sweep of an operad with a plane summand grows steeply with K.
 MAX_WINDOW = 16
+
+# Coefficients (on e1, e2) of the line each sigma, in REPS order, meets a
+# plane summand in.
+PLANE_LINES = ((1, 0), (0, 1), (1, -1))
 
 
 @dataclass(frozen=True)
@@ -62,6 +88,63 @@ class ResidueSpec:
         return max(first, second, third)
 
 
+def _summand_vectors(lines, planes) -> list[IntRow]:
+    """The line summands' vectors, then e1 and e2 of each plane."""
+    return [u for _, u in lines] + [e for plane in planes for e in plane]
+
+
+class _TBlock:
+    """The points of total index T and their sigma-lines, with the line-part
+    labels of each sigma set and the plane elimination, built on demand."""
+
+    def __init__(self, index: dict[tuple[int, int, int], int], lines: list[list[list[int]]]):
+        self.index = index
+        self.lines = lines
+        self._labels: dict[tuple[int, ...], list[int]] = {}
+        self._plane: EchelonBasis | None = None
+
+    def labels(self, S: tuple[int, ...]) -> list[int]:
+        """Part label of every point in the join of the sigma-line
+        partitions of S, by union-find."""
+        labels = self._labels.get(S)
+        if labels is None:
+            parent = list(range(len(self.index)))
+
+            def find(h: int) -> int:
+                while parent[h] != h:
+                    parent[h] = parent[parent[h]]
+                    h = parent[h]
+                return h
+
+            for s in S:
+                for line in self.lines[s]:
+                    root = find(line[0])
+                    for h in line[1:]:
+                        parent[find(h)] = root
+            labels = self._labels[S] = [find(h) for h in range(len(parent))]
+        return labels
+
+    def plane(self) -> EchelonBasis:
+        """e1 (x) D_1 + e2 (x) D_2 + (e1 - e2) (x) D_3 in 2 * npts columns,
+        spanned by the differences of each line's placements to its hub,
+        the placement with the largest block index."""
+        if self._plane is None:
+            npts = len(self.index)
+            eb = EchelonBasis(2 * npts)
+            for lines, (x, y) in zip(self.lines, PLANE_LINES):
+                for line in lines:
+                    hub = line[-1]
+                    for h in line[:-1]:
+                        row = {}
+                        if x:
+                            row[h], row[hub] = x, -x
+                        if y:
+                            row[npts + h], row[npts + hub] = y, -y
+                        eb.add(row)
+            self._plane = eb
+        return self._plane
+
+
 class LocalityInstance:
     """Window of radius K around index 0 for each coefficient family.
 
@@ -69,8 +152,8 @@ class LocalityInstance:
     flat coordinate of (r, n_a, n_b, n_c) is
     ``r*W**3 + (n_a+K)*W**2 + (n_b+K)*W + (n_c+K)`` with ``W = 2K+1``.
     The locality ideal preserves the total index T = n_a+n_b+n_c, so
-    membership tests run inside a single T-graded block; blocks are
-    built lazily and cached.
+    membership tests run inside a single T-graded block; the blocks'
+    line data are built lazily and kept with the instance.
     """
 
     def __init__(self, P: QuadOperad, K: int):
@@ -84,13 +167,16 @@ class LocalityInstance:
         self.dim_p3 = P.dim_p3
         self.space_dim = self.dim_p3 * self.W**3
         self._pair_bases = self._build_pair_bases()
-        self._blocks: dict[int, tuple[dict[tuple[int, int, int], int], EchelonBasis]] = {}
+        self.line_summands, self.plane_summands = self._decompose()
+        self._coordinates = self._coordinate_basis()
+        self._checks: dict[tuple[int, int], tuple] = {}
+        self._blocks: dict[int, _TBlock] = {}
 
     # -- pair data -----------------------------------------------------
 
-    def _build_pair_bases(self):
-        """For each sigma block, the canonical (reduced) rows of the span of
-        all projected monomials of that block (the "pair space")."""
+    def _build_pair_bases(self) -> list[SubspaceQ]:
+        """For each sigma block, the span of all projected monomials of that
+        block (the "pair space")."""
         P = self.P
         out = []
         for sigma in REPS:
@@ -98,7 +184,7 @@ class LocalityInstance:
             for i in range(P.dim_gens):
                 for j in range(P.dim_gens):
                     eb.add(self._projected(sigma, i, j))
-            out.append(SubspaceQ.from_echelon(eb).rows())
+            out.append(SubspaceQ.from_echelon(eb))
         return out
 
     def _projected(self, sigma, outer, inner) -> IntRow:
@@ -106,6 +192,101 @@ class LocalityInstance:
         (scaling changes no span and no membership)."""
         flat = self.P.space.flat(sigma, outer, inner)
         return primitive_row(self.P.project({flat: 1}))
+
+    # -- decomposition of P(3) under the three pair spaces ---------------
+
+    def _decompose(self):
+        """Lines (S, u), S the sigma indices whose pair space holds u, and
+        planes (e1, e2), together a basis of P(3) adapted to the three pair
+        spaces."""
+        n = self.dim_p3
+        A, B, C = self._pair_bases
+
+        def span(*spaces):
+            return SubspaceQ.from_vectors(n, [r for V in spaces for r in V.rows()])
+
+        def complement(sub, rows):
+            """The rows that extend the rows of sub to a basis of their
+            span, greedily."""
+            eb = EchelonBasis(n)
+            for r in sub:
+                eb.add(r)
+            return [r for r in rows if eb.add(r)]
+
+        AB, AC, BC = A.intersect(B), A.intersect(C), B.intersect(C)
+        ABC = AB.intersect(C)
+        meets = [V.intersect(span(W, X)) for V, W, X in ((A, B, C), (B, A, C), (C, A, B))]
+        lines = [((0, 1, 2), u) for u in ABC.rows()]
+        for S, V in (((0, 1), AB), ((0, 2), AC), ((1, 2), BC)):
+            lines += [(S, u) for u in complement(ABC.rows(), V.rows())]
+        planes = [self._split(a, B, C)
+                  for a in complement(AB.rows() + AC.rows(), meets[0].rows())]
+        for s, V in enumerate((A, B, C)):
+            lines += [((s,), u) for u in complement(meets[s].rows(), V.rows())]
+        found = _summand_vectors(lines, planes)
+        lines += [((), u) for u in complement(found, ({r: 1} for r in range(n)))]
+        self._check_decomposition(lines, planes)
+        return lines, planes
+
+    def _split(self, a: IntRow, B: SubspaceQ, C: SubspaceQ) -> tuple[IntRow, IntRow]:
+        """(e1, e2) = (lam a, lam b) with b in B and a - b in C, for a in
+        B + C: the residual of [a | 0 | 1] against the tagged rows
+        [b_i | e_i | 0] and [c | 0 | 0] is [0 | -mu | lam] up to scale, with
+        lam a = sum mu_i b_i + (a vector of C)."""
+        n, brows = self.dim_p3, B.rows()
+        lam = n + len(brows)
+        eb = EchelonBasis(lam + 1)
+        for i, b in enumerate(brows):
+            eb.add({**b, n + i: 1})
+        for c in C.rows():
+            eb.add(c)
+        res = eb.residual({**a, lam: 1})
+        e2: IntRow = {}
+        for i, b in enumerate(brows):
+            if res.get(n + i):
+                add_scaled(e2, b, -res[n + i])
+        return {r: res[lam] * x for r, x in a.items()}, e2
+
+    def _check_decomposition(self, lines, planes) -> None:
+        n = self.dim_p3
+        vectors = _summand_vectors(lines, planes)
+        if len(vectors) != n or SubspaceQ.from_vectors(n, vectors).dim != n:
+            raise InternalCheckError(f"locality summands of {self.P.name} are no basis of P(3)")
+        assigned: list[list[IntRow]] = [[], [], []]
+        for S, u in lines:
+            for s in S:
+                assigned[s].append(u)
+        for e1, e2 in planes:
+            for s, (x, y) in enumerate(PLANE_LINES):
+                assigned[s].append(add_scaled(add_scaled({}, e1, x), e2, y))
+        for s, V in enumerate(self._pair_bases):
+            if SubspaceQ.from_vectors(n, assigned[s]) != V:
+                raise InternalCheckError(
+                    f"locality summands of {self.P.name} do not span pair space {s + 1}"
+                )
+
+    def _coordinate_basis(self) -> EchelonBasis:
+        """Tagged rows [u_t | e_t], one per summand vector (lines first,
+        then e1, e2 of each plane): a row reduced to zero on the left leaves
+        its coordinates, up to one common scale, on the right."""
+        n = self.dim_p3
+        eb = EchelonBasis(2 * n)
+        for t, u in enumerate(_summand_vectors(self.line_summands, self.plane_summands)):
+            eb.add({**u, n + t: 1})
+        return eb
+
+    def _summand_checks(self, base: IntRow):
+        """The line types S and the plane coordinates (c1, c2) on which a
+        P(3) row has a nonzero component."""
+        n, nlines = self.dim_p3, len(self.line_summands)
+        coords = {t - n: x for t, x in self._coordinates.residual(base).items()}
+        types = sorted({self.line_summands[t][0] for t in coords if t < nlines})
+        pairs = []
+        for p in range(len(self.plane_summands)):
+            c = (coords.get(nlines + 2 * p, 0), coords.get(nlines + 2 * p + 1, 0))
+            if any(c) and c not in pairs:
+                pairs.append(c)
+        return types, pairs
 
     # -- T-graded blocks -----------------------------------------------
 
@@ -117,55 +298,29 @@ class LocalityInstance:
                 pts.append((na, nb, T - na - nb))
         return pts
 
-    def _block(self, T: int):
-        cached = self._blocks.get(T)
-        if cached is not None:
-            return cached
-        index = {p: h for h, p in enumerate(self._points(T))}
-        basis = EchelonBasis(self.dim_p3 * len(index))
-        for gen in self._block_generators(T, index):
-            basis.add(gen)
-        self._blocks[T] = (index, basis)
-        return index, basis
-
-    def _block_generators(self, T, index):
-        """Order-1 pair relations, one per (pair row, non-hub placement).
-
-        Block sigma has inner arguments (x_sigma(1), x_sigma(2)) and the
-        remaining family outside.  Its placements fall into lines of fixed
-        outer index gamma and fixed pair sum; each line ties every
-        placement h to its hub, the placement with the largest block index,
-        by v (x) (e_h - e_hub).  A row's pivot is (first column of v, h), so
-        within one sigma the rows are already in echelon form.  The lines
-        are walked from gamma = K down to -K, sigma in REPS order: on the
-        benchmark's locality sweeps, that order needs about a third of the
-        elimination steps of neighbour differences, while ascending gamma
-        needs more than neighbour differences do.
-        """
-        K = self.K
-        npts = len(index)
-        for blk, sigma in enumerate(REPS):
-            pair_basis = self._pair_bases[blk]
-            if not pair_basis:
-                continue
-            for gamma in range(K, -K - 1, -1):
-                s = T - gamma
-                line = [
-                    index[self._place(sigma, alpha, s - alpha, gamma)]
-                    for alpha in range(max(-K, s - K), min(K, s + K) + 1)
+    def _tblock(self, T: int) -> _TBlock:
+        """The block of total index T: its points and, for each sigma in
+        REPS, its sigma-lines as ascending lists of block indices, from
+        gamma = K down to -K.  Of the 24 orders of sigmas, gamma and hub
+        end, this one (sigmas in REPS order, hubs at the largest index)
+        takes the fewest steps for the plane eliminations of the benchmark's
+        sweeps: 36,120, against 59,944 with gamma ascending and 149,576
+        with hubs at the smallest index."""
+        block = self._blocks.get(T)
+        if block is None:
+            K = self.K
+            index = {p: h for h, p in enumerate(self._points(T))}
+            lines = [
+                [
+                    sorted(index[self._place(sigma, alpha, T - gamma - alpha, gamma)]
+                           for alpha in range(max(-K, T - gamma - K), min(K, T - gamma + K) + 1))
+                    for gamma in range(K, -K - 1, -1)
+                    if abs(T - gamma) <= 2 * K
                 ]
-                if len(line) < 2:
-                    continue
-                hub = max(line)
-                for h in line:
-                    if h == hub:
-                        continue
-                    for v in pair_basis:
-                        row = {}
-                        for r, c in v.items():
-                            row[r * npts + h] = c
-                            row[r * npts + hub] = -c
-                        yield row
+                for sigma in REPS
+            ]
+            block = self._blocks[T] = _TBlock(index, lines)
+        return block
 
     @staticmethod
     def _place(sigma, alpha, beta, gamma) -> tuple[int, int, int]:
@@ -176,6 +331,33 @@ class LocalityInstance:
         pt[sigma[1] - 1] = beta
         pt[sigma[2] - 1] = gamma
         return tuple(pt)
+
+    def _contains(self, checks, T: int, f: dict[tuple[int, int, int], int]) -> bool:
+        """Whether base (x) f lies in the ideal, for the summand checks of
+        base and f an integer function on points of total index T."""
+        block = self._tblock(T)
+        g: dict[int, int] = {}
+        for point, c in f.items():
+            if c:
+                g[block.index[point]] = c
+        if not g:
+            return True
+        types, pairs = checks
+        for S in types:
+            labels = block.labels(S)
+            sums: dict[int, int] = {}
+            for h, c in g.items():
+                sums[labels[h]] = sums.get(labels[h], 0) + c
+            if any(sums.values()):
+                return False
+        npts = len(block.index)
+        for c1, c2 in pairs:
+            vec = {h: c1 * c for h, c in g.items()} if c1 else {}
+            if c2:
+                vec.update((npts + h, c2 * c) for h, c in g.items())
+            if not block.plane().contains(vec):
+                return False
+        return True
 
     # -- residues ------------------------------------------------------
 
@@ -195,29 +377,22 @@ class LocalityInstance:
             )
 
     def _residue_terms(self, spec: ResidueSpec):
-        base = self._projected(REPS[0], spec.j, spec.i)
         for s in range(spec.N + 1):
             cs = (-1) ** s * math.comb(spec.N, s)
             for t in range(spec.k + 1):
                 coeff = cs * (-1) ** t * math.comb(spec.k, t)
-                point = (spec.k - t, spec.n - s + t, spec.m + s)
-                yield coeff, point, base
+                yield coeff, (spec.k - t, spec.n - s + t, spec.m + s)
 
     def contains_residue(self, spec: ResidueSpec) -> bool:
         self._check_window(spec)
-        T = spec.k + spec.n + spec.m
-        index, basis = self._block(T)
-        npts = len(index)
-        vec: IntRow = {}
-        for coeff, point, base in self._residue_terms(spec):
-            h = index[point]
-            for r, c in base.items():
-                key = r * npts + h
-                vec[key] = vec.get(key, 0) + coeff * c
-        vec = {k: v for k, v in vec.items() if v}
-        if not vec:
-            return True
-        return basis.contains(vec)
+        checks = self._checks.get((spec.i, spec.j))
+        if checks is None:
+            base = self._projected(REPS[0], spec.j, spec.i)
+            checks = self._checks[(spec.i, spec.j)] = self._summand_checks(base)
+        f: dict[tuple[int, int, int], int] = {}
+        for coeff, point in self._residue_terms(spec):
+            f[point] = f.get(point, 0) + coeff
+        return self._contains(checks, spec.k + spec.n + spec.m, f)
 
     def min_locality_order(self, i: int, k: int, j: int, Nmax: int = 4,
                            n: int = 0, m: int = 0) -> int | None:

@@ -44,8 +44,20 @@ def _pair_index(P: QuadOperad, Q: QuadOperad):
 
 
 def _product_space(P: QuadOperad, Q: QuadOperad, sep: str, sign: int) -> GeneratorSpace:
-    """Swap columns: the signed Kronecker product of P's and Q's."""
-    names = tuple(f"{g}{sep}{h}" for g in P.space.names for h in Q.space.names)
+    """Swap columns: the signed Kronecker product of P's and Q's.  The
+    generator of the pair (g, h) is named g<sep>h; names that themselves
+    contain sep can make two pairs join to one name, which is refused."""
+    made: dict[str, tuple[str, str]] = {}
+    for g in P.space.names:
+        for h in Q.space.names:
+            name = f"{g}{sep}{h}"
+            if name in made:
+                raise InputError(
+                    f"product generator name {name!r} is made by two pairs, "
+                    f"{made[name]!r} and {(g, h)!r}; rename a generator of either operand"
+                )
+            made[name] = (g, h)
+    names = tuple(made)
     pair = _pair_index(P, Q)
     cols = [
         {pair(m, q): sign * a * b for m, a in col_P for q, b in col_Q}

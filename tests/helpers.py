@@ -9,7 +9,15 @@ from quadop.core.operad import QuadOperad
 from quadop.core.perms import IDENT, REPS, compose, coset_decompose
 from quadop.errors import InputError
 from quadop.koszul import dual_generators
-from quadop.linalg import SubspaceQ, add_scaled, invert_matrix, kernel_basis, primitive_row
+from quadop.linalg import (
+    EchelonBasis,
+    SubspaceQ,
+    add_scaled,
+    invert_matrix,
+    kernel_basis,
+    primitive_row,
+)
+from quadop.locality import ResidueSpec
 from quadop.manin import _pair_index, _product_space
 
 
@@ -295,11 +303,99 @@ def neighbour_generators(lab, T=None):
                     yield row
 
 
-def ideal_subspace(lab):
-    """The whole locality ideal of a window, in flat window coordinates,
-    from the neighbour differences.  Quadratic in the window volume; for
-    small K."""
-    return SubspaceQ.from_vectors(lab.space_dim, neighbour_generators(lab))
+def ideal_subspace(lab, T=None):
+    """The locality ideal of a window, or its block of total index T, in
+    flat window coordinates, from the neighbour differences.  Quadratic in
+    the window volume; for small K."""
+    return SubspaceQ.from_vectors(lab.space_dim, neighbour_generators(lab, T))
+
+
+def hub_generators(lab, T, index, pair_rows):
+    """Order-1 pair relations of the T-block, one per (pair row, non-hub
+    placement), in block coordinates r * npts + h.
+
+    pair_rows holds, per sigma in REPS, the rows spanning its pair space.
+    Block sigma has inner arguments (x_sigma(1), x_sigma(2)) and the
+    remaining family outside.  Its placements fall into lines of fixed
+    outer index gamma and fixed pair sum; each line ties every placement h
+    to its hub, the placement with the largest block index, by
+    v (x) (e_h - e_hub).  A row's pivot is (first column of v, h), so
+    within one sigma the rows are already in echelon form.  The lines are
+    walked from gamma = K down to -K, sigma in REPS order.
+    """
+    K = lab.K
+    npts = len(index)
+    for sigma, rows in zip(REPS, pair_rows):
+        if not rows:
+            continue
+        for gamma in range(K, -K - 1, -1):
+            s = T - gamma
+            line = [
+                index[lab._place(sigma, alpha, s - alpha, gamma)]
+                for alpha in range(max(-K, s - K), min(K, s + K) + 1)
+            ]
+            if len(line) < 2:
+                continue
+            hub = max(line)
+            for h in line:
+                if h == hub:
+                    continue
+                for v in rows:
+                    row = {}
+                    for r, c in v.items():
+                        row[r * npts + h] = c
+                        row[r * npts + hub] = -c
+                    yield row
+
+
+def hub_block(lab, T):
+    """The whole T-block of the ideal as one elimination of dimension
+    dim P(3) * npts: (index of each point, EchelonBasis of the hub rows).
+    Kept as the reference for the summand-wise membership of
+    LocalityInstance."""
+    index = {p: h for h, p in enumerate(lab._points(T))}
+    basis = EchelonBasis(lab.dim_p3 * len(index))
+    for gen in hub_generators(lab, T, index, [V.rows() for V in lab._pair_bases]):
+        basis.add(gen)
+    return index, basis
+
+
+def hub_contains(block, base, f):
+    """Whether base (x) f lies in a hub block, f a {point: int} function."""
+    index, basis = block
+    npts = len(index)
+    vec = {}
+    for point, c in f.items():
+        add_scaled(vec, ((r * npts + index[point], c * x) for r, x in base.items()))
+    return basis.contains(vec)
+
+
+def residue_function(spec):
+    """The residue of spec as base (x) f: f as a {point: coefficient}
+    function, the sum over s <= N and t <= k of (-1)**(s+t) C(N, s) C(k, t)
+    at (k-t, n-s+t, m+s)."""
+    f = {}
+    for s in range(spec.N + 1):
+        for t in range(spec.k + 1):
+            point = (spec.k - t, spec.n - s + t, spec.m + s)
+            f[point] = f.get(point, 0) + (-1) ** (s + t) * comb(spec.N, s) * comb(spec.k, t)
+    return f
+
+
+def reference_sweep(lab, k=0, Nmax=4, n=0, m=0):
+    """LocalityInstance.sweep decided on hub blocks."""
+    P = lab.P
+    block = hub_block(lab, k + n + m)
+    out = {}
+    for i in range(P.dim_gens):
+        for j in range(P.dim_gens):
+            base = primitive_row(P.project({P.space.flat(IDENT, j, i): 1}))
+            out[i, j] = next(
+                (N for N in range(Nmax + 1)
+                 if hub_contains(block, base, residue_function(ResidueSpec(i, k, j, N, n, m)))),
+                None,
+            )
+    return out
 
 
 def residue_vector(lab, spec):
@@ -312,9 +408,6 @@ def residue_vector(lab, spec):
     P = lab.P
     base = primitive_row(P.project({P.space.flat(IDENT, spec.j, spec.i): 1}))
     out = {}
-    for s in range(spec.N + 1):
-        for t in range(spec.k + 1):
-            coeff = (-1) ** (s + t) * comb(spec.N, s) * comb(spec.k, t)
-            point = (spec.k - t, spec.n - s + t, spec.m + s)
-            add_scaled(out, ((window_coordinate(lab, r, point), c) for r, c in base.items()), coeff)
+    for point, coeff in residue_function(spec).items():
+        add_scaled(out, ((window_coordinate(lab, r, point), c) for r, c in base.items()), coeff)
     return out

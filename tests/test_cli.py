@@ -125,6 +125,24 @@ def test_operand_count_is_checked(capsys):
     assert code == 1 and "single operand" in err
 
 
+@pytest.mark.parametrize("kind, sep", [("--white", "*"), ("--black", "•")])
+def test_product_name_collision_names_both_pairs(capsys, tmp_path, kind, sep):
+    # a<sep>b joined with c, and a joined with b<sep>c, give one name.
+    left, right = tmp_path / "left.json", tmp_path / "right.json"
+    for path, names in ((left, [f"a{sep}b", "a"]), (right, ["c", f"b{sep}c"])):
+        path.write_text(json.dumps(
+            {"name": path.stem, "generators": [[g, "sym"] for g in names], "relations": []}
+        ))
+    code, out, err = run(capsys, "product", kind, str(left), str(right))
+    assert code == 1 and out == ""
+    assert f"a{sep}b{sep}c" in err
+    assert repr((f"a{sep}b", "c")) in err and repr(("a", f"b{sep}c")) in err
+    # The same names under the other product's separator do not collide.
+    other = "--black" if kind == "--white" else "--white"
+    code, _, err = run(capsys, "product", other, str(left), str(right))
+    assert code == 0, err
+
+
 def test_window_violation_reports_radius(capsys):
     code, _, err = run(capsys, "locality", "preLie", "--window", "2", "--n-max", "5")
     assert code == 1

@@ -1,18 +1,30 @@
 """Windowed locality lab: frozen sweep outcomes and structural checks."""
 
+import itertools
+import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from quadop import locality
 from quadop.core.catalog import catalog, resolve
-from quadop.errors import InputError
-from quadop.linalg import SubspaceQ
+from quadop.core.perms import REPS
+from quadop.dong import dong_verdict
+from quadop.errors import InputError, InternalCheckError
+from quadop.linalg import SubspaceQ, add_scaled
 from quadop.locality import MAX_WINDOW, LocalityInstance, ResidueSpec, build_instance
+from quadop.manin import black_product, replicate, split
 
 from helpers import (
     TABLE_ORDERS,
+    hub_block,
+    hub_generators,
     ideal_subspace,
-    neighbour_generators,
+    random_operad,
+    reference_sweep,
     residue_vector,
     window_coordinate,
 )
@@ -167,13 +179,13 @@ def test_whole_table_sweep(name):
 
 @pytest.mark.parametrize("name", sorted(TABLE_ORDERS))
 def test_hub_blocks_span_the_neighbour_differences(name):
-    """Each T-block, as eliminated from the hub generators, spans exactly
-    the neighbour differences of total index T."""
+    """Each reference T-block, as eliminated from the hub generators, spans
+    exactly the neighbour differences of total index T."""
     P = resolve(name)
     for K in (2, 3):
         lab = LocalityInstance(P, K)
         for T in range(-3 * K, 3 * K + 1):
-            index, basis = lab._block(T)
+            index, basis = hub_block(lab, T)
             point = {h: p for p, h in index.items()}
             rows = []
             for row in basis.rows():
@@ -183,20 +195,199 @@ def test_hub_blocks_span_the_neighbour_differences(name):
                     flat[window_coordinate(lab, r, point[h])] = c
                 rows.append(flat)
             hub = SubspaceQ.from_vectors(lab.space_dim, rows)
-            neighbours = SubspaceQ.from_vectors(lab.space_dim, neighbour_generators(lab, T))
-            assert hub == neighbours, (K, T)
+            assert hub == ideal_subspace(lab, T), (K, T)
 
 
 @pytest.mark.parametrize("name", sorted(TABLE_ORDERS))
 def test_hub_rows_of_one_sigma_have_distinct_pivots(name):
-    """Within one sigma the hub rows are already in echelon form."""
+    """Within one sigma the reference hub rows are already in echelon form."""
     P = resolve(name)
     for K in (2, 3):
         lab = LocalityInstance(P, K)
-        pair_bases = lab._pair_bases
-        for blk in range(len(pair_bases)):
-            lab._pair_bases = [pb if b == blk else [] for b, pb in enumerate(pair_bases)]
+        pair_rows = [V.rows() for V in lab._pair_bases]
+        for blk in range(len(pair_rows)):
+            only = [rows if b == blk else [] for b, rows in enumerate(pair_rows)]
             for T in range(-3 * K, 3 * K + 1):
                 index = {p: h for h, p in enumerate(lab._points(T))}
-                pivots = [min(row) for row in lab._block_generators(T, index)]
+                pivots = [min(row) for row in hub_generators(lab, T, index, only)]
                 assert len(set(pivots)) == len(pivots), (K, blk, T)
+
+
+# -- summand-wise membership -------------------------------------------------
+
+
+def _functions(rng, points):
+    """Integer functions on a T-block's points: single points, sparse random
+    ones, and sums of sigma-line differences (zero sums on the lines of the
+    chosen sigmas), some of them with one point disturbed."""
+    out = [{p: 1} for p in rng.sample(points, min(2, len(points)))]
+    out.append({p: rng.randint(-3, 3) for p in rng.sample(points, min(3, len(points)))})
+    for chosen in ((0,), (1,), (2,), (0, 1), (0, 2), (1, 2), (0, 1, 2)):
+        f = {}
+        for s in chosen:
+            outer = REPS[s][2] - 1
+            for _ in range(3):
+                p = rng.choice(points)
+                line = [q for q in points if q[outer] == p[outer]]
+                q = rng.choice(line)
+                c = rng.randint(-2, 2)
+                f[p] = f.get(p, 0) + c
+                f[q] = f.get(q, 0) - c
+        out.append(f)
+        if rng.random() < 0.3:
+            g = dict(f)
+            p = rng.choice(points)
+            g[p] = g.get(p, 0) + 1
+            out.append(g)
+    return out
+
+
+def _flat(lab, base, f):
+    vec = {}
+    for point, c in f.items():
+        add_scaled(vec, ((window_coordinate(lab, r, point), c * x) for r, x in base.items()))
+    return vec
+
+
+def _bases(lab, rng):
+    """P(3) rows to tensor with: the image of every monomial of every sigma,
+    so rows of all three pair spaces, and two random rows."""
+    P = lab.P
+    d = P.dim_gens
+    bases = [lab._projected(sigma, i, j) for sigma in REPS for i in range(d) for j in range(d)]
+    for _ in range(2):
+        bases.append({r: rng.randint(-2, 2) for r in range(lab.dim_p3)})
+    return [b for b in bases if any(b.values())]
+
+
+@pytest.mark.parametrize("name", sorted(TABLE_ORDERS))
+def test_summand_membership_matches_the_dense_ideal(name):
+    """base (x) f is decided summand by summand exactly as membership in the
+    neighbour-difference ideal decides it, in every T-block (corners
+    included) at K = 2 and 3, for rows of every pair space; and so is every
+    residue of several (k, N, anchor) specs."""
+    P = resolve(name)
+    rng = random.Random(name)
+    d = P.dim_gens
+    outcomes = set()
+    for K in (2, 3):
+        lab = LocalityInstance(P, K)
+        bases = _bases(lab, rng)
+        ideals = {T: ideal_subspace(lab, T) for T in range(-3 * K, 3 * K + 1)}
+        for T, ideal in ideals.items():
+            for f in _functions(rng, lab._points(T)):
+                for base in rng.sample(bases, min(4, len(bases))):
+                    got = lab._contains(lab._summand_checks(base), T, f)
+                    assert got == ideal.contains(_flat(lab, base, f)), (K, T, base, f)
+                    outcomes.add(got)
+        for k, N, n, m in itertools.product((0, 1), range(4), (-1, 0, 1), (-1, 0, 1)):
+            specs = [ResidueSpec(i, k, j, N, n, m) for i in range(d) for j in range(d)]
+            if specs[0].required_radius() > K:
+                continue
+            ideal = ideals[k + n + m]
+            for spec in specs:
+                got = lab.contains_residue(spec)
+                assert got == ideal.contains(residue_vector(lab, spec)), (K, spec)
+                outcomes.add(got)
+    assert outcomes == {True, False}
+
+
+def _codimension(lab, T):
+    """Codimension of the ideal's T-block, summed over the summands: the
+    number of parts of the join for each line summand, and 2 * npts minus
+    the plane rank for each plane."""
+    block = lab._tblock(T)
+    npts = len(block.index)
+    lines = sum(len(set(block.labels(S))) for S, _ in lab.line_summands)
+    return lines + len(lab.plane_summands) * (2 * npts - block.plane().rank)
+
+
+@pytest.mark.parametrize("name", sorted(TABLE_ORDERS))
+def test_summand_codimension_matches_the_reference_block(name):
+    P = resolve(name)
+    for K in (2, 3):
+        lab = LocalityInstance(P, K)
+        for T in range(-3 * K, 3 * K + 1):
+            index, basis = hub_block(lab, T)
+            assert _codimension(lab, T) == lab.dim_p3 * len(index) - basis.rank, (K, T)
+
+
+def _types(lab):
+    return Counter(S for S, _ in lab.line_summands)
+
+
+def test_codimension_grows_by_six_kernel_dims_per_unit_of_window():
+    """At T = 0 the reference block's codimension is
+    #(1; pair) + #(1; ABC) + 3 #planes + (2K+1) #(1; sigma), so with the
+    multiplicity identity below it grows by 6 * kernel_dim from K = 2 to 3
+    (observed on the NotDong entries; not derived)."""
+    for name in ("Zinb", "preLie", "GD", "postLie", "preAs"):
+        P = resolve(name)
+        codim = {}
+        for K in (2, 3):
+            lab = LocalityInstance(P, K)
+            index, basis = hub_block(lab, 0)
+            codim[K] = lab.dim_p3 * len(index) - basis.rank
+            types = _types(lab)
+            predicted = (sum(c for S, c in types.items() if len(S) >= 2)
+                         + 3 * len(lab.plane_summands)
+                         + (2 * K + 1) * sum(c for S, c in types.items() if len(S) == 1))
+            assert codim[K] == predicted, (name, K)
+        assert codim[3] - codim[2] == 6 * dong_verdict(P).kernel_dim, name
+
+
+def _criterion_9_products():
+    """The 45 products of acceptance criterion 9."""
+    core = ["Com", "Lie", "As", "Nov", "Pois"]
+    products = [black_product(catalog(a), catalog(b))
+                for a, b in itertools.combinations_with_replacement(core, 2)]
+    products += [replicate(kind, catalog(name)) for name in core for kind in ("di", "tri")]
+    products += [split(catalog(name), mode)
+                 for name in ("Alt", "As", "Com", "GD", "Lie", "NP", "Nov", "Perm", "Pois", "Zinb")
+                 for mode in ("pre", "post")]
+    return products
+
+
+def test_sigma_only_summands_count_the_dong_kernel():
+    """Tested observation: each pair space has exactly kernel_dim summands
+    of its own type (1; sigma), and no summand lies outside all three.  The
+    decomposition reads only P's projection, never dong.py."""
+    rng = random.Random(11)
+    operads = [resolve(name) for name in sorted(TABLE_ORDERS)] + _criterion_9_products()
+    operads += [random_operad(rng, rng.randint(1, 3), rng.randint(1, 3)) for _ in range(40)]
+    for P in operads:
+        types = _types(LocalityInstance(P, 1))
+        kernel = dong_verdict(P).kernel_dim
+        assert [types[(s,)] for s in range(3)] == [kernel] * 3, (P.name, types, kernel)
+        assert types[()] == 0, P.name
+
+
+def _check_summands(lab):
+    """Each summand meets each pair space as its type says, checked by plain
+    membership: a line of type S lies in V_sigma exactly for sigma in S; a
+    plane's lines e1, e2, e1 - e2 lie in V_1, V_2, V_3 and in no other."""
+    V = lab._pair_bases
+    for S, u in lab.line_summands:
+        assert [V[s].contains(u) for s in range(3)] == [s in S for s in range(3)], S
+    for e1, e2 in lab.plane_summands:
+        diff = add_scaled(dict(e1), e2, -1)
+        for s, line in enumerate((e1, e2, diff)):
+            assert [V[t].contains(line) for t in range(3)] == [t == s for t in range(3)]
+
+
+@given(st.integers(min_value=0, max_value=2**32), st.integers(min_value=1, max_value=3),
+       st.integers(min_value=1, max_value=3))
+@settings(max_examples=40, deadline=None)
+def test_random_operads_decompose_and_sweep_as_the_reference(seed, d, nseeds):
+    P = random_operad(random.Random(seed), d, nseeds)
+    lab = LocalityInstance(P, 2)
+    _check_summands(lab)
+    for k, n, m in ((0, 0, 0), (1, 0, 0), (0, 1, -1)):
+        assert lab.sweep(k=k, Nmax=2, n=n, m=m) == reference_sweep(lab, k=k, Nmax=2, n=n, m=m)
+
+
+def test_decomposition_self_check_can_fail(monkeypatch):
+    """A plane whose third line is not the one V_3 meets fails the check."""
+    monkeypatch.setattr(locality, "PLANE_LINES", ((1, 0), (0, 1), (1, 1)))
+    with pytest.raises(InternalCheckError, match="do not span pair space 3"):
+        LocalityInstance(catalog("Lie"), 1)
