@@ -5,13 +5,16 @@ deterministic key order.  Exit status: 0 on success (``--help`` included),
 1 for bad input (usage errors, unknown names, malformed files,
 out-of-window requests), 2 when an internal cross-check fails, which
 indicates a bug rather than bad input, and 3 for any other exception, which
-is a bug as well.  Every failure prints one line to stderr.
+is a bug as well.  Every failure prints one line to stderr.  When the reader
+of stdout closes it early (``quadop selfcheck | head -1``) the command ends
+quietly with 141, 128 + SIGPIPE, as a shell tool stopped by SIGPIPE does.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from quadop.core.catalog import catalog, catalog_names, resolve
@@ -365,10 +368,17 @@ def main(argv=None) -> int:
         # Keep a bug apart from exit 1, which means the input was bad.
         print(f"unexpected error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
-    if args.json:
-        print(json.dumps(payload, indent=2, sort_keys=True))
-    else:
-        print("\n".join(lines))
+    try:
+        if args.json:
+            print(json.dumps(payload, indent=2, sort_keys=True))
+        else:
+            print("\n".join(lines))
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader went away (``quadop selfcheck | head -1``).  Point stdout
+        # at devnull so the interpreter's last flush cannot fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     return 0
 
 

@@ -168,7 +168,7 @@ def _generator_spec(g) -> tuple[str, object]:
     return name, sym
 
 
-def make_operad(name: str, generators, relations, *, check: bool = True) -> QuadOperad:
+def make_operad(name: str, generators, relations) -> QuadOperad:
     """Build an operad from generator specs and relation strings.
 
     generators: list of (name, symmetry) pairs or {"name":, "symmetry":}
@@ -188,7 +188,7 @@ def make_operad(name: str, generators, relations, *, check: bool = True) -> Quad
             raise InputError(f"relation {text!r} is not a string")
         vectors.append(parse_relation(space, text))
     rel = s3_closure(space, vectors)
-    return QuadOperad(name, space, rel, check=check)
+    return QuadOperad(name, space, rel)
 
 
 def load_operad_file(path: str) -> QuadOperad:
@@ -210,7 +210,7 @@ def load_operad_file(path: str) -> QuadOperad:
     return make_operad(data["name"], data["generators"], data["relations"])
 
 
-def change_basis(P: QuadOperad, T, *, name: str | None = None) -> QuadOperad:
+def change_basis(P: QuadOperad, T) -> QuadOperad:
     """The same operad presented in the generator basis e'_j = sum_i T[i][j] e_i.
 
     T must be invertible and commute with the swap matrix, so the new basis
@@ -220,6 +220,8 @@ def change_basis(P: QuadOperad, T, *, name: str | None = None) -> QuadOperad:
     """
     space = P.space
     d = space.dim
+    if len(T) != d or any(len(row) != d for row in T):
+        raise InputError(f"basis change matrix must be {d}x{d}")
     T = [[Fraction(x) for x in row] for row in T]
     Tinv = invert_matrix(T)
     if Tinv is None:
@@ -242,4 +244,4 @@ def change_basis(P: QuadOperad, T, *, name: str | None = None) -> QuadOperad:
     rel = SubspaceQ.from_vectors(space.free3_dim, moved)
     if rel.dim != P.relations.dim:
         raise InternalCheckError("basis change did not preserve the relation dimension")
-    return QuadOperad(name or f"{P.name}@basis", space, rel)
+    return QuadOperad(f"{P.name}@basis", space, rel)

@@ -39,13 +39,13 @@ def dual_generators(space: GeneratorSpace) -> GeneratorSpace:
     return GeneratorSpace.from_columns(names, cols)
 
 
-def dual_operad(P: QuadOperad, *, name: str | None = None) -> QuadOperad:
+def dual_operad(P: QuadOperad) -> QuadOperad:
     """Koszul dual: dual generators with the annihilator of R as relations."""
     space = dual_generators(P.space)
     rel = P.relations.perp()
     # Stability of the annihilator is a theorem given the sign-twisted action;
     # the QuadOperad constructor re-checks it as a guard against convention bugs.
-    return QuadOperad(name or f"dual({P.name})", space, rel)
+    return QuadOperad(f"dual({P.name})", space, rel)
 
 
 def verify_jacobi_duality(P: QuadOperad, dual: QuadOperad | None = None) -> bool:

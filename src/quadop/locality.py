@@ -10,11 +10,11 @@ vector in that subspace.
 
 The ideal preserves the total index T, so it splits into T-blocks.  Each
 sigma in REPS has a pair space V_sigma in P(3), the span of the images of
-that sigma's monomials, and its placements in a block fall into sigma-lines
-(outer index gamma fixed, the two inner indices summing to T - gamma).  The
-block of the ideal is the sum over sigma of V_sigma (x) D_sigma, where
-D_sigma holds the functions on the block's points that sum to zero on every
-sigma-line.
+that sigma's monomials, and its placements in a block fall into sigma-lines:
+the outer coordinate gamma_sigma(p) = p[sigma[2] - 1] of the point p is
+fixed and the two inner indices sum to T - gamma.  The block of the ideal
+is the sum over sigma of V_sigma (x) D_sigma, where D_sigma holds the
+functions on the block's points that sum to zero on every sigma-line.
 
 Three subspaces of one space decompose it into indecomposable pieces of
 only nine types (the D4 quiver is of finite type: Gelfand-Ponomarev 1970,
@@ -26,17 +26,34 @@ decomposition checks itself: the summand vectors are a basis of P(3), and
 for each sigma the vectors assigned to it span exactly V_sigma.  The block
 of the ideal is then the direct sum, over summands, of the summand tensored
 with the sum of the D_sigma of its sigmas, so membership is decided summand
-by summand.  A residue is base (x) f, with base one P(3) row and f an
+by summand.  A residue is base (x) g, with base one P(3) row and g an
 integer function on the block's points, and only the summands on which
-base has a nonzero coordinate take part:
+base has a nonzero coordinate take part.  Each test is a closed form, with
+no elimination:
 
-* a line of type S holds u (x) f exactly when f sums to zero on every part
-  of the join of the sigma-line partitions, sigma in S (the annihilator of
-  D_P + D_Q is the functions constant on the parts of both, so
-  D_P + D_Q = D_{P v Q}); for S empty every point is its own part;
-* a plane holds (c1 e1 + c2 e2) (x) f exactly when (c1 f, c2 f) lies in
-  e1 (x) D_1 + e2 (x) D_2 + (e1 - e2) (x) D_3, an elimination in 2 * npts
-  columns built once per T from line differences to each line's hub.
+* a line of type S holds u (x) g exactly when g sums to zero on every part
+  of the join of the sigma-line partitions, sigma in S (D_P + D_Q is
+  D_{P v Q}: the annihilator of both is the functions constant on the parts
+  of both).  For S empty every point is its own part, so g = 0; for
+  S = {sigma} the parts are the sigma-lines, so g sums to zero over each
+  value of gamma_sigma.  For two or more sigmas the join is one part, so
+  the test is sum g = 0: for a fixed value x of one outer coordinate, the
+  lines of another family that it meets have outer values y in
+  [T - K - x, T + K - x] and [-K, K] (the third coordinate T - x - y lies
+  in the window), an interval that shifts by 1 when x does, so the
+  intervals of consecutive x overlap and every line is joined to every
+  other;
+* a plane holds (c1 e1 + c2 e2) (x) g exactly when (c1 g, c2 g) lies in
+  e1 (x) D_1 + e2 (x) D_2 + (e1 - e2) (x) D_3.  Its annihilator is the
+  pairs (phi1, phi2) with phi1 constant on the 1-lines, phi2 on the
+  2-lines and phi1 - phi2 on the 3-lines: phi1 = a(gamma_1),
+  phi2 = b(gamma_2) and a(gamma_1) - b(gamma_2) a function of
+  gamma_3 = T - gamma_1 - gamma_2.  Moving one unit from gamma_2 to gamma_1
+  at fixed gamma_3 gives a(x + 1) - a(x) = b(y - 1) - b(y), and by the same
+  overlapping intervals these steps are all one constant lambda, so the
+  annihilator is (lambda gamma_1 + alpha, -lambda gamma_2 + beta), of
+  dimension 3 (2 when the block is one point).  Membership is
+  sum g = 0 and sum g(p) (c1 gamma_1(p) - c2 gamma_2(p)) = 0.
 
 Membership is a sound certificate: every ideal generator is a genuine
 relation, so a residue found inside the span really does vanish, and a
@@ -55,9 +72,10 @@ from quadop.core.perms import REPS
 from quadop.errors import InputError, InternalCheckError
 from quadop.linalg import EchelonBasis, IntRow, SubspaceQ, add_scaled, primitive_row
 
-# Largest window radius K.  A T-block has npts = O(K**2) points; its plane
-# elimination has 2 * npts columns and about 3 * npts rows, so the cost of a
-# sweep of an operad with a plane summand grows steeply with K.
+# Largest window radius K, checked before anything is built.  Membership
+# costs the same at every K, so this is a bound on the input, not on the
+# work: the tests check the closed forms against the eliminated reference
+# blocks for every K up to it.
 MAX_WINDOW = 16
 
 # Coefficients (on e1, e2) of the line each sigma, in REPS order, meets a
@@ -93,58 +111,6 @@ def _summand_vectors(lines, planes) -> list[IntRow]:
     return [u for _, u in lines] + [e for plane in planes for e in plane]
 
 
-class _TBlock:
-    """The points of total index T and their sigma-lines, with the line-part
-    labels of each sigma set and the plane elimination, built on demand."""
-
-    def __init__(self, index: dict[tuple[int, int, int], int], lines: list[list[list[int]]]):
-        self.index = index
-        self.lines = lines
-        self._labels: dict[tuple[int, ...], list[int]] = {}
-        self._plane: EchelonBasis | None = None
-
-    def labels(self, S: tuple[int, ...]) -> list[int]:
-        """Part label of every point in the join of the sigma-line
-        partitions of S, by union-find."""
-        labels = self._labels.get(S)
-        if labels is None:
-            parent = list(range(len(self.index)))
-
-            def find(h: int) -> int:
-                while parent[h] != h:
-                    parent[h] = parent[parent[h]]
-                    h = parent[h]
-                return h
-
-            for s in S:
-                for line in self.lines[s]:
-                    root = find(line[0])
-                    for h in line[1:]:
-                        parent[find(h)] = root
-            labels = self._labels[S] = [find(h) for h in range(len(parent))]
-        return labels
-
-    def plane(self) -> EchelonBasis:
-        """e1 (x) D_1 + e2 (x) D_2 + (e1 - e2) (x) D_3 in 2 * npts columns,
-        spanned by the differences of each line's placements to its hub,
-        the placement with the largest block index."""
-        if self._plane is None:
-            npts = len(self.index)
-            eb = EchelonBasis(2 * npts)
-            for lines, (x, y) in zip(self.lines, PLANE_LINES):
-                for line in lines:
-                    hub = line[-1]
-                    for h in line[:-1]:
-                        row = {}
-                        if x:
-                            row[h], row[hub] = x, -x
-                        if y:
-                            row[npts + h], row[npts + hub] = y, -y
-                        eb.add(row)
-            self._plane = eb
-        return self._plane
-
-
 class LocalityInstance:
     """Window of radius K around index 0 for each coefficient family.
 
@@ -152,8 +118,8 @@ class LocalityInstance:
     flat coordinate of (r, n_a, n_b, n_c) is
     ``r*W**3 + (n_a+K)*W**2 + (n_b+K)*W + (n_c+K)`` with ``W = 2K+1``.
     The locality ideal preserves the total index T = n_a+n_b+n_c, so
-    membership tests run inside a single T-graded block; the blocks'
-    line data are built lazily and kept with the instance.
+    membership tests run inside a single T-graded block, by closed forms
+    that read only the residue's points and coefficients.
     """
 
     def __init__(self, P: QuadOperad, K: int):
@@ -170,7 +136,6 @@ class LocalityInstance:
         self.line_summands, self.plane_summands = self._decompose()
         self._coordinates = self._coordinate_basis()
         self._checks: dict[tuple[int, int], tuple] = {}
-        self._blocks: dict[int, _TBlock] = {}
 
     # -- pair data -----------------------------------------------------
 
@@ -288,76 +253,32 @@ class LocalityInstance:
                 pairs.append(c)
         return types, pairs
 
-    # -- T-graded blocks -----------------------------------------------
+    # -- membership ----------------------------------------------------
 
-    def _points(self, T: int) -> list[tuple[int, int, int]]:
-        K = self.K
-        pts = []
-        for na in range(-K, K + 1):
-            for nb in range(max(-K, T - na - K), min(K, T - na + K) + 1):
-                pts.append((na, nb, T - na - nb))
-        return pts
-
-    def _tblock(self, T: int) -> _TBlock:
-        """The block of total index T: its points and, for each sigma in
-        REPS, its sigma-lines as ascending lists of block indices, from
-        gamma = K down to -K.  Of the 24 orders of sigmas, gamma and hub
-        end, this one (sigmas in REPS order, hubs at the largest index)
-        takes the fewest steps for the plane eliminations of the benchmark's
-        sweeps: 36,120, against 59,944 with gamma ascending and 149,576
-        with hubs at the smallest index."""
-        block = self._blocks.get(T)
-        if block is None:
-            K = self.K
-            index = {p: h for h, p in enumerate(self._points(T))}
-            lines = [
-                [
-                    sorted(index[self._place(sigma, alpha, T - gamma - alpha, gamma)]
-                           for alpha in range(max(-K, T - gamma - K), min(K, T - gamma + K) + 1))
-                    for gamma in range(K, -K - 1, -1)
-                    if abs(T - gamma) <= 2 * K
-                ]
-                for sigma in REPS
-            ]
-            block = self._blocks[T] = _TBlock(index, lines)
-        return block
-
-    @staticmethod
-    def _place(sigma, alpha, beta, gamma) -> tuple[int, int, int]:
-        """Lattice point with alpha on the first inner family, beta on
-        the second, gamma on the outer one."""
-        pt = [0, 0, 0]
-        pt[sigma[0] - 1] = alpha
-        pt[sigma[1] - 1] = beta
-        pt[sigma[2] - 1] = gamma
-        return tuple(pt)
-
-    def _contains(self, checks, T: int, f: dict[tuple[int, int, int], int]) -> bool:
+    def _contains(self, checks, f: dict[tuple[int, int, int], int]) -> bool:
         """Whether base (x) f lies in the ideal, for the summand checks of
-        base and f an integer function on points of total index T."""
-        block = self._tblock(T)
-        g: dict[int, int] = {}
-        for point, c in f.items():
-            if c:
-                g[block.index[point]] = c
+        base and f an integer function on window points of one total index."""
+        g = {point: c for point, c in f.items() if c}
         if not g:
             return True
         types, pairs = checks
+        total = sum(g.values())
         for S in types:
-            labels = block.labels(S)
-            sums: dict[int, int] = {}
-            for h, c in g.items():
-                sums[labels[h]] = sums.get(labels[h], 0) + c
-            if any(sums.values()):
+            if len(S) == 1:
+                outer = REPS[S[0]][2] - 1
+                sums: dict[int, int] = {}
+                for point, c in g.items():
+                    sums[point[outer]] = sums.get(point[outer], 0) + c
+                if any(sums.values()):
+                    return False
+            elif not S or total:  # each point its own part, or one part
                 return False
-        npts = len(block.index)
-        for c1, c2 in pairs:
-            vec = {h: c1 * c for h, c in g.items()} if c1 else {}
-            if c2:
-                vec.update((npts + h, c2 * c) for h, c in g.items())
-            if not block.plane().contains(vec):
-                return False
-        return True
+        if pairs and total:
+            return False
+        first, second = (sigma[2] - 1 for sigma in REPS[:2])
+        m1 = sum(c * point[first] for point, c in g.items())
+        m2 = sum(c * point[second] for point, c in g.items())
+        return not any(c1 * m1 - c2 * m2 for c1, c2 in pairs)
 
     # -- residues ------------------------------------------------------
 
@@ -392,7 +313,7 @@ class LocalityInstance:
         f: dict[tuple[int, int, int], int] = {}
         for coeff, point in self._residue_terms(spec):
             f[point] = f.get(point, 0) + coeff
-        return self._contains(checks, spec.k + spec.n + spec.m, f)
+        return self._contains(checks, f)
 
     def min_locality_order(self, i: int, k: int, j: int, Nmax: int = 4,
                            n: int = 0, m: int = 0) -> int | None:

@@ -17,7 +17,7 @@ from quadop.linalg import (
     kernel_basis,
     primitive_row,
 )
-from quadop.locality import ResidueSpec
+from quadop.locality import PLANE_LINES, ResidueSpec
 from quadop.manin import _pair_index, _product_space
 
 
@@ -39,6 +39,24 @@ def random_involutive_space(rng, d):
     )
     names = tuple(f"g{i}" for i in range(d))
     return GeneratorSpace(names, swap)
+
+
+def random_swap_commuting(rng, space):
+    """A random invertible matrix that commutes with the swap S of space:
+    A + S A S for a random integer matrix A, drawn until it is invertible,
+    so it is a valid change of generators."""
+    d, sw = space.dim, space.swap
+    while True:
+        A = [[Fraction(rng.randint(-3, 3)) for _ in range(d)] for _ in range(d)]
+        T = [
+            [
+                A[i][j] + sum(sw[i][a] * A[a][b] * sw[b][j] for a in range(d) for b in range(d))
+                for j in range(d)
+            ]
+            for i in range(d)
+        ]
+        if invert_matrix(T) is not None:
+            return T
 
 
 def random_operad(rng, d, nseeds=2, name="random"):
@@ -266,6 +284,90 @@ def window_coordinate(lab, r, point):
     return r * W**3 + (na + K) * W**2 + (nb + K) * W + (nc + K)
 
 
+def place(sigma, alpha, beta, gamma):
+    """Lattice point with alpha on the family x_sigma(1), beta on
+    x_sigma(2) and gamma on the outer family x_sigma(3)."""
+    pt = [0, 0, 0]
+    for family, n in zip(sigma, (alpha, beta, gamma)):
+        pt[family - 1] = n
+    return tuple(pt)
+
+
+def block_points(K, T):
+    """The window points of total index T, in block order."""
+    return [
+        (na, nb, T - na - nb)
+        for na in range(-K, K + 1)
+        for nb in range(max(-K, T - na - K), min(K, T - na + K) + 1)
+    ]
+
+
+def block_index(K, T):
+    """Block index of every window point of total index T."""
+    return {p: h for h, p in enumerate(block_points(K, T))}
+
+
+def sigma_lines(K, T, index):
+    """For each sigma in REPS, its sigma-lines in the block of total index
+    T (outer index gamma fixed, inner indices summing to T - gamma) as
+    ascending lists of block indices, from gamma = K down to -K."""
+    return [
+        [
+            sorted(index[place(sigma, alpha, T - gamma - alpha, gamma)]
+                   for alpha in range(max(-K, T - gamma - K), min(K, T - gamma + K) + 1))
+            for gamma in range(K, -K - 1, -1)
+            if abs(T - gamma) <= 2 * K
+        ]
+        for sigma in REPS
+    ]
+
+
+def join_labels(npts, lines, S):
+    """Part label of every block point in the join of the sigma-line
+    partitions of the sigmas in S, by union-find.  Kept as the reference
+    for the closed-form line tests of LocalityInstance."""
+    parent = list(range(npts))
+
+    def find(h):
+        while parent[h] != h:
+            parent[h] = parent[parent[h]]
+            h = parent[h]
+        return h
+
+    for s in S:
+        for line in lines[s]:
+            root = find(line[0])
+            for h in line[1:]:
+                parent[find(h)] = root
+    return [find(h) for h in range(npts)]
+
+
+def plane_generators(lines, npts):
+    """Spanning rows of e1 (x) D_1 + e2 (x) D_2 + (e1 - e2) (x) D_3 in
+    2 * npts columns (f on e1 first, then f on e2): the difference of each
+    placement of a line to the line's hub, the placement with the largest
+    block index, sigma by sigma in REPS order."""
+    for family, (x, y) in zip(lines, PLANE_LINES):
+        for line in family:
+            hub = line[-1]
+            for h in line[:-1]:
+                row = {}
+                if x:
+                    row[h], row[hub] = x, -x
+                if y:
+                    row[npts + h], row[npts + hub] = y, -y
+                yield row
+
+
+def hub_plane(lines, npts):
+    """The plane block eliminated from its hub rows.  Kept as the reference
+    for the closed-form plane test of LocalityInstance."""
+    basis = EchelonBasis(2 * npts)
+    for row in plane_generators(lines, npts):
+        basis.add(row)
+    return basis
+
+
 def neighbour_generators(lab, T=None):
     """The order-1 locality relations as differences of neighbouring
     placements, in flat window coordinates: for each sigma in REPS, each
@@ -273,16 +375,9 @@ def neighbour_generators(lab, T=None):
     gamma) (alpha on the family x_sigma(1), beta on x_sigma(2), gamma on the
     outer one) whose twin (alpha-1, beta+1, gamma) is in the window,
     u (x) (e_here - e_twin).  All of them, or only those of total index T.
-    Kept as the reference for the hub generators of LocalityInstance."""
+    Kept as the reference for the hub generators."""
     P, K = lab.P, lab.K
     d = P.dim_gens
-
-    def placement(sigma, alpha, beta, gamma):
-        pt = [0, 0, 0]
-        for family, n in zip(sigma, (alpha, beta, gamma)):
-            pt[family - 1] = n
-        return tuple(pt)
-
     for sigma in REPS:
         monomials = [
             primitive_row(P.project({P.space.flat(sigma, i, j): 1}))
@@ -292,8 +387,8 @@ def neighbour_generators(lab, T=None):
         for alpha, beta, gamma in iproduct(range(-K + 1, K + 1), range(-K, K), range(-K, K + 1)):
             if T is not None and alpha + beta + gamma != T:
                 continue
-            here = placement(sigma, alpha, beta, gamma)
-            twin = placement(sigma, alpha - 1, beta + 1, gamma)
+            here = place(sigma, alpha, beta, gamma)
+            twin = place(sigma, alpha - 1, beta + 1, gamma)
             for u in monomials:
                 if u:
                     row = {}
@@ -316,30 +411,17 @@ def hub_generators(lab, T, index, pair_rows):
 
     pair_rows holds, per sigma in REPS, the rows spanning its pair space.
     Block sigma has inner arguments (x_sigma(1), x_sigma(2)) and the
-    remaining family outside.  Its placements fall into lines of fixed
-    outer index gamma and fixed pair sum; each line ties every placement h
-    to its hub, the placement with the largest block index, by
-    v (x) (e_h - e_hub).  A row's pivot is (first column of v, h), so
-    within one sigma the rows are already in echelon form.  The lines are
-    walked from gamma = K down to -K, sigma in REPS order.
+    remaining family outside.  Its placements fall into the sigma-lines of
+    sigma_lines; each line ties every placement h to its hub, the placement
+    with the largest block index, by v (x) (e_h - e_hub).  A row's pivot is
+    (first column of v, h), so within one sigma the rows are already in
+    echelon form.
     """
-    K = lab.K
     npts = len(index)
-    for sigma, rows in zip(REPS, pair_rows):
-        if not rows:
-            continue
-        for gamma in range(K, -K - 1, -1):
-            s = T - gamma
-            line = [
-                index[lab._place(sigma, alpha, s - alpha, gamma)]
-                for alpha in range(max(-K, s - K), min(K, s + K) + 1)
-            ]
-            if len(line) < 2:
-                continue
-            hub = max(line)
-            for h in line:
-                if h == hub:
-                    continue
+    for lines, rows in zip(sigma_lines(lab.K, T, index), pair_rows):
+        for line in lines:
+            hub = line[-1]
+            for h in line[:-1]:
                 for v in rows:
                     row = {}
                     for r, c in v.items():
@@ -353,7 +435,7 @@ def hub_block(lab, T):
     dim P(3) * npts: (index of each point, EchelonBasis of the hub rows).
     Kept as the reference for the summand-wise membership of
     LocalityInstance."""
-    index = {p: h for h, p in enumerate(lab._points(T))}
+    index = block_index(lab.K, T)
     basis = EchelonBasis(lab.dim_p3 * len(index))
     for gen in hub_generators(lab, T, index, [V.rows() for V in lab._pair_bases]):
         basis.add(gen)

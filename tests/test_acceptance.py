@@ -20,11 +20,16 @@ from quadop.core.parser import parse_relation, pretty_print
 from quadop.core.perms import IDENT, S3, sign
 from quadop.dong import dong_verdict
 from quadop.koszul import dual_operad, verify_jacobi_duality
-from quadop.linalg import invert_matrix
 from quadop.locality import build_instance
 from quadop.manin import black_product, replicate, split, white_product
 
-from helpers import TABLE_ORDERS, pairing_equivariant, random_involutive_space, random_operad
+from helpers import (
+    TABLE_ORDERS,
+    pairing_equivariant,
+    random_involutive_space,
+    random_operad,
+    random_swap_commuting,
+)
 
 TEXTUAL_NAMES = ["Alt", "As", "Com", "GD", "Lie", "NP", "Nov", "Perm", "Pois", "Zinb"]
 
@@ -242,27 +247,8 @@ def test_criterion_10_basis_invariance():
     for name in catalog_names():
         P = catalog(name)
         base = dong_verdict(P).verdict
-        d = P.dim_gens
-        sw = P.space.swap
         for _ in range(10):
-            while True:
-                A = [[Fraction(rng.randint(-3, 3)) for _ in range(d)] for _ in range(d)]
-                # A + swap A swap commutes with the swap, so it is a valid
-                # change of generators whenever it is invertible.
-                T = [
-                    [
-                        A[i][j]
-                        + sum(
-                            sw[i][a] * A[a][b] * sw[b][j]
-                            for a in range(d)
-                            for b in range(d)
-                        )
-                        for j in range(d)
-                    ]
-                    for i in range(d)
-                ]
-                if invert_matrix(T) is not None:
-                    break
+            T = random_swap_commuting(rng, P.space)
             assert dong_verdict(change_basis(P, T)).verdict == base, name
     _budget(t0, 30)
 

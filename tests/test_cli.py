@@ -1,11 +1,16 @@
-"""Command-line interface, exercised in-process through main()."""
+"""Command-line interface, exercised in-process through main(), and in a
+child process where the operating system's streams matter."""
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import quadop
 from quadop.cli import main
 from quadop.core.catalog import catalog_names
 
@@ -237,6 +242,23 @@ def test_unexpected_exception_exits_3(capsys, monkeypatch):
     assert code == 3
     assert out == ""
     assert err == "unexpected error: RuntimeError: boom\n"
+
+
+def test_closed_stdout_exits_141_quietly():
+    """Output into a pipe whose reader has gone (``quadop selfcheck |
+    head -1``) ends with exit 141 and nothing on stderr, not a traceback."""
+    src = str(Path(quadop.__file__).resolve().parents[1])
+    path = [src, os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in path if p)}
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "quadop.cli", "selfcheck"], stdout=write_end,
+                              stderr=subprocess.PIPE, env=env, timeout=120)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 141
+    assert proc.stderr == b""
 
 
 def test_window_above_cap_is_an_input_error(capsys):

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from quadop import locality
 from quadop.core.catalog import catalog, resolve
+from quadop.core.operad import change_basis
 from quadop.core.perms import REPS
 from quadop.dong import dong_verdict
 from quadop.errors import InputError, InternalCheckError
@@ -20,12 +21,19 @@ from quadop.manin import black_product, replicate, split
 
 from helpers import (
     TABLE_ORDERS,
+    block_index,
+    block_points,
     hub_block,
     hub_generators,
+    hub_plane,
     ideal_subspace,
+    join_labels,
+    plane_generators,
     random_operad,
+    random_swap_commuting,
     reference_sweep,
     residue_vector,
+    sigma_lines,
     window_coordinate,
 )
 
@@ -208,7 +216,7 @@ def test_hub_rows_of_one_sigma_have_distinct_pivots(name):
         for blk in range(len(pair_rows)):
             only = [rows if b == blk else [] for b, rows in enumerate(pair_rows)]
             for T in range(-3 * K, 3 * K + 1):
-                index = {p: h for h, p in enumerate(lab._points(T))}
+                index = block_index(K, T)
                 pivots = [min(row) for row in hub_generators(lab, T, index, only)]
                 assert len(set(pivots)) == len(pivots), (K, blk, T)
 
@@ -275,9 +283,9 @@ def test_summand_membership_matches_the_dense_ideal(name):
         bases = _bases(lab, rng)
         ideals = {T: ideal_subspace(lab, T) for T in range(-3 * K, 3 * K + 1)}
         for T, ideal in ideals.items():
-            for f in _functions(rng, lab._points(T)):
+            for f in _functions(rng, block_points(K, T)):
                 for base in rng.sample(bases, min(4, len(bases))):
-                    got = lab._contains(lab._summand_checks(base), T, f)
+                    got = lab._contains(lab._summand_checks(base), f)
                     assert got == ideal.contains(_flat(lab, base, f)), (K, T, base, f)
                     outcomes.add(got)
         for k, N, n, m in itertools.product((0, 1), range(4), (-1, 0, 1), (-1, 0, 1)):
@@ -293,13 +301,15 @@ def test_summand_membership_matches_the_dense_ideal(name):
 
 
 def _codimension(lab, T):
-    """Codimension of the ideal's T-block, summed over the summands: the
-    number of parts of the join for each line summand, and 2 * npts minus
-    the plane rank for each plane."""
-    block = lab._tblock(T)
-    npts = len(block.index)
-    lines = sum(len(set(block.labels(S))) for S, _ in lab.line_summands)
-    return lines + len(lab.plane_summands) * (2 * npts - block.plane().rank)
+    """Codimension of the ideal's T-block from the closed forms, summed over
+    the summands: npts for a line of type (1; empty), the number of
+    sigma-lines for (1; sigma), 1 for two or more sigmas, and 3 for a plane
+    (2 when the block is one point)."""
+    K = lab.K
+    npts = len(block_points(K, T))
+    nlines = sum(1 for gamma in range(-K, K + 1) if abs(T - gamma) <= 2 * K)
+    lines = sum(npts if not S else nlines if len(S) == 1 else 1 for S, _ in lab.line_summands)
+    return lines + len(lab.plane_summands) * (2 if npts == 1 else 3)
 
 
 @pytest.mark.parametrize("name", sorted(TABLE_ORDERS))
@@ -312,15 +322,55 @@ def test_summand_codimension_matches_the_reference_block(name):
             assert _codimension(lab, T) == lab.dim_p3 * len(index) - basis.rank, (K, T)
 
 
+def _blocks(max_window):
+    """(K, T, npts, sigma-lines) for every window radius K up to
+    max_window and every total index T of it."""
+    for K in range(1, max_window + 1):
+        for T in range(-3 * K, 3 * K + 1):
+            index = block_index(K, T)
+            yield K, T, len(index), sigma_lines(K, T, index)
+
+
+def test_joins_of_two_or_more_sigmas_are_one_part():
+    """The closed-form line test for |S| >= 2 is sum g = 0: the union-find
+    join of the sigma-line partitions is one part in every block up to the
+    window cap."""
+    for K, T, npts, lines in _blocks(MAX_WINDOW):
+        for S in ((0, 1), (0, 2), (1, 2), (0, 1, 2)):
+            assert len(set(join_labels(npts, lines, S))) == 1, (K, T, S)
+
+
+def test_plane_block_is_cut_out_by_three_functionals():
+    """The closed-form plane test: sum g over e1, sum g over e2 and
+    g(p) (gamma_1(p) on e1, -gamma_2(p) on e2) vanish on every hub
+    generator of the plane block, and the eliminated block has codimension
+    3 (2 when the block is one point), so these functionals span its
+    annihilator, in every block up to the window cap."""
+    first, second = (sigma[2] - 1 for sigma in REPS[:2])
+    for K, T, npts, lines in _blocks(MAX_WINDOW):
+        points = block_points(K, T)
+        functionals = [
+            [1] * npts + [0] * npts,
+            [0] * npts + [1] * npts,
+            [p[first] for p in points] + [-p[second] for p in points],
+        ]
+        for row in plane_generators(lines, npts):
+            for phi in functionals:
+                assert sum(c * phi[col] for col, c in row.items()) == 0, (K, T)
+        codim = 2 * npts - hub_plane(lines, npts).rank
+        assert codim == (2 if npts == 1 else 3), (K, T)
+
+
 def _types(lab):
     return Counter(S for S, _ in lab.line_summands)
 
 
 def test_codimension_grows_by_six_kernel_dims_per_unit_of_window():
     """At T = 0 the reference block's codimension is
-    #(1; pair) + #(1; ABC) + 3 #planes + (2K+1) #(1; sigma), so with the
+    #(1; pair) + #(1; ABC) + 3 #planes + (2K+1) #(1; sigma), as the closed
+    forms give when there is no (1; empty) summand, so with the observed
     multiplicity identity below it grows by 6 * kernel_dim from K = 2 to 3
-    (observed on the NotDong entries; not derived)."""
+    (the multiplicity is tested on the NotDong entries, not derived)."""
     for name in ("Zinb", "preLie", "GD", "postLie", "preAs"):
         P = resolve(name)
         codim = {}
@@ -384,6 +434,39 @@ def test_random_operads_decompose_and_sweep_as_the_reference(seed, d, nseeds):
     _check_summands(lab)
     for k, n, m in ((0, 0, 0), (1, 0, 0), (0, 1, -1)):
         assert lab.sweep(k=k, Nmax=2, n=n, m=m) == reference_sweep(lab, k=k, Nmax=2, n=n, m=m)
+
+
+# The table entries whose P(3) has a plane summand; random_operad almost never
+# yields one.
+PLANE_ENTRIES = ("Lie", "Pois", "GD", "Alt", "Leib", "preLie", "postLie", "dual(NP)")
+
+
+@pytest.mark.parametrize("name", PLANE_ENTRIES)
+def test_plane_entries_under_basis_changes_decide_as_the_reference(name):
+    """Random changes of generators that commute with the swap (the
+    construction of acceptance criterion 10) keep the planes, and membership
+    and sweeps at K = 2 still match the dense ideal and the hub blocks, with
+    residues that meet a plane found both inside and outside the ideal."""
+    rng = random.Random(name)
+    P = resolve(name)
+    plane_outcomes = set()
+    for _ in range(2):
+        lab = LocalityInstance(change_basis(P, random_swap_commuting(rng, P.space)), 2)
+        assert lab.plane_summands, name
+        _check_summands(lab)
+        bases = _bases(lab, rng)
+        for T in range(-6, 7):
+            ideal = ideal_subspace(lab, T)
+            for f in _functions(rng, block_points(2, T)):
+                for base in rng.sample(bases, min(4, len(bases))):
+                    checks = lab._summand_checks(base)
+                    got = lab._contains(checks, f)
+                    assert got == ideal.contains(_flat(lab, base, f)), (T, base, f)
+                    if checks[1]:
+                        plane_outcomes.add(got)
+        for k, n, m in ((0, 0, 0), (1, 0, 0), (0, 1, -1)):
+            assert lab.sweep(k=k, Nmax=2, n=n, m=m) == reference_sweep(lab, k=k, Nmax=2, n=n, m=m)
+    assert plane_outcomes == {True, False}, name
 
 
 def test_decomposition_self_check_can_fail(monkeypatch):

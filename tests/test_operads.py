@@ -213,3 +213,7 @@ def test_change_basis_rejects_bad_matrices():
         change_basis(P, [[1, 0], [0, 0]])  # singular
     with pytest.raises(InputError):
         change_basis(P, [[1, 1], [0, 1]])  # does not commute with the swap
+    with pytest.raises(InputError, match="must be 2x2"):
+        change_basis(catalog("As"), [[1]])
+    with pytest.raises(InputError, match="must be 2x2"):
+        change_basis(P, [[1, 0], [0, 1], [0, 0]])
