@@ -8,11 +8,20 @@ indicates a bug rather than bad input, and 3 for any other exception, which
 is a bug as well.  Every failure prints one line to stderr.  When the reader
 of stdout closes it early (``quadop selfcheck | head -1``) the command ends
 quietly with 141, 128 + SIGPIPE, as a shell tool stopped by SIGPIPE does.
+
+An operand is a catalog name, ``dual(NAME)`` nested to any depth, or the
+path of an operad file.
+
+``main(argv)`` returns the exit status (``--help`` raises ``SystemExit(0)``,
+as argparse does), so it can be called repeatedly in one process.  It
+builds its argument parser on the first call and reuses it for every later
+one; importing the module builds nothing.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -309,20 +318,16 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--json", action="store_true", help="emit a JSON report")
     subs = parser.add_subparsers(dest="command", required=True)
 
-    p = subs.add_parser("catalog", help="list built-in operads")
-    p.set_defaults(handler=cmd_catalog)
+    subs.add_parser("catalog", help="list built-in operads")
 
     p = subs.add_parser("show", help="print generators and relations")
     _add_operad_arg(p)
-    p.set_defaults(handler=cmd_show)
 
     p = subs.add_parser("dual", help="compute the Koszul dual")
     _add_operad_arg(p)
-    p.set_defaults(handler=cmd_dual)
 
     p = subs.add_parser("dong", help="decide the Dong property")
     _add_operad_arg(p)
-    p.set_defaults(handler=cmd_dong)
 
     p = subs.add_parser("product", help="Manin products, replication, splitting")
     kinds = p.add_mutually_exclusive_group(required=True)
@@ -338,7 +343,6 @@ def build_parser() -> argparse.ArgumentParser:
                            const=kind, help=helptext)
     _add_operad_arg(p)
     p.add_argument("operad2", nargs="?", default=None)
-    p.set_defaults(handler=cmd_product)
 
     p = subs.add_parser("locality", help="windowed locality sweep")
     _add_operad_arg(p)
@@ -346,18 +350,24 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-max", type=int, default=4, help="largest locality order to try")
     p.add_argument("--window", type=int, default=6, help="window radius K")
     p.add_argument("--anchor", default="0,0", help="anchor indices n,m")
-    p.set_defaults(handler=cmd_locality)
 
-    p = subs.add_parser("selfcheck", help="run the built-in consistency battery")
-    p.set_defaults(handler=cmd_selfcheck)
+    subs.add_parser("selfcheck", help="run the built-in consistency battery")
 
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of every main() call in this process, built on the first."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
-        payload, lines = args.handler(args)
+        args = _parser().parse_args(argv)
+        # Look the handler up by name on each call: the parser outlives the
+        # call, and a handler replaced since it was built must be the one run.
+        payload, lines = globals()[f"cmd_{args.command}"](args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

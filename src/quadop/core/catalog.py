@@ -184,18 +184,26 @@ _DUAL_RE = re.compile(r"^dual\((.+)\)$")
 
 def resolve(spec: str) -> QuadOperad:
     """Turn a CLI operand into an operad: a catalog name, dual(NAME) with any
-    resolvable NAME inside, or a path to a JSON operad file."""
-    spec = spec.strip()
-    m = _DUAL_RE.match(spec)
-    if m:
-        from quadop.koszul import dual_operad
+    resolvable NAME inside, nested to any depth, or a path to a JSON operad
+    file."""
+    from quadop.koszul import dual_operad
 
-        return dual_operad(resolve(m.group(1)))
+    # Peel the dual( layers in a loop and apply the duals from the inside
+    # out, so that the nesting depth is not bounded by the call stack.
+    spec = spec.strip()
+    layers = 0
+    while m := _DUAL_RE.match(spec):
+        spec = m.group(1).strip()
+        layers += 1
     if spec in _TEXTUAL or spec in _DERIVED:
-        return catalog(spec)
-    if spec.endswith(".json") or os.path.sep in spec or os.path.exists(spec):
-        return load_operad_file(spec)
-    raise InputError(
-        f"cannot resolve operad {spec!r}: not a catalog name, dual(...), or file path; "
-        f"known names: {', '.join(catalog_names())}"
-    )
+        op = catalog(spec)
+    elif spec.endswith(".json") or os.path.sep in spec or os.path.exists(spec):
+        op = load_operad_file(spec)
+    else:
+        raise InputError(
+            f"cannot resolve operad {spec!r}: not a catalog name, dual(...), or file path; "
+            f"known names: {', '.join(catalog_names())}"
+        )
+    for _ in range(layers):
+        op = dual_operad(op)
+    return op

@@ -1,5 +1,8 @@
+import json
+
 import pytest
 
+from quadop.cli import main
 from quadop.core.catalog import catalog, catalog_names, resolve
 from quadop.errors import InputError
 
@@ -49,6 +52,17 @@ def test_resolve_names_and_duals():
     assert D.dims() == catalog("preLie").dims()
     DD = resolve("dual(dual(As))")
     assert DD.relations == catalog("As").relations
+
+
+def test_deeply_nested_dual_resolves(capsys):
+    """dual(...) nests to any depth: 1200 layers, deeper than the default
+    recursion limit, give the operad of the same depth parity."""
+    depth = 1200
+    code = main(["--json", "show", "dual(" * depth + "Lie" + ")" * depth])
+    captured = capsys.readouterr()
+    assert (code, captured.err) == (0, "")
+    shown = json.loads(captured.out)["operad"]
+    assert shown["dims"] == resolve("dual(dual(Lie))").dims()
 
 
 def test_resolve_unknown():

@@ -244,6 +244,66 @@ def test_unexpected_exception_exits_3(capsys, monkeypatch):
     assert err == "unexpected error: RuntimeError: boom\n"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["catalog"], ["show", "Lie"], ["dual", "Lie"], ["dong", "Lie"], ["product", "--di", "Lie"],
+     ["locality", "Lie"], ["selfcheck"]],
+    ids=lambda argv: argv[0],
+)
+def test_handler_replaced_after_earlier_calls_is_the_one_run(capsys, monkeypatch, argv):
+    """main() builds its parser once, on the first call; a cmd_<name>
+    replaced after that is still the handler its subcommand runs."""
+    assert main(["catalog"]) == 0
+    capsys.readouterr()
+
+    def broken(args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(f"quadop.cli.cmd_{argv[0]}", broken)
+    assert run(capsys, *argv) == (3, "", "unexpected error: RuntimeError: boom\n")
+
+
+# Run in this order in one process, each call parses with the parser an
+# earlier call built: options set by the first locality call must not carry
+# over to the second, nor a usage error to the call after it.
+_REUSED_PARSER_CALLS = [
+    ["locality", "Lie", "--window", "3", "--k", "1", "--anchor", "1,-1"],
+    ["locality", "Lie"],
+    ["product", "--white", "--black", "As", "Lie"],
+    ["--json", "show", "As"],
+    ["--help"],
+    ["locality", "--help"],
+    ["dong", "preLie"],
+]
+
+
+def test_repeated_calls_answer_as_fresh_processes(capsys, monkeypatch):
+    """Each of a sequence of in-process main() calls gives the exit status,
+    stdout and stderr of the same call in a fresh process."""
+    monkeypatch.setenv("COLUMNS", "80")  # fixes the --help line width
+    src = str(Path(quadop.__file__).resolve().parents[1])
+    path = [src, os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in path if p)}
+    results = []
+    for argv in _REUSED_PARSER_CALLS:
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # --help
+            code = exc.code
+        captured = capsys.readouterr()
+        got = (code, captured.out, captured.err)
+        proc = subprocess.run([sys.executable, "-m", "quadop.cli", *argv], capture_output=True,
+                              text=True, env=env, timeout=120)
+        assert got == (proc.returncode, proc.stdout, proc.stderr), argv
+        results.append(got)
+    first, default, usage, good, helped = results[:5]
+    assert "(k=1, Nmax=4, window K=3, anchor=(1,-1))" in first[1]
+    assert "(k=0, Nmax=4, window K=6, anchor=(0,0))" in default[1]
+    assert (usage[0], usage[1]) == (1, "") and "not allowed with argument" in usage[2]
+    assert (good[0], good[2]) == (0, "")
+    assert helped[0] == 0 and helped[1].startswith("usage: quadop")
+
+
 def test_closed_stdout_exits_141_quietly():
     """Output into a pipe whose reader has gone (``quadop selfcheck |
     head -1``) ends with exit 141 and nothing on stderr, not a traceback."""
