@@ -12,10 +12,10 @@ quietly with 141, 128 + SIGPIPE, as a shell tool stopped by SIGPIPE does.
 An operand is a catalog name, ``dual(NAME)`` nested to any depth, or the
 path of an operad file.
 
-``main(argv)`` returns the exit status (``--help`` raises ``SystemExit(0)``,
-as argparse does), so it can be called repeatedly in one process.  It
-builds its argument parser on the first call and reuses it for every later
-one; importing the module builds nothing.
+``main(argv)`` returns the exit status, ``--help`` included (argparse's
+``SystemExit(0)`` does not leave it), so it can be called repeatedly in one
+process.  It builds its argument parser on the first call and reuses it for
+every later one; importing the module builds nothing.
 """
 
 from __future__ import annotations
@@ -364,7 +364,12 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     try:
-        args = _parser().parse_args(argv)
+        try:
+            args = _parser().parse_args(argv)
+        except SystemExit as exc:
+            # Only --help gets here (usage errors raise InputError): argparse
+            # has printed the help and asks to exit 0.
+            return exc.code
         # Look the handler up by name on each call: the parser outlives the
         # call, and a handler replaced since it was built must be the one run.
         payload, lines = globals()[f"cmd_{args.command}"](args)

@@ -31,7 +31,7 @@ from quadop.core.perms import (
     CYC123, IDENT, REP_INDEX, REPS, S3, SWAP12, Perm, compose, coset_decompose,
 )
 from quadop.errors import InputError
-from quadop.linalg import EchelonBasis, SubspaceQ
+from quadop.linalg import EchelonBasis, SubspaceQ, _as_int_row, _eliminate
 
 Vec = dict[int, int | Fraction]
 
@@ -77,9 +77,14 @@ class GeneratorSpace:
 
     def gen_index(self, name: str) -> int:
         try:
-            return self.names.index(name)
-        except ValueError:
+            return self._name_index[name]
+        except KeyError:
             raise InputError(f"unknown generator {name!r}; have {list(self.names)}") from None
+
+    @cached_property
+    def _name_index(self) -> dict[str, int]:
+        """Generator name -> basis index, built once per space."""
+        return {name: i for i, name in enumerate(self.names)}
 
     def flat(self, sigma: Perm, outer: int, inner: int) -> int:
         d = self.dim
@@ -174,8 +179,19 @@ def s3_closure(space: GeneratorSpace, vectors) -> SubspaceQ:
 
 
 def is_s3_stable(space: GeneratorSpace, sub: SubspaceQ) -> bool:
+    """Whether (12) and (123), which generate S3, map every canonical row of
+    sub into sub.  A canonical row holds no pivot column but its own, so an
+    image is reduced in place by one elimination per pivot column in its
+    support, and it lies in sub exactly when nothing is left."""
+    pivot_rows = dict(zip(sub.pivots, sub.rows()))
+    integral = all(type(x) is int for col in space.swap_columns for _, x in col)
     for g in (SWAP12, CYC123):
-        for row in sub.rows():
-            if not sub.contains(act(space, g, row)):
+        for row in pivot_rows.values():
+            image = act(space, g, row)
+            if not integral:
+                image = _as_int_row(image)
+            for c in [c for c in image if c in pivot_rows]:
+                _eliminate(image, pivot_rows[c], c)
+            if image:
                 return False
     return True

@@ -53,20 +53,22 @@ def _tokenize(text: str) -> list[tuple[str, object]]:
                 break
             raise InputError(f"cannot tokenize relation at position {pos}: {text[pos:pos + 12]!r}")
         pos = m.end()
-        if m.group("var"):
-            toks.append(("var", int(m.group("var")[1])))
-        elif m.group("gen") is not None:
-            name = m.group("gen").strip()
+        kind = m.lastgroup
+        value = m[kind]
+        if kind == "var":
+            toks.append((kind, int(value[1])))
+        elif kind == "gen":
+            name = value.strip()
             if not name:
                 raise InputError("empty generator name in braces")
-            toks.append(("gen", name))
-        elif m.group("int"):
+            toks.append((kind, name))
+        elif kind == "int":
             try:
-                toks.append(("int", int(m.group("int"))))
+                toks.append((kind, int(value)))
             except ValueError:  # more digits than int() accepts
-                raise InputError(f"integer at position {m.start('int')} is too long") from None
+                raise InputError(f"integer at position {m.start(kind)} is too long") from None
         else:
-            toks.append(("punct", m.group("punct")))
+            toks.append((kind, value))
     return toks
 
 

@@ -26,7 +26,10 @@ denominators are read directly, so an int vector never becomes a Fraction.
   columns in its own support, by the rows below it, which are already
   reduced and hold no pivot column but their own.  One pass per row, in any
   order, with no scan over the other pivots, so the cost follows the rows'
-  nonzeros instead of the square of the rank.
+  nonzeros instead of the square of the rank.  A row whose support holds
+  no later pivot needs no back-substitution: it is already reduced and
+  primitive, so it goes to the final sort into column order as it is, with
+  no copy, elimination or content division before that.
 """
 
 from __future__ import annotations
@@ -65,14 +68,16 @@ def primitive_row(vec) -> IntRow:
     return _strip_content(_as_int_row(vec))
 
 
-def _strip_content(row: IntRow) -> IntRow:
-    """Divide out the gcd of the values; make the leading value positive."""
+def _strip_content(row: IntRow, lead: int | None = None) -> IntRow:
+    """Divide out the gcd of the values; make the leading value positive.
+    A caller that knows the leading column passes it as lead."""
     if not row:
         return row
     g = 0
     for v in row.values():
         g = gcd(g, v)
-    lead = min(row)
+    if lead is None:
+        lead = min(row)
     if row[lead] < 0:
         g = -g
     if g != 1:
@@ -127,7 +132,7 @@ class EchelonBasis:
             col = min(v)
             row = rows.get(col)
             if row is None:
-                return _strip_content(v)
+                return _strip_content(v, col)
             _eliminate(v, row, col)
         return v
 
@@ -176,13 +181,19 @@ class SubspaceQ:
         # pivot column but its own, so clearing the later pivot columns in
         # row p's own support with the reduced rows introduces no new ones:
         # one pass per row, in any order, then its content is divided out.
+        # An echelon row with no later pivot in its support is already
+        # reduced and primitive, and is kept as it is.
         pivots = sorted(eb._rows)
         reduced: dict[int, IntRow] = {}
         for p in reversed(pivots):
-            row = dict(eb._rows[p])
-            for q in [c for c in row if c in reduced]:
-                _eliminate(row, reduced[q], q)
-            reduced[p] = _strip_content(row)
+            row = eb._rows[p]
+            later = [c for c in row if c in reduced]
+            if later:
+                row = dict(row)
+                for q in later:
+                    _eliminate(row, reduced[q], q)
+                row = _strip_content(row, p)
+            reduced[p] = row
         canon = EchelonBasis(eb.ambient_dim)
         canon._rows = {p: dict(sorted(reduced[p].items())) for p in pivots}
         return cls(canon)

@@ -1,12 +1,13 @@
 """Shared randomised constructions for the test suite."""
 
+import re
 from fractions import Fraction
 from itertools import product as iproduct
 from math import comb
 
 from quadop.core.free3 import GeneratorSpace, Vec, act, s3_closure
 from quadop.core.operad import QuadOperad
-from quadop.core.perms import IDENT, REPS, compose, coset_decompose
+from quadop.core.perms import CYC123, IDENT, REPS, SWAP12, compose, coset_decompose
 from quadop.errors import InputError
 from quadop.koszul import dual_generators
 from quadop.linalg import (
@@ -93,6 +94,58 @@ def free3_action(space, perm):
                         [(space.flat(rep, i, m), c) for m, c in space.swap_columns[j]]
                     )
     return cols
+
+
+def reference_is_s3_stable(space, sub):
+    """The S3-stability guard as a plain membership loop: every canonical
+    row's image under (12) and (123) is tested with SubspaceQ.contains.
+    Kept as the reference for the one-pass reduction in is_s3_stable."""
+    for g in (SWAP12, CYC123):
+        for row in sub.rows():
+            if not sub.contains(act(space, g, row)):
+                return False
+    return True
+
+
+_REFERENCE_TOKEN_RE = re.compile(
+    r"""\s*(?:
+        (?P<var>x[123])
+      | \{(?P<gen>[^{}]*)\}
+      | (?P<int>\d+)
+      | (?P<punct>[()+\-*/])
+    )""",
+    re.VERBOSE,
+)
+
+
+def reference_tokenize(text):
+    """The relation tokenizer with one test per token kind, in grammar
+    order.  Kept as the reference for parser._tokenize, which dispatches on
+    the name of the group that matched."""
+    toks = []
+    pos = 0
+    while pos < len(text):
+        m = _REFERENCE_TOKEN_RE.match(text, pos)
+        if m is None:
+            if text[pos:].strip() == "":
+                break
+            raise InputError(f"cannot tokenize relation at position {pos}: {text[pos:pos + 12]!r}")
+        pos = m.end()
+        if m.group("var"):
+            toks.append(("var", int(m.group("var")[1])))
+        elif m.group("gen") is not None:
+            name = m.group("gen").strip()
+            if not name:
+                raise InputError("empty generator name in braces")
+            toks.append(("gen", name))
+        elif m.group("int"):
+            try:
+                toks.append(("int", int(m.group("int"))))
+            except ValueError:  # more digits than int() accepts
+                raise InputError(f"integer at position {m.start('int')} is too long") from None
+        else:
+            toks.append(("punct", m.group("punct")))
+    return toks
 
 
 def pairing_equivariant(space, perm, sign_value):

@@ -286,10 +286,7 @@ def test_repeated_calls_answer_as_fresh_processes(capsys, monkeypatch):
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in path if p)}
     results = []
     for argv in _REUSED_PARSER_CALLS:
-        try:
-            code = main(argv)
-        except SystemExit as exc:  # --help
-            code = exc.code
+        code = main(argv)
         captured = capsys.readouterr()
         got = (code, captured.out, captured.err)
         proc = subprocess.run([sys.executable, "-m", "quadop.cli", *argv], capture_output=True,
@@ -353,9 +350,7 @@ def test_negative_n_max_exits_1(capsys):
 
 
 def test_help_exits_0(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["--help"])
-    assert exc.value.code == 0
+    assert main(["--help"]) == 0
     assert "usage: quadop" in capsys.readouterr().out
 
 

@@ -9,10 +9,11 @@ from hypothesis import strategies as st
 
 from quadop.core.catalog import catalog, catalog_names
 from quadop.core.free3 import GeneratorSpace, act, is_s3_stable, s3_closure
-from quadop.core.perms import IDENT, REPS, S3, compose
+from quadop.core.perms import IDENT, REPS, S3, SWAP12, compose
 from quadop.errors import InputError
 from quadop.linalg import SubspaceQ
-from helpers import free3_action, random_involutive_space
+from quadop.manin import white_product
+from helpers import free3_action, random_involutive_space, reference_is_s3_stable
 
 SYM = GeneratorSpace(("m",), ((Fraction(1),),))
 ANTI = GeneratorSpace(("b",), ((Fraction(-1),),))
@@ -189,6 +190,82 @@ def test_instability_detected():
     # A single antisymmetric-generator monomial is not an S3-stable span.
     one = SubspaceQ.from_vectors(ANTI.free3_dim, [{0: Fraction(1)}])
     assert not is_s3_stable(ANTI, one)
+
+
+def _monomial_involution(rng, d):
+    """A swap that moves each generator onto one generator: e_i -> +-e_i,
+    or e_i -> a e_j and e_j -> e_i / a for a pair.  Integral when every
+    scale a is +-1, so these spaces give int swaps as well as Fraction ones."""
+    cols = [None] * d
+    free = list(range(d))
+    rng.shuffle(free)
+    while free:
+        i = free.pop()
+        if free and rng.random() < 0.6:
+            j = free.pop()
+            a = Fraction(rng.choice((1, -1, 1, -1, 2, -3)))
+            cols[i], cols[j] = {j: a}, {i: 1 / a}
+        else:
+            cols[i] = {i: rng.choice((1, -1))}
+    return GeneratorSpace.from_columns([f"g{i}" for i in range(d)], cols)
+
+
+def _perturbed(sub, rng, how):
+    """sub with one canonical row dropped, or with one entry of one row
+    changed (set, cleared or moved off zero)."""
+    rows = [dict(r) for r in sub.rows()]
+    k = rng.randrange(len(rows))
+    if how == "dropped":
+        del rows[k]
+    else:
+        col = rng.randrange(sub.ambient_dim)
+        rows[k][col] = rows[k].get(col, 0) + rng.choice((1, -1, 2))
+    return SubspaceQ.from_vectors(sub.ambient_dim, rows)
+
+
+@st.composite
+def guard_cases(draw):
+    """A space (Fraction or int swap) and a subspace of its F(3): an S3
+    closure, the same perturbed, a (12)-closure, which is (12)-stable but
+    mostly not (123)-stable, or a plain span of random vectors."""
+    rng = random.Random(draw(st.integers(min_value=0, max_value=2**32)))
+    d = draw(st.integers(min_value=1, max_value=3))
+    if draw(st.booleans()):
+        space = random_involutive_space(rng, d)
+    else:
+        space = _monomial_involution(rng, d)
+    vecs = [_random_vec(space, rng, rng.randint(1, 5)) for _ in range(rng.randint(1, 3))]
+    kind = draw(st.sampled_from(["closure", "dropped", "changed", "swap_closure", "span"]))
+    if kind == "span":
+        return space, SubspaceQ.from_vectors(space.free3_dim, vecs)
+    if kind == "swap_closure":
+        images = [act(space, SWAP12, v) for v in vecs]
+        return space, SubspaceQ.from_vectors(space.free3_dim, vecs + images)
+    closed = s3_closure(space, vecs)
+    if kind == "closure" or closed.dim == 0:
+        return space, closed
+    return space, _perturbed(closed, rng, kind)
+
+
+@given(guard_cases())
+@settings(max_examples=300, deadline=None)
+def test_guard_matches_the_membership_loop(case):
+    space, sub = case
+    assert is_s3_stable(space, sub) == reference_is_s3_stable(space, sub)
+
+
+def test_guard_matches_the_membership_loop_on_the_catalog():
+    rng = random.Random(5)
+    ops = [catalog(name) for name in catalog_names()]
+    ops.append(white_product(catalog("diAs"), catalog("diAs")))
+    assert ops[-1].space.dim == 16
+    for P in ops:
+        assert is_s3_stable(P.space, P.relations), P.name
+        assert reference_is_s3_stable(P.space, P.relations), P.name
+        if P.dim_relations:
+            for how in ("dropped", "changed"):
+                sub = _perturbed(P.relations, rng, how)
+                assert is_s3_stable(P.space, sub) == reference_is_s3_stable(P.space, sub), P.name
 
 
 def test_jacobi_span_has_dimension_one():

@@ -6,9 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quadop.core.free3 import GeneratorSpace
-from quadop.core.parser import monomial_str, parse_relation, pretty_print
+from quadop.core.parser import _tokenize, monomial_str, parse_relation, pretty_print
 from quadop.core.perms import CYC123, IDENT
 from quadop.errors import InputError
+from helpers import reference_tokenize
 
 SYM = GeneratorSpace(("m",), ((Fraction(1),),))
 LIE = GeneratorSpace(("b",), ((Fraction(-1),),))
@@ -124,3 +125,50 @@ def test_parser_fuzz_returns_a_vector_or_input_error(text):
 def test_overlong_integer_is_an_input_error():
     with pytest.raises(InputError):
         parse_relation(SYM, "1" * 5000 + " * (x1 {m} x2) {m} x3")
+
+
+# Token alphabet: variables (and near misses), braces around names with
+# spaces, '*', "'" or '•', digits (once past int()'s digit limit, after a
+# space), the punctuation of the grammar and stray characters.
+_TOKEN_PIECES = st.one_of(
+    st.sampled_from(["x1", "x2", "x3", "(", ")", "+", "-", "*", "/", " ", "\t",
+                     " " + "1" * 5000]),
+    st.text(alphabet=" ab_1*'\u2022", max_size=8).map(lambda name: "{" + name + "}"),
+    st.integers(min_value=0, max_value=10**30).map(str),
+)
+_PIECES = st.one_of(
+    _TOKEN_PIECES,
+    st.sampled_from(["x", "x0", "x4", "{", "}", "{{}", "$", "'", "\u2022", "\u0661"]),
+    st.text(max_size=2),
+)
+
+
+def _tokens_or_error(tokenize, text):
+    try:
+        return tokenize(text)
+    except InputError as exc:
+        return ("InputError", str(exc))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(st.lists(_TOKEN_PIECES, max_size=16), st.lists(_PIECES, max_size=16))
+       .map("".join))
+def test_tokenizer_matches_the_reference(text):
+    assert _tokens_or_error(_tokenize, text) == _tokens_or_error(reference_tokenize, text)
+
+
+def test_generator_names_with_products_and_primes_read_back():
+    names = ("b_succ'*m1*p1*m2'", "g \u2022 h", "p1*b'", "b_succ'*m1*p1*m2")
+    space = GeneratorSpace(names, tuple(
+        tuple(Fraction(int(i == j)) for j in range(len(names))) for i in range(len(names))
+    ))
+    for i, name in enumerate(names):
+        assert space.gen_index(name) == i
+        text = f"(x1 {{{name}}} x2) {{ {names[0]} }} x3"
+        assert parse_relation(space, text) == {space.flat(IDENT, 0, i): 1}
+    with pytest.raises(InputError) as exc:
+        space.gen_index("b_succ'")
+    assert str(exc.value) == f"unknown generator \"b_succ'\"; have {list(names)}"
+    with pytest.raises(InputError) as exc:
+        parse_relation(space, "(x1 {p1} x2) {p1} x3")
+    assert str(exc.value) == f"unknown generator 'p1'; have {list(names)}"
