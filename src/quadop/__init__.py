@@ -9,7 +9,7 @@ from quadop.core.catalog import catalog, catalog_names, resolve
 from quadop.core.free3 import GeneratorSpace, act, s3_closure
 from quadop.core.operad import QuadOperad, change_basis, load_operad_file, make_operad
 from quadop.core.parser import parse_relation, pretty_print
-from quadop.dong import DongReport, dong_table, dong_verdict
+from quadop.dong import DongReport, dong_verdict
 from quadop.errors import InputError, InternalCheckError, QuadopError
 from quadop.koszul import dual_operad, verify_jacobi_duality
 from quadop.linalg import SubspaceQ
@@ -38,7 +38,6 @@ __all__ = [
     "catalog",
     "catalog_names",
     "change_basis",
-    "dong_table",
     "dong_verdict",
     "dual_operad",
     "load_operad_file",

@@ -280,9 +280,13 @@ def cmd_selfcheck(args) -> tuple[dict, list[str]]:
             raise InternalCheckError(f"split_post(Lie) dims {post.dims()}")
 
     def check_locality():
+        # Lie's bracket has level 2; Zinbiel's pairs have levels 1 and 3.
         inst = build_instance(catalog("Lie"), K=3)
         if inst.min_locality_order(0, 0, 0, Nmax=3) != 2:
             raise InternalCheckError("Lie locality order is not 2")
+        zinb = build_instance(catalog("Zinb"), K=3).sweep(Nmax=3)
+        if zinb != {(0, 0): 1, (0, 1): None, (1, 0): 1, (1, 1): None}:
+            raise InternalCheckError(f"Zinb locality orders are {zinb}")
 
     run("catalog dimensions", check_dims)
     run("double dual is identity", check_double_dual)

@@ -99,7 +99,3 @@ def dong_verdict(P: QuadOperad, dual: QuadOperad | None = None) -> DongReport:
         dims={**P.dims(), "dual_relations": P.dim_p3, "dual_p3": P.dim_relations},
         kernel=kernel,
     )
-
-
-def dong_table(operads) -> list[DongReport]:
-    return [dong_verdict(P) for P in operads]

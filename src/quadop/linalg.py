@@ -122,29 +122,38 @@ class EchelonBasis:
     def rank(self) -> int:
         return len(self._rows)
 
-    def residual(self, vec) -> IntRow:
-        """Reduce vec against the current rows.  Empty dict iff vec is in the
-        span; otherwise a primitive row whose pivot is not yet in the basis.
-        The caller's vec is never modified."""
-        v = _as_int_row(vec)
+    def _reduce(self, v: IntRow) -> int | None:
+        """Reduce the integer row v in place against the current rows.
+        Returns its leading column, which no row has as pivot, or None when
+        v reduces to zero.  The content of v is left in place."""
         rows = self._rows
         while v:
             col = min(v)
             row = rows.get(col)
             if row is None:
-                return _strip_content(v, col)
+                return col
             _eliminate(v, row, col)
-        return v
+        return None
+
+    def residual(self, vec) -> IntRow:
+        """Reduce vec against the current rows.  Empty dict iff vec is in the
+        span; otherwise a primitive row whose pivot is not yet in the basis.
+        The caller's vec is never modified."""
+        v = _as_int_row(vec)
+        col = self._reduce(v)
+        return v if col is None else _strip_content(v, col)
 
     def contains(self, vec) -> bool:
-        return not self.residual(vec)
+        return self._reduce(_as_int_row(vec)) is None
 
     def add(self, vec) -> bool:
-        """Add vec to the span.  Returns True if the rank grew."""
-        v = self.residual(vec)
-        if not v:
+        """Add vec to the span, filed under the pivot its reduction ends
+        on.  Returns True if the rank grew."""
+        v = _as_int_row(vec)
+        col = self._reduce(v)
+        if col is None:
             return False
-        self._rows[min(v)] = v
+        self._rows[col] = _strip_content(v, col)
         return True
 
     def rows(self) -> list[IntRow]:

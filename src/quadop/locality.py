@@ -16,20 +16,31 @@ fixed and the two inner indices sum to T - gamma.  The block of the ideal
 is the sum over sigma of V_sigma (x) D_sigma, where D_sigma holds the
 functions on the block's points that sum to zero on every sigma-line.
 
-Three subspaces of one space decompose it into indecomposable pieces of
-only nine types (the D4 quiver is of finite type: Gelfand-Ponomarev 1970,
-Gabriel 1972).  Eight are lines (1; S), one for each set S of the sigmas
-whose pair space contains the line; the ninth is a plane whose three pair
-spaces are three distinct lines e1, e2 and e1 - e2.  P(3) is decomposed
-once per instance into such summands, with integer rows only, and the
-decomposition checks itself: the summand vectors are a basis of P(3), and
-for each sigma the vectors assigned to it span exactly V_sigma.  The block
-of the ideal is then the direct sum, over summands, of the summand tensored
-with the sum of the D_sigma of its sigmas, so membership is decided summand
-by summand.  A residue is base (x) g, with base one P(3) row and g an
-integer function on the block's points, and only the summands on which
-base has a nonzero coordinate take part.  Each test is a closed form, with
-no elimination:
+Every residue is base (x) g, with g an integer function on the points of
+one block and base the P(3) image of the identity monomial
+(x1 {i} x2) {j} x3, so base lies in V_1 = V_id, whose outer coordinate
+gamma_1 is n_c.  Membership depends on base only through its level, read
+from two nested subspaces of V_1, and each level is a closed form, with no
+elimination:
+
+* level 0, base = 0: always a member;
+* level 1, base in V_1 cap V_2 + V_1 cap V_3: sum g = 0;
+* level 2, base in V_1 cap (V_2 + V_3): sum g = 0 and sum g(p) n_c(p) = 0;
+* level 3, any other base: g sums to zero over each value of n_c.
+
+The level is found once per operation pair (i, j), by two membership
+tests, and a residue then costs time in its own number of terms, whatever
+K and T are.
+
+Proof.  Three subspaces of one space decompose it into indecomposable
+pieces of only nine types (the D4 quiver is of finite type:
+Gelfand-Ponomarev 1970, Gabriel 1972).  Eight are lines (1; S), one for
+each set S of the sigmas whose pair space contains the line; the ninth is
+a plane whose three pair spaces are three distinct lines e1, e2 and
+e1 - e2.  The block of the ideal is the direct sum, over summands, of the
+summand tensored with the sum of the D_sigma of its sigmas, so base (x) g
+is a member exactly when the component of base in every summand is.  Each
+summand has a closed form:
 
 * a line of type S holds u (x) g exactly when g sums to zero on every part
   of the join of the sigma-line partitions, sigma in S (D_P + D_Q is
@@ -55,11 +66,22 @@ no elimination:
   dimension 3 (2 when the block is one point).  Membership is
   sum g = 0 and sum g(p) (c1 gamma_1(p) - c2 gamma_2(p)) = 0.
 
+Each V_sigma is the direct sum of its summands' parts in it, so
+intersections and sums of pair spaces are taken summand by summand.  A
+base in V_1 has components only in lines (1; S) with sigma_1 in S and in
+planes along e1 (c2 = 0), whose conditions are nested:
+D_1 lies in {sum g = 0 and sum g gamma_1 = 0}, which lies in {sum g = 0}
+(a function with zero sum on every 1-line has zero sum and zero moment in
+gamma_1).  So the strictest component decides.  V_1 cap V_2 + V_1 cap V_3
+is the sum of the lines (1; S) with sigma_1 and another sigma in S;
+V_1 cap (V_2 + V_3) adds the e1 of every plane, as e1 = e2 + (e1 - e2);
+outside it base has a (1; sigma_1) component.
+
 Membership is a sound certificate: every ideal generator is a genuine
 relation, so a residue found inside the span really does vanish, and a
 found order certifies exactly that.  A failed membership only says no
-witness exists inside the window (for a line summand: some part with a
-nonzero sum), so negative outcomes are evidence, not proof.
+witness exists inside the window (a sum or a moment of g that does not
+vanish), so negative outcomes are evidence, not proof.
 """
 
 from __future__ import annotations
@@ -69,18 +91,14 @@ from dataclasses import dataclass
 
 from quadop.core.operad import QuadOperad
 from quadop.core.perms import REPS
-from quadop.errors import InputError, InternalCheckError
-from quadop.linalg import EchelonBasis, IntRow, SubspaceQ, add_scaled, primitive_row
+from quadop.errors import InputError
+from quadop.linalg import EchelonBasis, IntRow, SubspaceQ, primitive_row
 
 # Largest window radius K, checked before anything is built.  Membership
 # costs the same at every K, so this is a bound on the input, not on the
 # work: the tests check the closed forms against the eliminated reference
 # blocks for every K up to it.
 MAX_WINDOW = 16
-
-# Coefficients (on e1, e2) of the line each sigma, in REPS order, meets a
-# plane summand in.
-PLANE_LINES = ((1, 0), (0, 1), (1, -1))
 
 
 @dataclass(frozen=True)
@@ -106,11 +124,6 @@ class ResidueSpec:
         return max(first, second, third)
 
 
-def _summand_vectors(lines, planes) -> list[IntRow]:
-    """The line summands' vectors, then e1 and e2 of each plane."""
-    return [u for _, u in lines] + [e for plane in planes for e in plane]
-
-
 class LocalityInstance:
     """Window of radius K around index 0 for each coefficient family.
 
@@ -133,9 +146,12 @@ class LocalityInstance:
         self.dim_p3 = P.dim_p3
         self.space_dim = self.dim_p3 * self.W**3
         self._pair_bases = self._build_pair_bases()
-        self.line_summands, self.plane_summands = self._decompose()
-        self._coordinates = self._coordinate_basis()
-        self._checks: dict[tuple[int, int], tuple] = {}
+        V1, V2, V3 = self._pair_bases
+        n = self.dim_p3
+        self._shared = SubspaceQ.from_vectors(
+            n, V1.intersect(V2).rows() + V1.intersect(V3).rows())
+        self._meet = V1.intersect(SubspaceQ.from_vectors(n, V2.rows() + V3.rows()))
+        self._levels: dict[tuple[int, int], int] = {}
 
     # -- pair data -----------------------------------------------------
 
@@ -158,127 +174,32 @@ class LocalityInstance:
         flat = self.P.space.flat(sigma, outer, inner)
         return primitive_row(self.P.project({flat: 1}))
 
-    # -- decomposition of P(3) under the three pair spaces ---------------
-
-    def _decompose(self):
-        """Lines (S, u), S the sigma indices whose pair space holds u, and
-        planes (e1, e2), together a basis of P(3) adapted to the three pair
-        spaces."""
-        n = self.dim_p3
-        A, B, C = self._pair_bases
-
-        def span(*spaces):
-            return SubspaceQ.from_vectors(n, [r for V in spaces for r in V.rows()])
-
-        def complement(sub, rows):
-            """The rows that extend the rows of sub to a basis of their
-            span, greedily."""
-            eb = EchelonBasis(n)
-            for r in sub:
-                eb.add(r)
-            return [r for r in rows if eb.add(r)]
-
-        AB, AC, BC = A.intersect(B), A.intersect(C), B.intersect(C)
-        ABC = AB.intersect(C)
-        meets = [V.intersect(span(W, X)) for V, W, X in ((A, B, C), (B, A, C), (C, A, B))]
-        lines = [((0, 1, 2), u) for u in ABC.rows()]
-        for S, V in (((0, 1), AB), ((0, 2), AC), ((1, 2), BC)):
-            lines += [(S, u) for u in complement(ABC.rows(), V.rows())]
-        planes = [self._split(a, B, C)
-                  for a in complement(AB.rows() + AC.rows(), meets[0].rows())]
-        for s, V in enumerate((A, B, C)):
-            lines += [((s,), u) for u in complement(meets[s].rows(), V.rows())]
-        found = _summand_vectors(lines, planes)
-        lines += [((), u) for u in complement(found, ({r: 1} for r in range(n)))]
-        self._check_decomposition(lines, planes)
-        return lines, planes
-
-    def _split(self, a: IntRow, B: SubspaceQ, C: SubspaceQ) -> tuple[IntRow, IntRow]:
-        """(e1, e2) = (lam a, lam b) with b in B and a - b in C, for a in
-        B + C: the residual of [a | 0 | 1] against the tagged rows
-        [b_i | e_i | 0] and [c | 0 | 0] is [0 | -mu | lam] up to scale, with
-        lam a = sum mu_i b_i + (a vector of C)."""
-        n, brows = self.dim_p3, B.rows()
-        lam = n + len(brows)
-        eb = EchelonBasis(lam + 1)
-        for i, b in enumerate(brows):
-            eb.add({**b, n + i: 1})
-        for c in C.rows():
-            eb.add(c)
-        res = eb.residual({**a, lam: 1})
-        e2: IntRow = {}
-        for i, b in enumerate(brows):
-            if res.get(n + i):
-                add_scaled(e2, b, -res[n + i])
-        return {r: res[lam] * x for r, x in a.items()}, e2
-
-    def _check_decomposition(self, lines, planes) -> None:
-        n = self.dim_p3
-        vectors = _summand_vectors(lines, planes)
-        if len(vectors) != n or SubspaceQ.from_vectors(n, vectors).dim != n:
-            raise InternalCheckError(f"locality summands of {self.P.name} are no basis of P(3)")
-        assigned: list[list[IntRow]] = [[], [], []]
-        for S, u in lines:
-            for s in S:
-                assigned[s].append(u)
-        for e1, e2 in planes:
-            for s, (x, y) in enumerate(PLANE_LINES):
-                assigned[s].append(add_scaled(add_scaled({}, e1, x), e2, y))
-        for s, V in enumerate(self._pair_bases):
-            if SubspaceQ.from_vectors(n, assigned[s]) != V:
-                raise InternalCheckError(
-                    f"locality summands of {self.P.name} do not span pair space {s + 1}"
-                )
-
-    def _coordinate_basis(self) -> EchelonBasis:
-        """Tagged rows [u_t | e_t], one per summand vector (lines first,
-        then e1, e2 of each plane): a row reduced to zero on the left leaves
-        its coordinates, up to one common scale, on the right."""
-        n = self.dim_p3
-        eb = EchelonBasis(2 * n)
-        for t, u in enumerate(_summand_vectors(self.line_summands, self.plane_summands)):
-            eb.add({**u, n + t: 1})
-        return eb
-
-    def _summand_checks(self, base: IntRow):
-        """The line types S and the plane coordinates (c1, c2) on which a
-        P(3) row has a nonzero component."""
-        n, nlines = self.dim_p3, len(self.line_summands)
-        coords = {t - n: x for t, x in self._coordinates.residual(base).items()}
-        types = sorted({self.line_summands[t][0] for t in coords if t < nlines})
-        pairs = []
-        for p in range(len(self.plane_summands)):
-            c = (coords.get(nlines + 2 * p, 0), coords.get(nlines + 2 * p + 1, 0))
-            if any(c) and c not in pairs:
-                pairs.append(c)
-        return types, pairs
+    def _level(self, base: IntRow) -> int:
+        """The level of a row of V_1: 0 for zero, 1 in V_1 cap V_2 +
+        V_1 cap V_3, 2 in V_1 cap (V_2 + V_3), 3 otherwise."""
+        if not base:
+            return 0
+        if self._shared.contains(base):
+            return 1
+        return 2 if self._meet.contains(base) else 3
 
     # -- membership ----------------------------------------------------
 
-    def _contains(self, checks, f: dict[tuple[int, int, int], int]) -> bool:
-        """Whether base (x) f lies in the ideal, for the summand checks of
-        base and f an integer function on window points of one total index."""
-        g = {point: c for point, c in f.items() if c}
-        if not g:
+    @staticmethod
+    def _contains(level: int, f: dict[tuple[int, int, int], int]) -> bool:
+        """Whether base (x) f lies in the ideal, for base a row of V_1 of the
+        given level and f an integer function on window points of one total
+        index.  Every test reads the sums of f over each value of n_c."""
+        if not level:
             return True
-        types, pairs = checks
-        total = sum(g.values())
-        for S in types:
-            if len(S) == 1:
-                outer = REPS[S[0]][2] - 1
-                sums: dict[int, int] = {}
-                for point, c in g.items():
-                    sums[point[outer]] = sums.get(point[outer], 0) + c
-                if any(sums.values()):
-                    return False
-            elif not S or total:  # each point its own part, or one part
-                return False
-        if pairs and total:
+        sums: dict[int, int] = {}
+        for (_, _, nc), c in f.items():
+            sums[nc] = sums.get(nc, 0) + c
+        if level == 3:
+            return not any(sums.values())
+        if sum(sums.values()):
             return False
-        first, second = (sigma[2] - 1 for sigma in REPS[:2])
-        m1 = sum(c * point[first] for point, c in g.items())
-        m2 = sum(c * point[second] for point, c in g.items())
-        return not any(c1 * m1 - c2 * m2 for c1, c2 in pairs)
+        return level == 1 or not sum(nc * s for nc, s in sums.items())
 
     # -- residues ------------------------------------------------------
 
@@ -306,14 +227,14 @@ class LocalityInstance:
 
     def contains_residue(self, spec: ResidueSpec) -> bool:
         self._check_window(spec)
-        checks = self._checks.get((spec.i, spec.j))
-        if checks is None:
+        level = self._levels.get((spec.i, spec.j))
+        if level is None:
             base = self._projected(REPS[0], spec.j, spec.i)
-            checks = self._checks[(spec.i, spec.j)] = self._summand_checks(base)
+            level = self._levels[spec.i, spec.j] = self._level(base)
         f: dict[tuple[int, int, int], int] = {}
         for coeff, point in self._residue_terms(spec):
             f[point] = f.get(point, 0) + coeff
-        return self._contains(checks, f)
+        return self._contains(level, f)
 
     def min_locality_order(self, i: int, k: int, j: int, Nmax: int = 4,
                            n: int = 0, m: int = 0) -> int | None:

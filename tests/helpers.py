@@ -8,7 +8,7 @@ from math import comb
 from quadop.core.free3 import GeneratorSpace, Vec, act, s3_closure
 from quadop.core.operad import QuadOperad
 from quadop.core.perms import CYC123, IDENT, REPS, SWAP12, compose, coset_decompose
-from quadop.errors import InputError
+from quadop.errors import InputError, InternalCheckError
 from quadop.koszul import dual_generators
 from quadop.linalg import (
     EchelonBasis,
@@ -18,7 +18,7 @@ from quadop.linalg import (
     kernel_basis,
     primitive_row,
 )
-from quadop.locality import PLANE_LINES, ResidueSpec
+from quadop.locality import ResidueSpec
 from quadop.manin import _pair_index, _product_space
 
 
@@ -329,6 +329,162 @@ TABLE_ORDERS = {
 }
 
 
+# Coefficients (on e1, e2) of the line each sigma, in REPS order, meets a
+# plane summand in.
+PLANE_LINES = ((1, 0), (0, 1), (1, -1))
+
+
+def _summand_vectors(lines, planes):
+    """The line summands' vectors, then e1 and e2 of each plane."""
+    return [u for _, u in lines] + [e for plane in planes for e in plane]
+
+
+class SummandDecomposition:
+    """The Gelfand-Ponomarev (D4 quiver) decomposition of P(3) under the
+    three pair spaces of a LocalityInstance, with integer rows only.
+
+    lines holds (S, u), S the sigma indices whose pair space holds u, and
+    planes holds (e1, e2); together they are a basis of P(3) adapted to the
+    three pair spaces, which the constructor checks.  Membership of
+    base (x) g is decided summand by summand, for any P(3) row base.  Kept
+    as the reference for the level test of LocalityInstance and as the
+    source of the summand counts that the codimension formula and the
+    kernel_dim multiplicity read."""
+
+    def __init__(self, lab):
+        self.name = lab.P.name
+        self.dim_p3 = lab.dim_p3
+        self.pair_bases = lab._pair_bases
+        self.lines, self.planes = self._decompose()
+        n = self.dim_p3
+        # Tagged rows [u_t | e_t], one per summand vector: a row reduced to
+        # zero on the left leaves its coordinates, up to one common scale,
+        # on the right.
+        self._coordinates = EchelonBasis(2 * n)
+        for t, u in enumerate(_summand_vectors(self.lines, self.planes)):
+            self._coordinates.add({**u, n + t: 1})
+
+    def _decompose(self):
+        n = self.dim_p3
+        A, B, C = self.pair_bases
+
+        def span(*spaces):
+            return SubspaceQ.from_vectors(n, [r for V in spaces for r in V.rows()])
+
+        def complement(sub, rows):
+            """The rows that extend the rows of sub to a basis of their
+            span, greedily."""
+            eb = EchelonBasis(n)
+            for r in sub:
+                eb.add(r)
+            return [r for r in rows if eb.add(r)]
+
+        AB, AC, BC = A.intersect(B), A.intersect(C), B.intersect(C)
+        ABC = AB.intersect(C)
+        meets = [V.intersect(span(W, X)) for V, W, X in ((A, B, C), (B, A, C), (C, A, B))]
+        lines = [((0, 1, 2), u) for u in ABC.rows()]
+        for S, V in (((0, 1), AB), ((0, 2), AC), ((1, 2), BC)):
+            lines += [(S, u) for u in complement(ABC.rows(), V.rows())]
+        planes = [self._split(a, B, C)
+                  for a in complement(AB.rows() + AC.rows(), meets[0].rows())]
+        for s, V in enumerate((A, B, C)):
+            lines += [((s,), u) for u in complement(meets[s].rows(), V.rows())]
+        found = _summand_vectors(lines, planes)
+        lines += [((), u) for u in complement(found, ({r: 1} for r in range(n)))]
+        self._check(lines, planes)
+        return lines, planes
+
+    def _split(self, a, B, C):
+        """(e1, e2) = (lam a, lam b) with b in B and a - b in C, for a in
+        B + C: the residual of [a | 0 | 1] against the tagged rows
+        [b_i | e_i | 0] and [c | 0 | 0] is [0 | -mu | lam] up to scale, with
+        lam a = sum mu_i b_i + (a vector of C)."""
+        n, brows = self.dim_p3, B.rows()
+        lam = n + len(brows)
+        eb = EchelonBasis(lam + 1)
+        for i, b in enumerate(brows):
+            eb.add({**b, n + i: 1})
+        for c in C.rows():
+            eb.add(c)
+        res = eb.residual({**a, lam: 1})
+        e2 = {}
+        for i, b in enumerate(brows):
+            if res.get(n + i):
+                add_scaled(e2, b, -res[n + i])
+        return {r: res[lam] * x for r, x in a.items()}, e2
+
+    def _check(self, lines, planes):
+        """The summand vectors are a basis of P(3), and for each sigma the
+        vectors assigned to it span exactly V_sigma."""
+        n = self.dim_p3
+        vectors = _summand_vectors(lines, planes)
+        if len(vectors) != n or SubspaceQ.from_vectors(n, vectors).dim != n:
+            raise InternalCheckError(f"locality summands of {self.name} are no basis of P(3)")
+        assigned = [[], [], []]
+        for S, u in lines:
+            for s in S:
+                assigned[s].append(u)
+        for e1, e2 in planes:
+            for s, (x, y) in enumerate(PLANE_LINES):
+                assigned[s].append(add_scaled(add_scaled({}, e1, x), e2, y))
+        for s, V in enumerate(self.pair_bases):
+            if SubspaceQ.from_vectors(n, assigned[s]) != V:
+                raise InternalCheckError(
+                    f"locality summands of {self.name} do not span pair space {s + 1}"
+                )
+
+    def checks(self, base):
+        """The line types S and the plane coordinates (c1, c2) on which a
+        P(3) row has a nonzero component."""
+        n, nlines = self.dim_p3, len(self.lines)
+        coords = {t - n: x for t, x in self._coordinates.residual(base).items()}
+        types = sorted({self.lines[t][0] for t in coords if t < nlines})
+        pairs = []
+        for p in range(len(self.planes)):
+            c = (coords.get(nlines + 2 * p, 0), coords.get(nlines + 2 * p + 1, 0))
+            if any(c) and c not in pairs:
+                pairs.append(c)
+        return types, pairs
+
+    @staticmethod
+    def contains(checks, f):
+        """Whether base (x) f lies in the ideal, for the summand checks of
+        base and f an integer function on window points of one total index:
+        each line type and each plane coordinate by its closed form."""
+        g = {point: c for point, c in f.items() if c}
+        if not g:
+            return True
+        types, pairs = checks
+        total = sum(g.values())
+        for S in types:
+            if len(S) == 1:
+                outer = REPS[S[0]][2] - 1
+                sums = {}
+                for point, c in g.items():
+                    sums[point[outer]] = sums.get(point[outer], 0) + c
+                if any(sums.values()):
+                    return False
+            elif not S or total:  # each point its own part, or one part
+                return False
+        if pairs and total:
+            return False
+        first, second = (sigma[2] - 1 for sigma in REPS[:2])
+        m1 = sum(c * point[first] for point, c in g.items())
+        m2 = sum(c * point[second] for point, c in g.items())
+        return not any(c1 * m1 - c2 * m2 for c1, c2 in pairs)
+
+    def level(self, base):
+        """The level of a row of V_1 read from its summands: 3 with a
+        (1; sigma_1) component, else 2 with a plane component, else 1 with
+        any component, else 0.  Asserts that base meets only summands that
+        meet V_1, and planes only along e1."""
+        types, pairs = self.checks(base)
+        assert all(0 in S for S in types) and all(c2 == 0 for _, c2 in pairs), (types, pairs)
+        if (0,) in types:
+            return 3
+        return 2 if pairs else 1 if types else 0
+
+
 def window_coordinate(lab, r, point):
     """Flat coordinate of P(3) coordinate r at window point (n_a, n_b, n_c):
     r*W**3 + (n_a+K)*W**2 + (n_b+K)*W + (n_c+K) with W = 2K+1."""
@@ -378,7 +534,7 @@ def sigma_lines(K, T, index):
 def join_labels(npts, lines, S):
     """Part label of every block point in the join of the sigma-line
     partitions of the sigmas in S, by union-find.  Kept as the reference
-    for the closed-form line tests of LocalityInstance."""
+    for the closed-form line tests of SummandDecomposition.contains."""
     parent = list(range(npts))
 
     def find(h):
@@ -414,7 +570,7 @@ def plane_generators(lines, npts):
 
 def hub_plane(lines, npts):
     """The plane block eliminated from its hub rows.  Kept as the reference
-    for the closed-form plane test of LocalityInstance."""
+    for the closed-form plane test of SummandDecomposition.contains."""
     basis = EchelonBasis(2 * npts)
     for row in plane_generators(lines, npts):
         basis.add(row)
@@ -486,7 +642,7 @@ def hub_generators(lab, T, index, pair_rows):
 def hub_block(lab, T):
     """The whole T-block of the ideal as one elimination of dimension
     dim P(3) * npts: (index of each point, EchelonBasis of the hub rows).
-    Kept as the reference for the summand-wise membership of
+    Kept as the reference for the level-wise membership of
     LocalityInstance."""
     index = block_index(lab.K, T)
     basis = EchelonBasis(lab.dim_p3 * len(index))

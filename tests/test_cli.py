@@ -13,6 +13,7 @@ import pytest
 import quadop
 from quadop.cli import main
 from quadop.core.catalog import catalog_names
+from quadop.locality import LocalityInstance
 
 
 def run(capsys, *argv):
@@ -170,6 +171,19 @@ def test_selfcheck_passes(capsys):
     code, out, _ = run(capsys, "selfcheck")
     assert code == 0
     assert "ok" in out.lower()
+
+
+@pytest.mark.parametrize("a, b", [(1, 2), (2, 3), (1, 3)])
+def test_selfcheck_locality_anchor_tells_every_level_apart(capsys, monkeypatch, a, b):
+    """The locality anchor pins Lie (level 2) and Zinb (levels 1 and 3), so
+    exchanging any two nonzero levels fails it."""
+    level = LocalityInstance._level
+    swap = {a: b, b: a}
+    monkeypatch.setattr(LocalityInstance, "_level",
+                        lambda self, base: swap.get(level(self, base), level(self, base)))
+    code, _, err = run(capsys, "selfcheck")
+    assert code == 2
+    assert "locality order" in err
 
 
 _GOOD_FILE = {

@@ -9,7 +9,7 @@ from quadop.core.catalog import catalog, catalog_names, resolve
 from quadop.core.operad import make_operad
 from quadop.core.parser import parse_relation, pretty_print
 from quadop.core.perms import IDENT
-from quadop.dong import dong_table, dong_verdict, replay_witnesses
+from quadop.dong import dong_verdict, replay_witnesses
 from quadop.errors import InternalCheckError
 from quadop.koszul import dual_generators, dual_operad
 from quadop.linalg import SubspaceQ
@@ -153,13 +153,6 @@ def test_as_dict_is_json_ready():
     assert d["verdict"] == "Dong"
     assert d["witnesses"] == []
     assert isinstance(d["kernel_dim"], int)
-
-
-def test_dong_table_order_preserved():
-    ops = [catalog("Com"), catalog("Zinb")]
-    table = dong_table(ops)
-    assert [r.operad for r in table] == ["Com", "Zinb"]
-    assert [r.verdict for r in table] == ["Dong", "NotDong"]
 
 
 def test_degenerate_presentations():

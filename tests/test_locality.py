@@ -9,7 +9,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quadop import locality
 from quadop.core.catalog import catalog, resolve
 from quadop.core.operad import change_basis
 from quadop.core.perms import REPS
@@ -19,8 +18,10 @@ from quadop.linalg import SubspaceQ, add_scaled
 from quadop.locality import MAX_WINDOW, LocalityInstance, ResidueSpec, build_instance
 from quadop.manin import black_product, replicate, split
 
+import helpers
 from helpers import (
     TABLE_ORDERS,
+    SummandDecomposition,
     block_index,
     block_points,
     hub_block,
@@ -32,8 +33,10 @@ from helpers import (
     random_operad,
     random_swap_commuting,
     reference_sweep,
+    residue_function,
     residue_vector,
     sigma_lines,
+    span_sum,
     window_coordinate,
 )
 
@@ -221,7 +224,7 @@ def test_hub_rows_of_one_sigma_have_distinct_pivots(name):
                 assert len(set(pivots)) == len(pivots), (K, blk, T)
 
 
-# -- summand-wise membership -------------------------------------------------
+# -- level-wise membership and the summand reference ----------------------
 
 
 def _functions(rng, points):
@@ -250,6 +253,20 @@ def _functions(rng, points):
     return out
 
 
+def _v1_functions(rng, points):
+    """_functions, and second differences that move index from n_b to n_c:
+    zero sum and zero moment in n_c, but nonzero sums over each value of
+    n_c, the functions that tell level 2 from level 3."""
+    out = _functions(rng, points)
+    inside = set(points)
+    for _ in range(2):
+        na, nb, nc = rng.choice(points)
+        steps = [(na, nb - t, nc + t) for t in range(3)]
+        if all(p in inside for p in steps):
+            out.append(dict(zip(steps, (1, -2, 1))))
+    return out
+
+
 def _flat(lab, base, f):
     vec = {}
     for point, c in f.items():
@@ -268,26 +285,65 @@ def _bases(lab, rng):
     return [b for b in bases if any(b.values())]
 
 
+def _v1_bases(lab, ref, rng):
+    """Rows of V_1 = V_id, one of each, as (base, production level,
+    reference checks), with the level asserted equal to the reference's:
+    the image of every identity monomial (the bases residues use), the rows
+    of V_1 cap V_2, V_1 cap V_3 and V_1 cap (V_2 + V_3), and two random
+    integer combinations of the rows of V_1."""
+    V1, V2, V3 = lab._pair_bases
+    d = lab.P.dim_gens
+    bases = [lab._projected(REPS[0], i, j) for i in range(d) for j in range(d)]
+    bases += V1.intersect(V2).rows() + V1.intersect(V3).rows()
+    bases += V1.intersect(span_sum(V2, V3)).rows()
+    for _ in range(2):
+        combo = {}
+        for row in V1.rows():
+            add_scaled(combo, row, rng.randint(-2, 2))
+        bases.append(combo)
+    out = []
+    for base in {tuple(sorted(b.items())): b for b in bases}.values():
+        level = lab._level(base)
+        assert level == ref.level(base), (base, level)
+        out.append((base, level, ref.checks(base)))
+    return out
+
+
+def _decide_v1(lab, ref, case, f, ideal):
+    """The production membership of base (x) f, for a case of _v1_bases,
+    asserted equal to the membership that the dense ideal and the
+    summand-wise reference decide."""
+    base, level, checks = case
+    got = lab._contains(level, f)
+    dense = ideal.contains(_flat(lab, base, f))
+    assert got == dense == ref.contains(checks, f), (level, base, f)
+    return got
+
+
 @pytest.mark.parametrize("name", sorted(TABLE_ORDERS))
 def test_summand_membership_matches_the_dense_ideal(name):
-    """base (x) f is decided summand by summand exactly as membership in the
-    neighbour-difference ideal decides it, in every T-block (corners
-    included) at K = 2 and 3, for rows of every pair space; and so is every
-    residue of several (k, N, anchor) specs."""
+    """In every T-block (corners included) at K = 2 and 3, base (x) f is
+    decided summand by summand by the reference exactly as membership in
+    the neighbour-difference ideal decides it, for rows of every pair
+    space; the production level test decides the same for every row of
+    V_1 tried; and so does every residue of several (k, N, anchor) specs."""
     P = resolve(name)
     rng = random.Random(name)
     d = P.dim_gens
-    outcomes = set()
+    outcomes, v1_outcomes = set(), set()
     for K in (2, 3):
         lab = LocalityInstance(P, K)
-        bases = _bases(lab, rng)
+        ref = SummandDecomposition(lab)
+        bases, v1_bases = _bases(lab, rng), _v1_bases(lab, ref, rng)
         ideals = {T: ideal_subspace(lab, T) for T in range(-3 * K, 3 * K + 1)}
         for T, ideal in ideals.items():
-            for f in _functions(rng, block_points(K, T)):
+            for f in _v1_functions(rng, block_points(K, T)):
                 for base in rng.sample(bases, min(4, len(bases))):
-                    got = lab._contains(lab._summand_checks(base), f)
+                    got = ref.contains(ref.checks(base), f)
                     assert got == ideal.contains(_flat(lab, base, f)), (K, T, base, f)
                     outcomes.add(got)
+                for case in v1_bases:
+                    v1_outcomes.add(_decide_v1(lab, ref, case, f, ideal))
         for k, N, n, m in itertools.product((0, 1), range(4), (-1, 0, 1), (-1, 0, 1)):
             specs = [ResidueSpec(i, k, j, N, n, m) for i in range(d) for j in range(d)]
             if specs[0].required_radius() > K:
@@ -297,19 +353,18 @@ def test_summand_membership_matches_the_dense_ideal(name):
                 got = lab.contains_residue(spec)
                 assert got == ideal.contains(residue_vector(lab, spec)), (K, spec)
                 outcomes.add(got)
-    assert outcomes == {True, False}
+    assert outcomes == v1_outcomes == {True, False}
 
 
-def _codimension(lab, T):
+def _codimension(ref, K, T):
     """Codimension of the ideal's T-block from the closed forms, summed over
-    the summands: npts for a line of type (1; empty), the number of
-    sigma-lines for (1; sigma), 1 for two or more sigmas, and 3 for a plane
-    (2 when the block is one point)."""
-    K = lab.K
+    the reference summands: npts for a line of type (1; empty), the number
+    of sigma-lines for (1; sigma), 1 for two or more sigmas, and 3 for a
+    plane (2 when the block is one point)."""
     npts = len(block_points(K, T))
     nlines = sum(1 for gamma in range(-K, K + 1) if abs(T - gamma) <= 2 * K)
-    lines = sum(npts if not S else nlines if len(S) == 1 else 1 for S, _ in lab.line_summands)
-    return lines + len(lab.plane_summands) * (2 if npts == 1 else 3)
+    lines = sum(npts if not S else nlines if len(S) == 1 else 1 for S, _ in ref.lines)
+    return lines + len(ref.planes) * (2 if npts == 1 else 3)
 
 
 @pytest.mark.parametrize("name", sorted(TABLE_ORDERS))
@@ -317,9 +372,10 @@ def test_summand_codimension_matches_the_reference_block(name):
     P = resolve(name)
     for K in (2, 3):
         lab = LocalityInstance(P, K)
+        ref = SummandDecomposition(lab)
         for T in range(-3 * K, 3 * K + 1):
             index, basis = hub_block(lab, T)
-            assert _codimension(lab, T) == lab.dim_p3 * len(index) - basis.rank, (K, T)
+            assert _codimension(ref, K, T) == lab.dim_p3 * len(index) - basis.rank, (K, T)
 
 
 def _blocks(max_window):
@@ -361,8 +417,8 @@ def test_plane_block_is_cut_out_by_three_functionals():
         assert codim == (2 if npts == 1 else 3), (K, T)
 
 
-def _types(lab):
-    return Counter(S for S, _ in lab.line_summands)
+def _types(ref):
+    return Counter(S for S, _ in ref.lines)
 
 
 def test_codimension_grows_by_six_kernel_dims_per_unit_of_window():
@@ -376,11 +432,12 @@ def test_codimension_grows_by_six_kernel_dims_per_unit_of_window():
         codim = {}
         for K in (2, 3):
             lab = LocalityInstance(P, K)
+            ref = SummandDecomposition(lab)
             index, basis = hub_block(lab, 0)
             codim[K] = lab.dim_p3 * len(index) - basis.rank
-            types = _types(lab)
+            types = _types(ref)
             predicted = (sum(c for S, c in types.items() if len(S) >= 2)
-                         + 3 * len(lab.plane_summands)
+                         + 3 * len(ref.planes)
                          + (2 * K + 1) * sum(c for S, c in types.items() if len(S) == 1))
             assert codim[K] == predicted, (name, K)
         assert codim[3] - codim[2] == 6 * dong_verdict(P).kernel_dim, name
@@ -398,28 +455,75 @@ def _criterion_9_products():
     return products
 
 
+def _operads():
+    """The 19 table entries, the 45 criterion-9 products and 40 seeded
+    random operads."""
+    rng = random.Random(11)
+    operads = [resolve(name) for name in sorted(TABLE_ORDERS)] + _criterion_9_products()
+    return operads + [random_operad(rng, rng.randint(1, 3), rng.randint(1, 3)) for _ in range(40)]
+
+
 def test_sigma_only_summands_count_the_dong_kernel():
     """Tested observation: each pair space has exactly kernel_dim summands
     of its own type (1; sigma), and no summand lies outside all three.  The
     decomposition reads only P's projection, never dong.py."""
-    rng = random.Random(11)
-    operads = [resolve(name) for name in sorted(TABLE_ORDERS)] + _criterion_9_products()
-    operads += [random_operad(rng, rng.randint(1, 3), rng.randint(1, 3)) for _ in range(40)]
-    for P in operads:
-        types = _types(LocalityInstance(P, 1))
+    for P in _operads():
+        types = _types(SummandDecomposition(LocalityInstance(P, 1)))
         kernel = dong_verdict(P).kernel_dim
         assert [types[(s,)] for s in range(3)] == [kernel] * 3, (P.name, types, kernel)
         assert types[()] == 0, P.name
 
 
-def _check_summands(lab):
+def _identity_levels(lab):
+    """The level of the image of every identity monomial (x1 {i} x2) {j} x3,
+    keyed by (i, j)."""
+    d = lab.P.dim_gens
+    return {(i, j): lab._level(lab._projected(REPS[0], j, i)) for i in range(d) for j in range(d)}
+
+
+def test_levels_one_to_three_occur_on_the_table():
+    """The table's residue bases reach every nonzero level, and
+    black(As, As) reaches level 0 (an identity monomial that vanishes in
+    P(3))."""
+    levels = set()
+    for name in sorted(TABLE_ORDERS):
+        levels.update(_identity_levels(LocalityInstance(resolve(name), 1)).values())
+    assert levels == {1, 2, 3}
+    zero = _identity_levels(LocalityInstance(black_product(catalog("As"), catalog("As")), 1))
+    assert 0 in zero.values()
+
+
+def test_centred_sweep_order_is_the_level():
+    """At k = 0 and anchor (0, 0) the order-N residue is
+    sum_s (-1)**s C(N, s) at (0, -s, s): its sum vanishes iff N >= 1, its
+    sum and its moment in n_c both iff N >= 2, and its sum over each value
+    of n_c never.  So the order found is the level, and level 3 finds
+    none."""
+    for N in range(9):
+        f = residue_function(ResidueSpec(0, 0, 0, N))
+        total = sum(f.values())
+        moment = sum(c * nc for (_, _, nc), c in f.items())
+        assert (total == 0) == (N >= 1)
+        assert (total == moment == 0) == (N >= 2)
+        assert all(f.values()) and len({nc for _, _, nc in f}) == len(f)
+    for P in _operads():
+        lab = LocalityInstance(P, 3)
+        ref = SummandDecomposition(lab)
+        expected = {}
+        for (i, j), level in _identity_levels(lab).items():
+            assert level == ref.level(lab._projected(REPS[0], j, i)), (P.name, i, j)
+            expected[i, j] = None if level == 3 else level
+        assert lab.sweep(k=0, Nmax=3) == expected, P.name
+
+
+def _check_summands(ref):
     """Each summand meets each pair space as its type says, checked by plain
     membership: a line of type S lies in V_sigma exactly for sigma in S; a
     plane's lines e1, e2, e1 - e2 lie in V_1, V_2, V_3 and in no other."""
-    V = lab._pair_bases
-    for S, u in lab.line_summands:
+    V = ref.pair_bases
+    for S, u in ref.lines:
         assert [V[s].contains(u) for s in range(3)] == [s in S for s in range(3)], S
-    for e1, e2 in lab.plane_summands:
+    for e1, e2 in ref.planes:
         diff = add_scaled(dict(e1), e2, -1)
         for s, line in enumerate((e1, e2, diff)):
             assert [V[t].contains(line) for t in range(3)] == [t == s for t in range(3)]
@@ -431,7 +535,10 @@ def _check_summands(lab):
 def test_random_operads_decompose_and_sweep_as_the_reference(seed, d, nseeds):
     P = random_operad(random.Random(seed), d, nseeds)
     lab = LocalityInstance(P, 2)
-    _check_summands(lab)
+    ref = SummandDecomposition(lab)
+    _check_summands(ref)
+    for (i, j), level in _identity_levels(lab).items():
+        assert level == ref.level(lab._projected(REPS[0], j, i)), (i, j)
     for k, n, m in ((0, 0, 0), (1, 0, 0), (0, 1, -1)):
         assert lab.sweep(k=k, Nmax=2, n=n, m=m) == reference_sweep(lab, k=k, Nmax=2, n=n, m=m)
 
@@ -444,33 +551,43 @@ PLANE_ENTRIES = ("Lie", "Pois", "GD", "Alt", "Leib", "preLie", "postLie", "dual(
 @pytest.mark.parametrize("name", PLANE_ENTRIES)
 def test_plane_entries_under_basis_changes_decide_as_the_reference(name):
     """Random changes of generators that commute with the swap (the
-    construction of acceptance criterion 10) keep the planes, and membership
-    and sweeps at K = 2 still match the dense ideal and the hub blocks, with
-    residues that meet a plane found both inside and outside the ideal."""
+    construction of acceptance criterion 10; two at K = 2, one at K = 3)
+    keep the planes, and in every T-block the summand-wise reference and the production
+    level test match the dense ideal, and sweeps match the hub blocks, with
+    residues that meet a plane, and level-2 rows, found both inside and
+    outside the ideal."""
     rng = random.Random(name)
     P = resolve(name)
-    plane_outcomes = set()
-    for _ in range(2):
-        lab = LocalityInstance(change_basis(P, random_swap_commuting(rng, P.space)), 2)
-        assert lab.plane_summands, name
-        _check_summands(lab)
-        bases = _bases(lab, rng)
-        for T in range(-6, 7):
-            ideal = ideal_subspace(lab, T)
-            for f in _functions(rng, block_points(2, T)):
-                for base in rng.sample(bases, min(4, len(bases))):
-                    checks = lab._summand_checks(base)
-                    got = lab._contains(checks, f)
-                    assert got == ideal.contains(_flat(lab, base, f)), (T, base, f)
-                    if checks[1]:
-                        plane_outcomes.add(got)
-        for k, n, m in ((0, 0, 0), (1, 0, 0), (0, 1, -1)):
-            assert lab.sweep(k=k, Nmax=2, n=n, m=m) == reference_sweep(lab, k=k, Nmax=2, n=n, m=m)
-    assert plane_outcomes == {True, False}, name
+    plane_outcomes, level_2_outcomes = set(), set()
+    for K, changes in ((2, 2), (3, 1)):
+        for _ in range(changes):
+            lab = LocalityInstance(change_basis(P, random_swap_commuting(rng, P.space)), K)
+            ref = SummandDecomposition(lab)
+            assert ref.planes, name
+            _check_summands(ref)
+            bases, v1_bases = _bases(lab, rng), _v1_bases(lab, ref, rng)
+            for T in range(-3 * K, 3 * K + 1):
+                ideal = ideal_subspace(lab, T)
+                for f in _v1_functions(rng, block_points(K, T)):
+                    for base in rng.sample(bases, min(4, len(bases))):
+                        checks = ref.checks(base)
+                        got = ref.contains(checks, f)
+                        assert got == ideal.contains(_flat(lab, base, f)), (K, T, base, f)
+                        if checks[1]:
+                            plane_outcomes.add(got)
+                    for case in v1_bases:
+                        got = _decide_v1(lab, ref, case, f, ideal)
+                        if case[1] == 2:
+                            level_2_outcomes.add(got)
+            for k, n, m in ((0, 0, 0), (1, 0, 0), (0, 1, -1)):
+                assert (lab.sweep(k=k, Nmax=2, n=n, m=m)
+                        == reference_sweep(lab, k=k, Nmax=2, n=n, m=m))
+    assert plane_outcomes == level_2_outcomes == {True, False}, name
 
 
 def test_decomposition_self_check_can_fail(monkeypatch):
-    """A plane whose third line is not the one V_3 meets fails the check."""
-    monkeypatch.setattr(locality, "PLANE_LINES", ((1, 0), (0, 1), (1, 1)))
+    """A plane whose third line is not the one V_3 meets fails the
+    reference decomposition's check."""
+    monkeypatch.setattr(helpers, "PLANE_LINES", ((1, 0), (0, 1), (1, 1)))
     with pytest.raises(InternalCheckError, match="do not span pair space 3"):
-        LocalityInstance(catalog("Lie"), 1)
+        SummandDecomposition(LocalityInstance(catalog("Lie"), 1))
