@@ -41,7 +41,7 @@ class GeneratorSpace:
     """A finite-dimensional S2-module with a chosen basis of named generators."""
 
     names: tuple[str, ...]
-    swap: tuple[tuple[Fraction, ...], ...]
+    swap: tuple[tuple[int | Fraction, ...], ...]
 
     def __post_init__(self):
         d = len(self.names)
@@ -111,9 +111,9 @@ class GeneratorSpace:
     def from_columns(cls, names, cols) -> "GeneratorSpace":
         """The space with (12) . e_j = sum_m cols[j][m] e_m, cols a list of
         {m: coeff} dicts: the one place that transposes swap columns into
-        the row-major matrix."""
+        the row-major matrix.  Entries are stored as given."""
         d = len(cols)
-        swap = tuple(tuple(Fraction(col.get(m, 0)) for col in cols) for m in range(d))
+        swap = tuple(tuple(col.get(m, 0) for col in cols) for m in range(d))
         return cls(tuple(names), swap)
 
 

@@ -4,17 +4,23 @@ An operad here is presentation data: a GeneratorSpace V and an S3-stable
 subspace R of the weight-3 free space F(3).  Everything the rest of the
 package computes (duals, products, the Dong criterion) is linear algebra on
 this pair; no higher arity is ever materialised.
+
+P(3) = F(3)/R is read through the annihilator rows of R: primitive integer
+functionals whose common kernel is R, so the quotient map takes integer
+vectors to integer vectors.  Fraction enters only where a rational is
+written (relation and swap coefficients, change_basis's matrix) or printed.
 """
 
 from __future__ import annotations
 
+import copy
 import json
 from fractions import Fraction
 
 from quadop.core.free3 import GeneratorSpace, Vec, is_s3_stable, s3_closure
 from quadop.core.parser import parse_relation, pretty_print
 from quadop.errors import InputError, InternalCheckError
-from quadop.linalg import SubspaceQ, add_scaled, invert_matrix
+from quadop.linalg import IntRow, SubspaceQ, add_scaled, invert_matrix
 
 _SYMMETRY_KINDS = ("sym", "antisym", "pair", "swap")
 
@@ -26,12 +32,12 @@ _MAX_EXPONENT = 4300
 class QuadOperad:
     """A presented binary quadratic operad over Q."""
 
-    def __init__(self, name: str, space: GeneratorSpace, relations: SubspaceQ, *, check: bool = True):
+    def __init__(self, name: str, space: GeneratorSpace, relations: SubspaceQ):
         if relations.ambient_dim != space.free3_dim:
             raise InputError(
                 f"relations live in Q^{relations.ambient_dim}, expected Q^{space.free3_dim}"
             )
-        if check and not is_s3_stable(space, relations):
+        if not is_s3_stable(space, relations):
             raise InternalCheckError(f"relation space of {name!r} is not S3-stable")
         self.name = name
         self.space = space
@@ -54,35 +60,26 @@ class QuadOperad:
     def dim_p3(self) -> int:
         return self.space.free3_dim - self.relations.dim
 
-    def p3_monomials(self) -> tuple[int, ...]:
-        """Flat indices whose monomials descend to a basis of P(3): the
-        non-pivot columns of the canonical relation basis."""
-        pivots = set(self.relations.pivots)
-        return tuple(c for c in range(self.space.free3_dim) if c not in pivots)
-
-    def p3_projection(self) -> list[dict[int, Fraction]]:
+    def p3_projection(self) -> list[IntRow]:
         """Quotient map F(3) -> P(3) as a column list: entry c is the image of
-        basis monomial c in coordinates of the p3_monomials basis.
+        basis monomial c under the coordinate functionals of P(3).
 
-        A pivot monomial rewrites through its relation row: if the canonical
-        row is e_p + sum_f r_f e_f then e_p = -sum_f r_f e_f mod R.
+        Those functionals are the annihilator rows of R: primitive integer
+        rows, one per dimension of P(3), whose common kernel is R.
         """
         if self._p3 is None:
-            free = self.p3_monomials()
-            col_of = {c: k for k, c in enumerate(free)}
-            cols: list[dict[int, Fraction]] = [{} for _ in range(self.space.free3_dim)]
-            for c, k in col_of.items():
-                cols[c] = {k: Fraction(1)}
-            for row in self.relations.basis():
-                pivot = min(row)
-                cols[pivot] = {col_of[f]: -v for f, v in row.items() if f != pivot}
+            cols: list[IntRow] = [{} for _ in range(self.space.free3_dim)]
+            for k, row in enumerate(self.relations.annihilator_rows()):
+                for c, x in row.items():
+                    cols[c][k] = x
             self._p3 = cols
         return self._p3
 
-    def project(self, vec: Vec) -> dict[int, Fraction]:
-        """Image of a weight-3 vector in P(3) coordinates."""
+    def project(self, vec: Vec) -> Vec:
+        """Image of a weight-3 vector in P(3) coordinates; integer for an
+        integer vector."""
         cols = self.p3_projection()
-        out: dict[int, Fraction] = {}
+        out: Vec = {}
         for c, coeff in vec.items():
             add_scaled(out, cols[c], coeff)
         return out
@@ -94,7 +91,11 @@ class QuadOperad:
         return [pretty_print(self.space, row) for row in self.relations.basis()]
 
     def renamed(self, name: str) -> "QuadOperad":
-        return QuadOperad(name, self.space, self.relations, check=False)
+        """A shallow copy under a new name: the same space, relations and
+        cached projection."""
+        out = copy.copy(self)
+        out.name = name
+        return out
 
     def dims(self) -> dict[str, int]:
         return {

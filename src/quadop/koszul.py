@@ -13,15 +13,11 @@ coordinates is a plain kernel computation.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from quadop.core.free3 import GeneratorSpace, act
 from quadop.core.operad import QuadOperad
 from quadop.core.perms import IDENT, REPS
 from quadop.errors import InternalCheckError
 from quadop.linalg import add_scaled
-
-Vec = dict[int, Fraction]
 
 
 def dual_generators(space: GeneratorSpace) -> GeneratorSpace:
@@ -69,17 +65,15 @@ def verify_jacobi_duality(P: QuadOperad, dual: QuadOperad | None = None) -> bool
 
     for i in range(d):
         for j in range(d):
-            acc = sum((dspace.swap[i][m] * space.swap[j][m] for m in range(d)), Fraction(0))
+            acc = sum(dspace.swap[i][m] * space.swap[j][m] for m in range(d))
             if acc != (-1 if i == j else 0):
                 return False
 
-    jac: dict[tuple[int, int], Fraction] = {}
+    jac = {}
     for pi in REPS:
         for i in range(d):
             for j in range(d):
-                unit_d = {dspace.flat(IDENT, j, i): Fraction(1)}
-                unit_p = {space.flat(IDENT, j, i): Fraction(1)}
-                u = dual.project(act(dspace, pi, unit_d))
-                v = P.project(act(space, pi, unit_p))
+                u = dual.project(act(dspace, pi, {dspace.flat(IDENT, j, i): 1}))
+                v = P.project(act(space, pi, {space.flat(IDENT, j, i): 1}))
                 add_scaled(jac, (((r, c), a * b) for r, a in u.items() for c, b in v.items()))
     return not jac

@@ -18,8 +18,10 @@ denominators are read directly, so an int vector never becomes a Fraction.
   are the reduced row echelon form (pivot columns cleared in every other
   row), each scaled to its primitive integer row.  That form is unique for a
   given subspace, so equality and hashing are structural, and membership runs
-  on the canonical rows themselves.  basis() is the Fraction edge: it scales
-  each row to pivot entry 1.
+  on the canonical rows themselves.  basis() is the one Fraction output, for
+  printing: it scales each row to pivot entry 1.  annihilator_rows() gives
+  primitive integer functionals whose common kernel is the subspace, and
+  invert_matrix reads the inverse off the canonical form of [M | I].
 
   from_echelon reaches that form by column-indexed back-substitution: going
   from the last pivot upwards, each echelon row is reduced only at the pivot
@@ -134,14 +136,6 @@ class EchelonBasis:
                 return col
             _eliminate(v, row, col)
         return None
-
-    def residual(self, vec) -> IntRow:
-        """Reduce vec against the current rows.  Empty dict iff vec is in the
-        span; otherwise a primitive row whose pivot is not yet in the basis.
-        The caller's vec is never modified."""
-        v = _as_int_row(vec)
-        col = self._reduce(v)
-        return v if col is None else _strip_content(v, col)
 
     def contains(self, vec) -> bool:
         return self._reduce(_as_int_row(vec)) is None
@@ -297,23 +291,15 @@ class SubspaceQ:
 
 
 def invert_matrix(mat) -> list[list[Fraction]] | None:
-    """Inverse of a square rational matrix by Gauss-Jordan on [M | I], or
-    None if singular.  Dense; meant for the small generator-space matrices."""
+    """Inverse of a square rational matrix, or None if singular: the
+    canonical form of the rows [M | I] is [I | M^-1] exactly when M is
+    invertible."""
     n = len(mat)
-    aug = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-           for i, row in enumerate(mat)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if aug[r][col]), None)
-        if pivot is None:
-            return None
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        lead = aug[col][col]
-        aug[col] = [x / lead for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col]:
-                f = aug[r][col]
-                aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
-    return [row[n:] for row in aug]
+    aug = SubspaceQ.from_vectors(2 * n, ({**dict(enumerate(row)), n + i: 1}
+                                         for i, row in enumerate(mat)))
+    if aug.pivots != tuple(range(n)):
+        return None
+    return [[r.get(n + j, Fraction(0)) for j in range(n)] for r in aug.basis()]
 
 
 def add_scaled(out: dict, terms, scale=1) -> dict:

@@ -127,9 +127,6 @@ class ResidueSpec:
 class LocalityInstance:
     """Window of radius K around index 0 for each coefficient family.
 
-    Vectors live in P(3) tensored with the cube of window positions; the
-    flat coordinate of (r, n_a, n_b, n_c) is
-    ``r*W**3 + (n_a+K)*W**2 + (n_b+K)*W + (n_c+K)`` with ``W = 2K+1``.
     The locality ideal preserves the total index T = n_a+n_b+n_c, so
     membership tests run inside a single T-graded block, by closed forms
     that read only the residue's points and coefficients.
@@ -142,9 +139,7 @@ class LocalityInstance:
             raise InputError(f"window radius K={K} exceeds the cap of {MAX_WINDOW}")
         self.P = P
         self.K = K
-        self.W = 2 * K + 1
         self.dim_p3 = P.dim_p3
-        self.space_dim = self.dim_p3 * self.W**3
         self._pair_bases = self._build_pair_bases()
         V1, V2, V3 = self._pair_bases
         n = self.dim_p3
@@ -171,8 +166,7 @@ class LocalityInstance:
     def _projected(self, sigma, outer, inner) -> IntRow:
         """Image of one monomial in P(3), scaled to a primitive integer row
         (scaling changes no span and no membership)."""
-        flat = self.P.space.flat(sigma, outer, inner)
-        return primitive_row(self.P.project({flat: 1}))
+        return primitive_row(self.P.p3_projection()[self.P.space.flat(sigma, outer, inner)])
 
     def _level(self, base: IntRow) -> int:
         """The level of a row of V_1: 0 for zero, 1 in V_1 cap V_2 +

@@ -24,8 +24,6 @@ to its arguments, and signed when exactly one of its legs is a prec.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from quadop.core.free3 import GeneratorSpace, Vec, act
 from quadop.core.operad import QuadOperad
 from quadop.core.perms import IDENT, REPS
@@ -223,14 +221,15 @@ def verify_black_tensor(P: QuadOperad, Q: QuadOperad, B: QuadOperad) -> bool:
         )
     dual = dual_operad(P)
     pair = _pair_index(P, Q)
+    projD, projB = dual.p3_projection(), B.p3_projection()
     for h in Q.relations.rows():
-        total: dict[tuple[int, int], Fraction] = {}
+        total: dict[tuple[int, int], int] = {}
         for c, coeff in h.items():
             tau, jo, ji = Q.space.unflat(c)
             for io in range(dP):
                 for ii in range(dP):
-                    u = dual.project({dual.space.flat(tau, io, ii): Fraction(1)})
-                    v = B.project({B.space.flat(tau, pair(io, jo), pair(ii, ji)): Fraction(1)})
+                    u = projD[dual.space.flat(tau, io, ii)]
+                    v = projB[B.space.flat(tau, pair(io, jo), pair(ii, ji))]
                     add_scaled(total, (((r, col), a * b) for r, a in u.items()
                                        for col, b in v.items()), coeff)
         if total:

@@ -3,7 +3,7 @@
 import re
 from fractions import Fraction
 from itertools import product as iproduct
-from math import comb
+from math import comb, gcd, lcm
 
 from quadop.core.free3 import GeneratorSpace, Vec, act, s3_closure
 from quadop.core.operad import QuadOperad
@@ -270,6 +270,41 @@ def split_in_model_space(Q: QuadOperad, mode: str) -> QuadOperad:
     return QuadOperad(f"split_{mode}({Q.name})", space, rel)
 
 
+def reference_primitive(v):
+    """Reference: clear denominators through Fraction (an int row has
+    none), divide out the gcd and make the leading value positive."""
+    ints = {c: x for c, x in v.items() if x}
+    if not ints:
+        return {}
+    if not all(type(x) is int for x in ints.values()):
+        fracs = {c: Fraction(x) for c, x in ints.items()}
+        scale = lcm(*(f.denominator for f in fracs.values()))
+        ints = {c: int(f * scale) for c, f in fracs.items()}
+    g = gcd(*ints.values())
+    if ints[min(ints)] < 0:
+        g = -g
+    return {c: x // g for c, x in ints.items()}
+
+
+def reference_residual(eb, vec):
+    """vec reduced against the rows of the EchelonBasis eb, made primitive
+    after every elimination step: empty iff vec lies in the span, else the
+    primitive row that eb.add would file under a new pivot.  eb is left as
+    it is."""
+    rows_by_pivot = {min(r): r for r in eb.rows()}
+    v = reference_primitive(vec)
+    while v and min(v) in rows_by_pivot:
+        col = min(v)
+        row = rows_by_pivot[col]
+        g = gcd(row[col], v[col])
+        fa, fb = row[col] // g, v[col] // g
+        out = {c: fa * x for c, x in v.items()}
+        for c, x in row.items():
+            out[c] = out.get(c, 0) - fb * x
+        v = reference_primitive(out)
+    return v
+
+
 def span_sum(a, b):
     """The sum of two subspaces of the same ambient space."""
     assert a.ambient_dim == b.ambient_dim
@@ -281,16 +316,33 @@ def contains_subspace(big, small):
     return all(big.contains(r) for r in small.rows())
 
 
+def monomial_projection(P):
+    """Quotient map F(3) -> P(3) as a column list of Fraction dicts, in the
+    coordinates of the monomials that descend to a basis of P(3), the
+    non-pivot columns of R: a pivot monomial rewrites through its relation
+    row, e_p = -sum_f r_f e_f mod R for the row e_p + sum_f r_f e_f.  Kept
+    apart from QuadOperad.p3_projection, which reads the annihilator rows."""
+    pivots = set(P.relations.pivots)
+    col_of = {c: k for k, c in enumerate(c for c in range(P.dim_free3) if c not in pivots)}
+    cols = [{} for _ in range(P.dim_free3)]
+    for c, k in col_of.items():
+        cols[c] = {k: Fraction(1)}
+    for row in P.relations.basis():
+        pivot = min(row)
+        cols[pivot] = {col_of[f]: -v for f, v in row.items() if f != pivot}
+    return cols
+
+
 def white_by_projection(P, Q):
     """Relations of the white product P o Q as the kernel of the evaluation
-    F_{V(x)W}(3) -> P(3) (x) Q(3), read from the Fraction columns of the two
-    p3_projection maps.  Kept as the reference for white_product, which
-    reaches the same subspace through the annihilator rows."""
+    F_{V(x)W}(3) -> P(3) (x) Q(3), read from the two monomial_projection
+    maps.  Kept as the reference for white_product, which reaches the same
+    subspace through the annihilator rows."""
     space = _product_space(P, Q, "*", 1)
     pair = _pair_index(P, Q)
     dP, dQ = P.dim_gens, Q.dim_gens
-    projP = P.p3_projection()
-    projQ = Q.p3_projection()
+    projP = monomial_projection(P)
+    projQ = monomial_projection(Q)
     rows: dict[tuple[int, int], dict[int, Fraction]] = {}
     for s_idx, sigma in enumerate(REPS):
         for i, p, j, q in iproduct(range(dP), range(dQ), range(dP), range(dQ)):
@@ -406,7 +458,7 @@ class SummandDecomposition:
             eb.add({**b, n + i: 1})
         for c in C.rows():
             eb.add(c)
-        res = eb.residual({**a, lam: 1})
+        res = reference_residual(eb, {**a, lam: 1})
         e2 = {}
         for i, b in enumerate(brows):
             if res.get(n + i):
@@ -437,7 +489,7 @@ class SummandDecomposition:
         """The line types S and the plane coordinates (c1, c2) on which a
         P(3) row has a nonzero component."""
         n, nlines = self.dim_p3, len(self.lines)
-        coords = {t - n: x for t, x in self._coordinates.residual(base).items()}
+        coords = {t - n: x for t, x in reference_residual(self._coordinates, base).items()}
         types = sorted({self.lines[t][0] for t in coords if t < nlines})
         pairs = []
         for p in range(len(self.planes)):
@@ -488,7 +540,8 @@ class SummandDecomposition:
 def window_coordinate(lab, r, point):
     """Flat coordinate of P(3) coordinate r at window point (n_a, n_b, n_c):
     r*W**3 + (n_a+K)*W**2 + (n_b+K)*W + (n_c+K) with W = 2K+1."""
-    K, W = lab.K, lab.W
+    K = lab.K
+    W = 2 * K + 1
     na, nb, nc = point
     return r * W**3 + (na + K) * W**2 + (nb + K) * W + (nc + K)
 
@@ -611,7 +664,8 @@ def ideal_subspace(lab, T=None):
     """The locality ideal of a window, or its block of total index T, in
     flat window coordinates, from the neighbour differences.  Quadratic in
     the window volume; for small K."""
-    return SubspaceQ.from_vectors(lab.space_dim, neighbour_generators(lab, T))
+    dim = lab.dim_p3 * (2 * lab.K + 1) ** 3
+    return SubspaceQ.from_vectors(dim, neighbour_generators(lab, T))
 
 
 def hub_generators(lab, T, index, pair_rows):

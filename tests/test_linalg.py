@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quadop.linalg import EchelonBasis, SubspaceQ, add_scaled, invert_matrix, kernel_basis
-from helpers import contains_subspace, span_sum
+from helpers import contains_subspace, reference_primitive, reference_residual, span_sum
 
 
 def _span(ambient, *vecs):
@@ -75,36 +75,6 @@ def sparse_rational_rows(draw, max_dim=12):
     return n, draw(st.lists(row, max_size=n + 2))
 
 
-def _primitive(v):
-    """Reference: clear denominators through Fraction, divide out the gcd and
-    make the leading value positive."""
-    fracs = {c: Fraction(x) for c, x in v.items() if x}
-    if not fracs:
-        return {}
-    scale = math.lcm(*(f.denominator for f in fracs.values()))
-    ints = {c: int(f * scale) for c, f in fracs.items()}
-    g = math.gcd(*ints.values())
-    if ints[min(ints)] < 0:
-        g = -g
-    return {c: x // g for c, x in ints.items()}
-
-
-def _reference_residual(rows_by_pivot, vec):
-    """Reference reduction that makes the working row primitive after every
-    elimination step, as the kernel did before it stripped only once."""
-    v = _primitive(vec)
-    while v and min(v) in rows_by_pivot:
-        col = min(v)
-        row = rows_by_pivot[col]
-        g = math.gcd(row[col], v[col])
-        fa, fb = row[col] // g, v[col] // g
-        out = {c: fa * x for c, x in v.items()}
-        for c, x in row.items():
-            out[c] = out.get(c, 0) - fb * x
-        v = _primitive(out)
-    return v
-
-
 _mixed_entry = st.one_of(
     st.integers(min_value=-6, max_value=6),
     st.fractions(min_value=-5, max_value=5, max_denominator=6),
@@ -125,16 +95,17 @@ def test_residual_matches_per_step_stripping(data):
     eb = EchelonBasis(n)
     for vec in rows + probes:
         before = dict(vec)
-        got = eb.residual(vec)
+        want = reference_residual(eb, vec)
+        pivots = {min(r) for r in eb.rows()}
+        grew = eb.add(vec)
         assert vec == before
-        assert got == _reference_residual({min(r): r for r in eb.rows()}, vec)
-        if got:
+        assert grew == bool(want)
+        new = [r for r in eb.rows() if min(r) not in pivots]
+        assert new == ([want] if want else [])
+        for got in new:
             assert got[min(got)] > 0
             assert math.gcd(*got.values()) == 1
             assert all(type(x) is int for x in got.values())
-        grew = eb.add(vec)
-        assert vec == before
-        assert grew == bool(got)
     for row in eb.rows():
         assert row[min(row)] > 0 and math.gcd(*row.values()) == 1
     dense, pivots = _dense_rref(rows + probes, n)
@@ -144,7 +115,7 @@ def test_residual_matches_per_step_stripping(data):
     for row in canon.rows():
         assert all(type(x) is int for x in row.values())
         assert row[min(row)] > 0 and math.gcd(*row.values()) == 1
-    assert canon.rows() == [_primitive(b) for b in canon.basis()]
+    assert canon.rows() == [reference_primitive(b) for b in canon.basis()]
 
 
 @st.composite
@@ -169,7 +140,7 @@ def test_from_echelon_matches_dense_rref(data):
     dense, pivots = _dense_rref(rows, n)
     assert canon.pivots == tuple(pivots)
     assert canon.basis() == [{c: x for c, x in enumerate(r) if x} for r in dense]
-    assert canon.rows() == [_primitive(b) for b in canon.basis()]
+    assert canon.rows() == [reference_primitive(b) for b in canon.basis()]
     for row in canon.rows():
         assert list(row) == sorted(row)
 

@@ -70,7 +70,7 @@ def test_white_perm_as_is_diassociative():
 @pytest.mark.parametrize("a", ["Com", "Lie", "As", "Perm", "Nov", "diAs"])
 def test_white_matches_projection_reference(a):
     # white_product shares its tensor loop with black_product; the reference
-    # builds the same kernel from the Fraction columns of p3_projection.
+    # builds the same kernel from the Fraction columns of monomial_projection.
     for b in ("Com", "Lie", "As", "Perm", "Nov", "diAs"):
         P, Q = catalog(a), catalog(b)
         assert white_product(P, Q).relations == white_by_projection(P, Q), (a, b)

@@ -2,14 +2,16 @@
 
 import json
 import os
+import random
 import tempfile
 from fractions import Fraction
 
 import pytest
+from helpers import TABLE_ORDERS, random_operad
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quadop.core.catalog import catalog
+from quadop.core.catalog import catalog, resolve
 from quadop.core.free3 import GeneratorSpace
 from quadop.core.operad import QuadOperad, change_basis, load_operad_file, make_operad
 from quadop.errors import InputError, InternalCheckError
@@ -64,15 +66,47 @@ def test_unstable_relations_rejected_at_larger_d():
     for drop in (0, len(rows) // 2, len(rows) - 1):
         rest = SubspaceQ.from_vectors(P.dim_free3, rows[:drop] + rows[drop + 1:])
         with pytest.raises(InternalCheckError):
-            QuadOperad("broken", P.space, rest, check=True)
+            QuadOperad("broken", P.space, rest)
 
 
 def test_projection_kills_relations_and_fixes_free_monomials():
+    """Coordinate k of P(3) is the k-th annihilator row of R, which is
+    nonzero on one non-pivot monomial only: that monomial maps to a multiple
+    of e_k."""
     P = catalog("As")
     for row in P.relations.basis():
         assert P.project(row) == {}
-    for k, idx in enumerate(P.p3_monomials()):
-        assert P.project({idx: Fraction(1)}) == {k: Fraction(1)}
+    functionals = P.relations.annihilator_rows()
+    pivots = set(P.relations.pivots)
+    free = [c for c in range(P.dim_free3) if c not in pivots]
+    for k, idx in enumerate(free):
+        assert P.project({idx: 1}) == {k: functionals[k][idx]}
+
+
+def _projection_case(spec):
+    if spec.startswith("random:"):
+        rng = random.Random(int(spec.partition(":")[2]))
+        return random_operad(rng, rng.randint(1, 3))
+    return resolve(spec)
+
+
+@pytest.mark.parametrize(
+    "spec", sorted(TABLE_ORDERS) + [f"random:{seed}" for seed in range(8)])
+def test_projection_is_the_integer_quotient_map(spec):
+    """p3_projection has int entries, kills R, maps onto P(3), and reads
+    coordinate k of e_c as entry c of the k-th annihilator row."""
+    P = _projection_case(spec)
+    cols = P.p3_projection()
+    assert all(type(x) is int for col in cols for x in col.values())
+    for row in P.relations.rows():
+        assert P.project(row) == {}
+    assert SubspaceQ.from_vectors(P.dim_p3, cols).dim == P.dim_p3
+    functionals = P.relations.annihilator_rows()
+    assert len(functionals) == P.dim_p3
+    for c in range(P.dim_free3):
+        image = P.project({c: 1})
+        assert all(type(x) is int for x in image.values())
+        assert image == {k: f[c] for k, f in enumerate(functionals) if c in f}
 
 
 def test_projection_is_linear_over_a_relation_shift():
