@@ -30,6 +30,7 @@ from quadop.core.catalog import catalog, catalog_names, resolve
 from quadop.dong import dong_verdict
 from quadop.errors import InputError, InternalCheckError
 from quadop.koszul import dual_operad, verify_jacobi_duality
+from quadop.linalg import SubspaceQ
 from quadop.locality import build_instance
 from quadop.manin import black_product, replicate, split, verify_black_tensor, white_product
 
@@ -243,10 +244,14 @@ def cmd_selfcheck(args) -> tuple[dict, list[str]]:
                 raise InternalCheckError(f"{name} dims {got}, expected {(g, r, p3)}")
 
     def check_double_dual():
+        # dual(dual(P)) reads P's relations back from the complement, so the
+        # complement of the dual relations is also taken from scratch.
         for name in ("Lie", "As", "NP", "postLie"):
             P = catalog(name)
-            DD = dual_operad(dual_operad(P))
-            if DD.relations != P.relations:
+            D = dual_operad(P)
+            DD = dual_operad(D)
+            fresh = SubspaceQ.from_vectors(D.dim_free3, D.relations.annihilator_rows())
+            if DD.relations != P.relations or fresh != P.relations:
                 raise InternalCheckError(f"dual(dual({name})) differs from {name}")
 
     def check_jacobi():

@@ -79,7 +79,8 @@ def dong_verdict(P: QuadOperad, dual: QuadOperad | None = None) -> DongReport:
 
     Witnesses are the canonical basis of the block kernel, printed in the
     generators of `dual` when it is given and of dual_generators(P.space)
-    otherwise; they parse back to kernel elements.
+    otherwise; they parse back to kernel elements.  The report's kernel is
+    the block kernel's canonical rows read in the whole of F(3).
     """
     d = P.dim_gens
     block = d * d
@@ -87,7 +88,7 @@ def dong_verdict(P: QuadOperad, dual: QuadOperad | None = None) -> DongReport:
     rows = [{c: a for c, a in row.items() if c < block} for row in P.relations.rows()]
     block_kernel = kernel_basis(rows, block)
     vectors = block_kernel.basis()
-    kernel = SubspaceQ.from_vectors(P.dim_free3, block_kernel.rows())
+    kernel = block_kernel.widened(P.dim_free3)
     witnesses = [pretty_print(dspace, w) for w in vectors]
     replay_witnesses(P, dspace, witnesses)
     return DongReport(

@@ -8,7 +8,11 @@ monomials, and is S3-invariant up to the sign of the permutation; that sign
 is checked in the tests, not re-derived here.
 
 The dual relation space is the annihilator of R under this pairing, which in
-coordinates is a plain kernel computation.
+coordinates is a plain kernel computation.  When R is itself a complement
+made by SubspaceQ.perp() (a dual, or the relations of a white product), that
+kernel is read back from the complement instead of eliminated again.  The
+dual still goes through the QuadOperad constructor, so its S3-stability
+guard runs on every dual.
 """
 
 from __future__ import annotations

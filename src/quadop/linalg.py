@@ -23,6 +23,13 @@ denominators are read directly, so an int vector never becomes a Fraction.
   primitive integer functionals whose common kernel is the subspace, and
   invert_matrix reads the inverse off the canonical form of [M | I].
 
+  perp() records on its result the subspace it came from, and perp() of
+  that result returns it without elimination: (U^perp)^perp = U, and the
+  canonical form is unique.  The link runs one way, from the complement to
+  its source, so no reference cycle is made.  widened(n) reads the same
+  canonical rows in a larger ambient space, where they stay canonical
+  because they touch none of the new columns.
+
   from_echelon reaches that form by column-indexed back-substitution: going
   from the last pivot upwards, each echelon row is reduced only at the pivot
   columns in its own support, by the rows below it, which are already
@@ -164,12 +171,14 @@ class SubspaceQ:
     so __eq__ and __hash__ compare subspaces, not presentations.
     """
 
-    __slots__ = ("ambient_dim", "_eb")
+    __slots__ = ("ambient_dim", "_eb", "_perp_of")
 
     def __init__(self, eb: EchelonBasis):
         # Not meant to be called directly; use from_vectors / from_echelon.
         self.ambient_dim = eb.ambient_dim
         self._eb = eb
+        # The subspace this one is the complement of, when perp() made it.
+        self._perp_of: SubspaceQ | None = None
 
     @classmethod
     def from_vectors(cls, ambient_dim: int, vectors) -> "SubspaceQ":
@@ -269,8 +278,22 @@ class SubspaceQ:
     def perp(self) -> "SubspaceQ":
         """Orthogonal complement with respect to the standard dot product,
         i.e. the kernel of the matrix whose rows are the basis: the span of
-        annihilator_rows(), canonicalised once."""
-        return SubspaceQ.from_vectors(self.ambient_dim, self.annihilator_rows())
+        annihilator_rows(), canonicalised once.  The complement of a
+        complement that perp() made is its source, returned as it is."""
+        if self._perp_of is not None:
+            return self._perp_of
+        out = SubspaceQ.from_vectors(self.ambient_dim, self.annihilator_rows())
+        out._perp_of = self
+        return out
+
+    def widened(self, n: int) -> "SubspaceQ":
+        """The same rows as a subspace of Q^n, n >= ambient_dim.  They touch
+        none of the new columns, so they are still its canonical form."""
+        if n < self.ambient_dim:
+            raise ValueError(f"cannot widen Q^{self.ambient_dim} to Q^{n}")
+        eb = EchelonBasis(n)
+        eb._rows = dict(self._eb._rows)
+        return SubspaceQ(eb)
 
     def _check_ambient(self, other: "SubspaceQ"):
         if self.ambient_dim != other.ambient_dim:
@@ -293,8 +316,11 @@ class SubspaceQ:
 def invert_matrix(mat) -> list[list[Fraction]] | None:
     """Inverse of a square rational matrix, or None if singular: the
     canonical form of the rows [M | I] is [I | M^-1] exactly when M is
-    invertible."""
+    invertible.  A matrix that is not square raises ValueError."""
     n = len(mat)
+    for row in mat:
+        if len(row) != n:
+            raise ValueError(f"matrix is not square: {n} rows, one of length {len(row)}")
     aug = SubspaceQ.from_vectors(2 * n, ({**dict(enumerate(row)), n + i: 1}
                                          for i, row in enumerate(mat)))
     if aug.pivots != tuple(range(n)):
@@ -317,5 +343,5 @@ def add_scaled(out: dict, terms, scale=1) -> dict:
 
 def kernel_basis(rows, ncols: int) -> SubspaceQ:
     """Kernel of the linear map Q^ncols -> Q^len(rows) given by a row list:
-    the annihilator of the rows' span."""
+    the annihilator of the rows' span, whose perp() is that span."""
     return SubspaceQ.from_vectors(ncols, rows).perp()

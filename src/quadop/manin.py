@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from quadop.core.free3 import GeneratorSpace, Vec, act
 from quadop.core.operad import QuadOperad
-from quadop.core.perms import IDENT, REPS
+from quadop.core.perms import IDENT
 from quadop.errors import InputError
 from quadop.koszul import dual_operad
 from quadop.linalg import IntRow, SubspaceQ, add_scaled, kernel_basis
@@ -65,24 +65,40 @@ def _product_space(P: QuadOperad, Q: QuadOperad, sep: str, sign: int) -> Generat
     return GeneratorSpace.from_columns(names, cols)
 
 
+def _split_by_sigma(rows, d: int, outer_w: int, inner_w: int, block_w: int):
+    """Each row over an F(3) with d generators as three lists, one per
+    sigma-block, of (block * block_w + outer * outer_w + inner * inner_w,
+    value) for its monomials (block, outer, inner)."""
+    out = []
+    for r in rows:
+        blocks = ([], [], [])
+        for c, a in r.items():
+            s, rest = divmod(c, d * d)
+            i, j = divmod(rest, d)
+            blocks[s].append((s * block_w + i * outer_w + j * inner_w, a))
+        out.append(blocks)
+    return out
+
+
 def _tensor_rows(P: QuadOperad, rows_P, Q: QuadOperad, rows_Q,
                  space: GeneratorSpace) -> list[IntRow]:
     """The nonzero elementwise products of rows over P's and Q's F(3),
     placed in the product space:
-    (r . s)[(sigma,(i,p),(j,q))] = r[(sigma,i,j)] s[(sigma,p,q)]."""
-    pair = _pair_index(P, Q)
+    (r . s)[(sigma,(i,p),(j,q))] = r[(sigma,i,j)] s[(sigma,p,q)].
+
+    With e = Q.dim_gens and f = e * P.dim_gens that index is
+    sigma*f*f + (i*f + j)*e + p*f + q: a part from r plus a part from s,
+    each read off once per row by _split_by_sigma."""
+    e, f = Q.dim_gens, space.dim
+    split_Q = _split_by_sigma(rows_Q, e, f, 1, 0)
     vectors = []
-    for r in rows_P:
-        by_sigma: dict[tuple, list] = {sigma: [] for sigma in REPS}
-        for c, a in r.items():
-            sigma, i, j = P.space.unflat(c)
-            by_sigma[sigma].append((i, j, a))
-        for s in rows_Q:
+    for blocks_P in _split_by_sigma(rows_P, P.dim_gens, f * e, e, f * f):
+        for blocks_Q in split_Q:
             vec: IntRow = {}
-            for c, b in s.items():
-                sigma, p, q = Q.space.unflat(c)
-                for i, j, a in by_sigma[sigma]:
-                    vec[space.flat(sigma, pair(i, p), pair(j, q))] = a * b
+            for block_P, block_Q in zip(blocks_P, blocks_Q):
+                for off, b in block_Q:
+                    for base, a in block_P:
+                        vec[base + off] = a * b
             if vec:
                 vectors.append(vec)
     return vectors

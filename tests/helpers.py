@@ -316,6 +316,36 @@ def contains_subspace(big, small):
     return all(big.contains(r) for r in small.rows())
 
 
+def fresh_perp(V):
+    """The orthogonal complement of V computed from scratch: the span of its
+    annihilator rows, canonicalised, with no link back to V.  A double
+    complement compared against it can fail, where V.perp().perp() returns
+    V itself."""
+    return SubspaceQ.from_vectors(V.ambient_dim, V.annihilator_rows())
+
+
+def reference_tensor_rows(P, rows_P, Q, rows_Q, space):
+    """The tensor rows of manin._tensor_rows computed entry by entry: every
+    monomial is split through unflat and every product index built through
+    flat and the pair index."""
+    pair = _pair_index(P, Q)
+    vectors = []
+    for r in rows_P:
+        by_sigma = {sigma: [] for sigma in REPS}
+        for c, a in r.items():
+            sigma, i, j = P.space.unflat(c)
+            by_sigma[sigma].append((i, j, a))
+        for s in rows_Q:
+            vec = {}
+            for c, b in s.items():
+                sigma, p, q = Q.space.unflat(c)
+                for i, j, a in by_sigma[sigma]:
+                    vec[space.flat(sigma, pair(i, p), pair(j, q))] = a * b
+            if vec:
+                vectors.append(vec)
+    return vectors
+
+
 def monomial_projection(P):
     """Quotient map F(3) -> P(3) as a column list of Fraction dicts, in the
     coordinates of the monomials that descend to a basis of P(3), the

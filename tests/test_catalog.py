@@ -6,6 +6,8 @@ from quadop.cli import main
 from quadop.core.catalog import catalog, catalog_names, resolve
 from quadop.errors import InputError
 
+from helpers import fresh_perp
+
 # Dimensions (generators, relations, quotient) for every entry.  The derived
 # entries are built from products and duals, so these values pin down the
 # whole construction chain.
@@ -52,6 +54,7 @@ def test_resolve_names_and_duals():
     assert D.dims() == catalog("preLie").dims()
     DD = resolve("dual(dual(As))")
     assert DD.relations == catalog("As").relations
+    assert fresh_perp(resolve("dual(As)").relations) == catalog("As").relations
 
 
 def test_deeply_nested_dual_resolves(capsys):

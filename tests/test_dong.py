@@ -1,5 +1,6 @@
 """The identity-block criterion and its report plumbing."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -13,6 +14,9 @@ from quadop.dong import dong_verdict, replay_witnesses
 from quadop.errors import InternalCheckError
 from quadop.koszul import dual_generators, dual_operad
 from quadop.linalg import SubspaceQ
+from quadop.manin import white_product
+
+from helpers import fresh_perp, random_operad
 
 # Verdicts as the criterion computes them.  These freeze package behaviour;
 # every entry was cross-checked by an independent implementation and, for the
@@ -61,6 +65,26 @@ def test_kernel_is_the_block_meet_of_the_dual_relations(spec):
         [{D.space.flat(IDENT, i, j): Fraction(1)} for i in range(d) for j in range(d)],
     )
     assert dong_verdict(P).kernel == block.intersect(D.relations)
+
+
+def _kernel_from_scratch(P):
+    """The block kernel eliminated afresh and spanned again in F(3)."""
+    block = P.dim_gens ** 2
+    rows = [{c: a for c, a in row.items() if c < block} for row in P.relations.rows()]
+    kernel = fresh_perp(SubspaceQ.from_vectors(block, rows))
+    return SubspaceQ.from_vectors(P.dim_free3, kernel.rows())
+
+
+def test_kernel_equals_the_kernel_from_scratch():
+    rng = random.Random(18)
+    operads = [resolve(spec) for spec in sorted(COMPUTED_VERDICTS)]
+    operads += [random_operad(rng, rng.randint(1, 3)) for _ in range(12)]
+    operads.append(white_product(catalog("diAs"), catalog("diAs")))
+    for P in operads:
+        report = dong_verdict(P)
+        assert report.kernel.ambient_dim == P.dim_free3
+        assert report.kernel == _kernel_from_scratch(P), P.name
+    assert (P.dim_gens, report.kernel_dim) == (16, 72)
 
 
 def test_kernel_dimension_accounts_for_the_block():

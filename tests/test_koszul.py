@@ -3,7 +3,7 @@
 import random
 
 import pytest
-from helpers import pairing_equivariant, random_operad
+from helpers import fresh_perp, pairing_equivariant, random_operad
 
 from quadop.core.catalog import catalog, catalog_names
 from quadop.core.free3 import s3_closure
@@ -26,8 +26,10 @@ def test_dual_dimension_complement(name):
 @pytest.mark.parametrize("name", sorted(catalog_names()))
 def test_double_dual_is_identity(name):
     P = catalog(name)
-    DD = dual_operad(dual_operad(P))
+    D = dual_operad(P)
+    DD = dual_operad(D)
     assert DD.relations == P.relations
+    assert fresh_perp(D.relations) == P.relations
     assert DD.space.names == P.space.names
     assert DD.space.swap == P.space.swap
 
@@ -36,8 +38,30 @@ def test_double_dual_on_random_operads():
     rng = random.Random(20)
     for _ in range(8):
         P = random_operad(rng, rng.randint(1, 3))
-        DD = dual_operad(dual_operad(P))
+        D = dual_operad(P)
+        DD = dual_operad(D)
         assert DD.relations == P.relations
+        assert fresh_perp(D.relations) == P.relations
+
+
+def test_double_dual_reads_the_relations_back(monkeypatch):
+    # The dual's relations remember the subspace they are the complement of,
+    # so the double dual holds P's relations themselves; the S3-stability
+    # guard still runs on both duals.
+    import quadop.core.operad
+
+    guard = quadop.core.operad.is_s3_stable
+    calls = []
+    monkeypatch.setattr(quadop.core.operad, "is_s3_stable",
+                        lambda space, sub: calls.append(sub) or guard(space, sub))
+    rng = random.Random(21)
+    operads = [catalog(name) for name in ("Lie", "As", "NP", "Zinb")]
+    operads += [random_operad(rng, rng.randint(1, 3)) for _ in range(4)]
+    for P in operads:
+        calls.clear()
+        DD = dual_operad(dual_operad(P))
+        assert DD.relations is P.relations
+        assert len(calls) == 2 and calls[1] is P.relations
 
 
 @pytest.mark.parametrize("name", ["Lie", "As", "NP", "postLie"])

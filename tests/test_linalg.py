@@ -1,5 +1,6 @@
 """Exact subspace arithmetic: canonical forms, membership, perp, intersections."""
 
+import gc
 import math
 from fractions import Fraction
 
@@ -8,7 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quadop.linalg import EchelonBasis, SubspaceQ, add_scaled, invert_matrix, kernel_basis
-from helpers import contains_subspace, reference_primitive, reference_residual, span_sum
+from helpers import (
+    contains_subspace,
+    fresh_perp,
+    reference_primitive,
+    reference_residual,
+    span_sum,
+)
 
 
 def _span(ambient, *vecs):
@@ -188,7 +195,46 @@ def test_perp_is_involutive(data):
     s = _span(n, *vecs)
     p = s.perp()
     assert s.dim + p.dim == n
-    assert p.perp() == s
+    assert fresh_perp(p) == s
+
+
+def _reachable(obj) -> set[int]:
+    """Ids of every subspace, echelon basis and dict reachable from obj
+    through gc.get_referents (types and modules are not followed)."""
+    seen, todo = {id(obj)}, [obj]
+    while todo:
+        for ref in gc.get_referents(todo.pop()):
+            if id(ref) not in seen and isinstance(ref, (SubspaceQ, EchelonBasis, dict)):
+                seen.add(id(ref))
+                todo.append(ref)
+    return seen
+
+
+@given(subspace_and_ambient())
+@settings(max_examples=40, deadline=None)
+def test_perp_links_its_result_back_to_its_source_only(data):
+    n, vecs = data
+    s = _span(n, *vecs)
+    p = s.perp()
+    assert p.perp() is s
+    assert id(s) in _reachable(p)
+    assert id(p) not in _reachable(s)
+    # A subspace that perp() did not make is complemented afresh.
+    q = fresh_perp(s)
+    assert q == p and q.perp() is not s and q.perp() == s
+
+
+@given(subspace_and_ambient(), st.integers(0, 4))
+@settings(max_examples=40, deadline=None)
+def test_widened_keeps_the_canonical_rows(data, extra):
+    n, vecs = data
+    s = _span(n, *vecs)
+    w = s.widened(n + extra)
+    assert w.ambient_dim == n + extra
+    assert w == SubspaceQ.from_vectors(n + extra, s.rows())
+    assert w.perp() == fresh_perp(w)
+    with pytest.raises(ValueError):
+        s.widened(n - 1)
 
 
 @given(subspace_and_ambient())
@@ -211,7 +257,7 @@ def test_perp_of_sparse_rational_rows(data):
         for r in rows:
             assert _dot(r, w) == 0
     assert s.dim + p.dim == n
-    assert p.perp() == s
+    assert fresh_perp(p) == s
     assert p == _span(n, *_dense_kernel(rows, n))
 
 
@@ -268,6 +314,19 @@ def test_invert_matrix_roundtrip():
 def test_invert_matrix_singular_returns_none():
     m = [[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]]
     assert invert_matrix(m) is None
+
+
+@pytest.mark.parametrize("mat", [
+    [[1, 2]],
+    [[1, 0, 0], [0, 1, 0]],
+    [[1], [0]],
+    [[1, 2], [3]],
+    [[1, 0], [0, 1, 0]],
+])
+def test_invert_matrix_rejects_a_non_square_matrix(mat):
+    # Entries past column n would land on the identity half of [M | I].
+    with pytest.raises(ValueError):
+        invert_matrix(mat)
 
 
 def test_fractions_survive_canonicalisation():

@@ -1,6 +1,7 @@
 """White and black products, replication, and dendriform-style splitting."""
 
 import hashlib
+import random
 from fractions import Fraction
 
 import pytest
@@ -10,9 +11,23 @@ from quadop.dong import dong_verdict
 from quadop.errors import InputError
 from quadop.koszul import dual_operad
 from quadop.linalg import SubspaceQ
-from quadop.manin import black_product, replicate, split, verify_black_tensor, white_product
+from quadop.manin import (
+    _product_space,
+    _tensor_rows,
+    black_product,
+    replicate,
+    split,
+    verify_black_tensor,
+    white_product,
+)
 
-from helpers import split_in_model_space, white_by_projection
+from helpers import (
+    fresh_perp,
+    random_operad,
+    reference_tensor_rows,
+    split_in_model_space,
+    white_by_projection,
+)
 
 
 def transport_relations(src, dst, G):
@@ -83,6 +98,32 @@ def test_white_matches_projection_reference_at_d24():
     assert W.relations == white_by_projection(P, Q)
 
 
+def _tensor_pairs():
+    yield catalog("Perm"), catalog("Lie")
+    yield catalog("As"), catalog("Pois")
+    yield split(catalog("Lie"), "post"), catalog("As")
+    rng = random.Random(18)
+    proper = []
+    while len(proper) < 8:
+        # Neither R = 0 nor R = F(3), so both products have tensor rows.
+        P = random_operad(rng, rng.randint(1, 3), nseeds=1)
+        if 0 < P.dim_relations < P.dim_free3:
+            proper.append(P)
+    yield from zip(proper[::2], proper[1::2])
+
+
+def test_tensor_rows_match_the_entrywise_reference():
+    # Both products' rows, in order: the white product's from the
+    # annihilator rows, the black product's from the relation rows.
+    for P, Q in _tensor_pairs():
+        for sep, sign, rows in (("*", 1, lambda X: X.relations.annihilator_rows()),
+                                ("•", -1, lambda X: X.relations.rows())):
+            space = _product_space(P, Q, sep, sign)
+            got = _tensor_rows(P, rows(P), Q, rows(Q), space)
+            assert got, (P.dims(), Q.dims(), sep)
+            assert got == reference_tensor_rows(P, rows(P), Q, rows(Q), space), (P.dims(), Q.dims(), sep)
+
+
 def _relations_digest(P):
     return hashlib.sha256("\n".join(P.show_relations()).encode()).hexdigest()[:16]
 
@@ -135,7 +176,7 @@ def test_black_is_dual_of_white_of_duals():
         B = black_product(P, Q)
         assert B.dim_gens == P.dim_gens * Q.dim_gens
         W = white_product(dual_operad(P), dual_operad(Q))
-        assert B.relations == W.relations.perp()
+        assert B.relations == fresh_perp(W.relations)
         assert B.space.swap == dual_operad(W).space.swap
 
 
