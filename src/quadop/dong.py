@@ -4,8 +4,9 @@ Writing B for the span of the d*d monomials (id, i, j) of the dual free space,
 P is Dong iff B meets the dual relations R-perp trivially.  The pairing with
 F(3) is the identity on matching monomials and the block is the flat columns
 c < d*d, so w on B lies in R-perp iff w . r = 0 for every relation row r of
-P: the obstruction is the kernel of P's canonical relation rows restricted
-to the block columns, and no dual operad is built.
+P: the obstruction is the complement of R's projection onto the block
+columns, and no dual operad is built.  That projection is read off R's
+canonical rows (SubspaceQ.truncated), so only its complement is eliminated.
 
 A NotDong verdict prints that kernel's canonical basis in the dual generators
 as witnesses, and each is replayed with dot products only (replay_witnesses).
@@ -22,7 +23,7 @@ from quadop.core.operad import QuadOperad
 from quadop.core.parser import parse_relation, pretty_print
 from quadop.errors import InputError, InternalCheckError
 from quadop.koszul import dual_generators
-from quadop.linalg import SubspaceQ, kernel_basis
+from quadop.linalg import SubspaceQ
 
 
 @dataclass
@@ -82,11 +83,8 @@ def dong_verdict(P: QuadOperad, dual: QuadOperad | None = None) -> DongReport:
     otherwise; they parse back to kernel elements.  The report's kernel is
     the block kernel's canonical rows read in the whole of F(3).
     """
-    d = P.dim_gens
-    block = d * d
     dspace = dual.space if dual is not None else dual_generators(P.space)
-    rows = [{c: a for c, a in row.items() if c < block} for row in P.relations.rows()]
-    block_kernel = kernel_basis(rows, block)
+    block_kernel = P.relations.truncated(P.dim_gens ** 2).perp()
     vectors = block_kernel.basis()
     kernel = block_kernel.widened(P.dim_free3)
     witnesses = [pretty_print(dspace, w) for w in vectors]

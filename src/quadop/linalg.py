@@ -7,7 +7,8 @@ band-structured systems are never touched.
 
 One row type: every row is a primitive integer row (content 1, positive
 leading value).  Input entries may be int or Fraction; their numerators and
-denominators are read directly, so an int vector never becomes a Fraction.
+denominators are read directly, so an int vector never becomes a Fraction,
+and an all-int row is only copied.
 
 * EchelonBasis: an incremental, order-dependent echelon form.  Cheap add and
   membership, no canonical form.  Used while sweeping generators into a space.
@@ -26,19 +27,14 @@ denominators are read directly, so an int vector never becomes a Fraction.
   perp() records on its result the subspace it came from, and perp() of
   that result returns it without elimination: (U^perp)^perp = U, and the
   canonical form is unique.  The link runs one way, from the complement to
-  its source, so no reference cycle is made.  widened(n) reads the same
-  canonical rows in a larger ambient space, where they stay canonical
-  because they touch none of the new columns.
+  its source, so no reference cycle is made.  widened(n) and truncated(n)
+  (the projection onto the first n columns) read the canonical rows in a
+  larger or a smaller ambient space with no elimination.  from_echelon reaches the canonical form by column-indexed
+  back-substitution, whose cost follows the rows' nonzeros, not the square
+  of the rank.
 
-  from_echelon reaches that form by column-indexed back-substitution: going
-  from the last pivot upwards, each echelon row is reduced only at the pivot
-  columns in its own support, by the rows below it, which are already
-  reduced and hold no pivot column but their own.  One pass per row, in any
-  order, with no scan over the other pivots, so the cost follows the rows'
-  nonzeros instead of the square of the rank.  A row whose support holds
-  no later pivot needs no back-substitution: it is already reduced and
-  primitive, so it goes to the final sort into column order as it is, with
-  no copy, elimination or content division before that.
+kernel_basis eliminates a row list once, from the right, and transposes the
+reduced rows straight into the kernel's canonical rows.
 """
 
 from __future__ import annotations
@@ -54,6 +50,12 @@ def _as_int_row(vec) -> IntRow:
     """Clear the denominators of a vector (dense sequence or {col: value}
     mapping, entries int or Fraction).  Always returns a fresh dict, which
     the caller may reduce in place; the content is not divided out."""
+    if isinstance(vec, dict):
+        for v in vec.values():
+            if type(v) is not int:
+                break
+        else:  # all int (not bool): only copy, dropping zeros
+            return {c: v for c, v in vec.items() if v}
     items = vec.items() if isinstance(vec, dict) else enumerate(vec)
     terms = []
     denom_lcm = 1
@@ -173,10 +175,12 @@ class SubspaceQ:
 
     __slots__ = ("ambient_dim", "_eb", "_perp_of")
 
-    def __init__(self, eb: EchelonBasis):
+    def __init__(self, ambient_dim: int, rows: dict[int, IntRow]):
         # Not meant to be called directly; use from_vectors / from_echelon.
-        self.ambient_dim = eb.ambient_dim
-        self._eb = eb
+        # rows must be canonical: pivot order, entries in column order.
+        self.ambient_dim = ambient_dim
+        self._eb = EchelonBasis(ambient_dim)
+        self._eb._rows = rows
         # The subspace this one is the complement of, when perp() made it.
         self._perp_of: SubspaceQ | None = None
 
@@ -189,26 +193,8 @@ class SubspaceQ:
 
     @classmethod
     def from_echelon(cls, eb: EchelonBasis) -> "SubspaceQ":
-        # Back-substitute from the last pivot upwards.  A reduced row holds no
-        # pivot column but its own, so clearing the later pivot columns in
-        # row p's own support with the reduced rows introduces no new ones:
-        # one pass per row, in any order, then its content is divided out.
-        # An echelon row with no later pivot in its support is already
-        # reduced and primitive, and is kept as it is.
-        pivots = sorted(eb._rows)
-        reduced: dict[int, IntRow] = {}
-        for p in reversed(pivots):
-            row = eb._rows[p]
-            later = [c for c in row if c in reduced]
-            if later:
-                row = dict(row)
-                for q in later:
-                    _eliminate(row, reduced[q], q)
-                row = _strip_content(row, p)
-            reduced[p] = row
-        canon = EchelonBasis(eb.ambient_dim)
-        canon._rows = {p: dict(sorted(reduced[p].items())) for p in pivots}
-        return cls(canon)
+        reduced = _back_substitute(eb)
+        return cls(eb.ambient_dim, {p: dict(sorted(reduced[p].items())) for p in reversed(reduced)})
 
     @property
     def dim(self) -> int:
@@ -234,6 +220,16 @@ class SubspaceQ:
     def contains(self, vec) -> bool:
         return self._eb.contains(vec)
 
+    def truncated(self, n: int) -> "SubspaceQ":
+        """The projection onto the first n coordinates, as a subspace of Q^n:
+        the rows with pivot < n, cut at column n.  A reduced row cut at a
+        column prefix stays reduced and rows with pivot >= n project to 0,
+        so only the content is divided out again."""
+        if not 0 <= n <= self.ambient_dim:
+            raise ValueError(f"cannot truncate Q^{self.ambient_dim} to Q^{n}")
+        return SubspaceQ(n, {p: _strip_content({c: v for c, v in r.items() if c < n}, p)
+                             for p, r in self._eb._rows.items() if p < n})
+
     def intersect(self, other: "SubspaceQ") -> "SubspaceQ":
         """Zassenhaus: echelonise rows [u|u] for u in self and [w|0] for w in
         other inside Q^(2n); rows supported entirely in the right half give a
@@ -256,24 +252,10 @@ class SubspaceQ:
 
     def annihilator_rows(self) -> list[IntRow]:
         """Primitive integer rows spanning the orthogonal complement, one per
-        free (non-pivot) column f: the kernel vector
-        e_f - sum_p (r_p[f] / r_p[p]) e_p over the rows r_p with pivot p,
-        scaled by the lcm of those pivot entries.  Pivot columns are cleared
-        in every other row, so every non-leading entry of a row sits in a
-        free column."""
+        free (non-pivot) column, in column order (see _free_column_rows)."""
         rows = self._eb._rows
-        terms: dict[int, list] = {f: [] for f in range(self.ambient_dim) if f not in rows}
-        for p, r in rows.items():
-            for f, x in r.items():
-                if f != p:
-                    terms[f].append((p, x, r[p]))
-        out = []
-        for f, ts in terms.items():
-            scale = lcm(*(lead for _, _, lead in ts))
-            row = {p: -x * (scale // lead) for p, x, lead in ts}
-            row[f] = scale
-            out.append(_strip_content(row))
-        return out
+        free = [f for f in range(self.ambient_dim) if f not in rows]
+        return [_strip_content(row) for row in _free_column_rows(rows, free)]
 
     def perp(self) -> "SubspaceQ":
         """Orthogonal complement with respect to the standard dot product,
@@ -291,9 +273,7 @@ class SubspaceQ:
         none of the new columns, so they are still its canonical form."""
         if n < self.ambient_dim:
             raise ValueError(f"cannot widen Q^{self.ambient_dim} to Q^{n}")
-        eb = EchelonBasis(n)
-        eb._rows = dict(self._eb._rows)
-        return SubspaceQ(eb)
+        return SubspaceQ(n, dict(self._eb._rows))
 
     def _check_ambient(self, other: "SubspaceQ"):
         if self.ambient_dim != other.ambient_dim:
@@ -341,7 +321,64 @@ def add_scaled(out: dict, terms, scale=1) -> dict:
     return out
 
 
+def _back_substitute(eb: EchelonBasis) -> dict[int, IntRow]:
+    """The reduced rows of an echelon basis by pivot, in descending pivot
+    order.  A reduced row holds no pivot column but its own, so clearing
+    the later pivot columns in row p's own support with the reduced rows
+    introduces no new ones: one pass per row, then its content is divided
+    out.  A row with no later pivot in its support is kept as it is."""
+    reduced: dict[int, IntRow] = {}
+    for p in sorted(eb._rows, reverse=True):
+        row = eb._rows[p]
+        later = [c for c in row if c in reduced]
+        if later:
+            row = dict(row)
+            for q in later:
+                _eliminate(row, reduced[q], q)
+            row = _strip_content(row, p)
+        reduced[p] = row
+    return reduced
+
+
+def _free_column_rows(rows: dict[int, IntRow], free: list[int], off: int = 0, sign: int = 1):
+    """The kernel rows of reduced rows (by pivot), [I | C] -> [-C^T | I]: per
+    free column f, scale*e_f - sum_p x*(scale/lead_p)*e_p over the rows r_p
+    with r_p[f] = x, scale the lcm of those leads.  Pivot columns are cleared
+    in every other row, so each non-leading entry sits in a free column.
+    Column c is written at off + sign*c, f first and then the pivots in the
+    order of rows; the content is left in place."""
+    terms: dict[int, list] = {f: [] for f in free}
+    for p, r in rows.items():
+        for f, x in r.items():
+            if f != p:
+                terms[f].append((off + sign * p, x, r[p]))
+    for f, ts in terms.items():
+        scale = lcm(*(lead for _, _, lead in ts))
+        row = {off + sign * f: scale}
+        for c, x, lead in ts:
+            row[c] = -x * (scale // lead)
+        yield row
+
+
 def kernel_basis(rows, ncols: int) -> SubspaceQ:
     """Kernel of the linear map Q^ncols -> Q^len(rows) given by a row list:
-    the annihilator of the rows' span, whose perp() is that span."""
-    return SubspaceQ.from_vectors(ncols, rows).perp()
+    the annihilator of the rows' span, whose perp() is that span.
+
+    One elimination, from the right: with rho(c) = ncols-1-c, the reduced
+    rows of the rho-images, read back through rho, have each row's largest
+    column as pivot.  The kernel row of a free column f (rho-side) has pivot
+    rho(f) and its other entries at rho(p) > rho(f) for pivots p, which no
+    kernel row has as pivot: the rows come out canonical, and in order
+    because the reduced rows come in descending pivot order."""
+    last = ncols - 1
+    eb = EchelonBasis(ncols)
+    for r in rows:
+        eb.add({last - c: v for c, v in (r.items() if isinstance(r, dict) else enumerate(r))})
+    reduced = _back_substitute(eb)
+    free = [f for f in range(last, -1, -1) if f not in reduced]
+    out = SubspaceQ(ncols, {
+        last - f: _strip_content(row, last - f)
+        for f, row in zip(free, _free_column_rows(reduced, free, last, -1))})
+    # The span is built eagerly: the dual of every white product reads it.
+    out._perp_of = SubspaceQ.from_vectors(ncols, rows)
+    return out

@@ -15,7 +15,6 @@ from quadop.linalg import (
     SubspaceQ,
     add_scaled,
     invert_matrix,
-    kernel_basis,
     primitive_row,
 )
 from quadop.locality import ResidueSpec
@@ -366,8 +365,9 @@ def monomial_projection(P):
 def white_by_projection(P, Q):
     """Relations of the white product P o Q as the kernel of the evaluation
     F_{V(x)W}(3) -> P(3) (x) Q(3), read from the two monomial_projection
-    maps.  Kept as the reference for white_product, which reaches the same
-    subspace through the annihilator rows."""
+    maps, complemented from scratch (fresh_perp).  Kept as the reference for
+    white_product, which reaches the same subspace through the annihilator
+    rows and kernel_basis."""
     space = _product_space(P, Q, "*", 1)
     pair = _pair_index(P, Q)
     dP, dQ = P.dim_gens, Q.dim_gens
@@ -382,7 +382,7 @@ def white_by_projection(P, Q):
             for alpha, a in colP.items():
                 for beta, b in colQ.items():
                     rows.setdefault((alpha, beta), {})[col] = a * b
-    return kernel_basis(list(rows.values()), space.free3_dim)
+    return fresh_perp(SubspaceQ.from_vectors(space.free3_dim, rows.values()))
 
 
 # Minimal locality order of every (inner, outer) pair of the 19 criterion-02

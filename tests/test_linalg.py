@@ -5,10 +5,17 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from quadop.linalg import EchelonBasis, SubspaceQ, add_scaled, invert_matrix, kernel_basis
+from quadop.linalg import (
+    EchelonBasis,
+    SubspaceQ,
+    _as_int_row,
+    add_scaled,
+    invert_matrix,
+    kernel_basis,
+)
 from helpers import (
     contains_subspace,
     fresh_perp,
@@ -299,6 +306,94 @@ def test_kernel_basis_kills_rows():
     for v in ker.basis():
         for r in rows:
             assert sum(r.get(c, 0) * x for c, x in v.items()) == 0
+
+
+@st.composite
+def kernel_rows(draw, max_dim=10):
+    """Rows with int, Fraction and zero entries, some all zero; half the
+    draws append an upper-triangular system, which makes them full rank."""
+    n = draw(st.integers(min_value=1, max_value=max_dim))
+    entry = st.one_of(st.just(0), st.just(Fraction(0)), _mixed_entry)
+    row = st.dictionaries(st.integers(min_value=0, max_value=n - 1), entry, max_size=6)
+    rows = draw(st.lists(row, max_size=n + 3))
+    if draw(st.booleans()):
+        rows += [{c: Fraction(c + 1, 2), **{e: 1 for e in range(c + 1, n)}} for c in range(n)]
+    return n, rows
+
+
+@given(kernel_rows())
+@example((0, []))
+@example((3, []))
+@example((3, [{}, {0: 0, 2: Fraction(0)}]))
+@example((2, [{0: 1}, {1: Fraction(-3, 2)}]))
+@settings(max_examples=150, deadline=None)
+def test_kernel_basis_is_the_complement_computed_from_scratch(data):
+    n, rows = data
+    before = [dict(r) for r in rows]
+    ker = kernel_basis(rows, n)
+    assert rows == before
+    span = SubspaceQ.from_vectors(n, rows)
+    want = fresh_perp(span)
+    assert ker == want and hash(ker) == hash(want)
+    assert ker == _span(n, *_dense_kernel(rows, n))
+    assert list(ker.pivots) == sorted(ker.pivots)
+    for row in ker.rows():
+        assert list(row) == sorted(row)
+        assert all(type(x) is int for x in row.values())
+    back = ker.perp()
+    assert back == span and hash(back) == hash(span)
+    assert id(ker) not in _reachable(back)
+
+
+@given(subspace_and_ambient(), st.data())
+@settings(max_examples=80, deadline=None)
+def test_truncated_is_the_span_of_the_cut_rows(data, draw):
+    n, vecs = data
+    s = _span(n, *vecs)
+    k = draw.draw(st.integers(min_value=0, max_value=n))
+    cut = s.truncated(k)
+    want = SubspaceQ.from_vectors(k, [{c: x for c, x in enumerate(v) if c < k} for v in vecs])
+    assert cut == want and hash(cut) == hash(want)
+    assert cut.ambient_dim == k
+    assert s.truncated(n) == s
+    assert s.truncated(0) == SubspaceQ.from_vectors(0, [])
+    for bad in (n + 1, -1):
+        with pytest.raises(ValueError):
+            s.truncated(bad)
+
+
+def test_integer_rows_are_copied_without_their_zero_entries():
+    vec = {3: 2, 0: 0, 1: -4}
+    got = _as_int_row(vec)
+    assert got == {3: 2, 1: -4} and got is not vec
+    assert vec == {3: 2, 0: 0, 1: -4}
+    eb = EchelonBasis(4)
+    for caller in ({0: 2, 1: 4, 2: 0}, {1: 3, 3: -6}):
+        before = dict(caller)
+        assert eb.add(caller)
+        assert caller == before
+        assert eb.contains(caller)
+        assert caller == before
+    assert eb.rows() == [{0: 1, 1: 2}, {1: 1, 3: -2}]
+
+
+_integral_entry = st.one_of(
+    st.integers(min_value=-6, max_value=6),
+    st.booleans(),
+    st.integers(min_value=-6, max_value=6).map(Fraction),
+)
+
+
+@given(st.lists(st.dictionaries(st.integers(min_value=0, max_value=5), _integral_entry,
+                                max_size=5), max_size=6))
+@settings(max_examples=100, deadline=None)
+def test_bool_and_fraction_entries_give_the_integer_rows(rows):
+    as_ints = [{c: int(v) for c, v in r.items()} for r in rows]
+    for r, w in zip(rows, as_ints):
+        got = _as_int_row(r)
+        assert got == _as_int_row(w) == {c: v for c, v in w.items() if v}
+        assert all(type(v) is int for v in got.values())
+    assert SubspaceQ.from_vectors(6, rows).rows() == SubspaceQ.from_vectors(6, as_ints).rows()
 
 
 def test_invert_matrix_roundtrip():
