@@ -32,7 +32,9 @@ from quadop.errors import InputError, InternalCheckError
 from quadop.koszul import dual_operad, verify_jacobi_duality
 from quadop.linalg import SubspaceQ
 from quadop.locality import build_instance
-from quadop.manin import black_product, replicate, split, verify_black_tensor, white_product
+from quadop.manin import (
+    REPLICATION_PARTNERS, black_product, replicate, split, verify_black_tensor, white_product,
+)
 
 SCHEMA_VERSION = "1"
 
@@ -166,7 +168,7 @@ def cmd_product(args) -> tuple[dict, list[str]]:
             raise InputError(f"--{kind} takes a single operand")
         if kind in ("di", "tri"):
             R = replicate(kind, P)
-            left, right = (catalog("Perm") if kind == "di" else catalog("ComTriAs")), P
+            left, right = catalog(REPLICATION_PARTNERS[kind]), P
         else:
             R = split(P, kind)
             left, right = P, None

@@ -17,6 +17,8 @@ import re
 
 from quadop.core.operad import QuadOperad, load_operad_file, make_operad
 from quadop.errors import InputError
+from quadop.koszul import dual_operad
+from quadop.manin import split, white_product
 
 _TEXTUAL: dict[str, tuple[list, list[str]]] = {
     # commutative associative product
@@ -104,56 +106,16 @@ _TEXTUAL: dict[str, tuple[list, list[str]]] = {
 }
 
 
-def _build_leib() -> QuadOperad:
-    from quadop.manin import white_product
-
-    return white_product(catalog("Perm"), catalog("Lie")).renamed("Leib")
-
-
-def _build_prelie() -> QuadOperad:
-    from quadop.koszul import dual_operad
-
-    return dual_operad(catalog("Perm")).renamed("preLie")
-
-
-def _build_dias() -> QuadOperad:
-    from quadop.manin import white_product
-
-    return white_product(catalog("Perm"), catalog("As")).renamed("diAs")
-
-
-def _build_preas() -> QuadOperad:
-    from quadop.koszul import dual_operad
-
-    return dual_operad(catalog("diAs")).renamed("preAs")
-
-
-def _build_dinov() -> QuadOperad:
-    from quadop.manin import white_product
-
-    return white_product(catalog("Perm"), catalog("Nov")).renamed("diNov")
-
-
-def _build_postlie() -> QuadOperad:
-    from quadop.manin import split
-
-    return split(catalog("Lie"), "post").renamed("postLie")
-
-
-def _build_comtrias() -> QuadOperad:
-    from quadop.koszul import dual_operad
-
-    return dual_operad(catalog("postLie")).renamed("ComTriAs")
-
-
+# Each lambda looks its constructors and catalog() up when it runs, so a
+# wrapped catalog() or product is the one called.
 _DERIVED = {
-    "Leib": _build_leib,
-    "preLie": _build_prelie,
-    "diAs": _build_dias,
-    "preAs": _build_preas,
-    "diNov": _build_dinov,
-    "postLie": _build_postlie,
-    "ComTriAs": _build_comtrias,
+    "Leib": lambda: white_product(catalog("Perm"), catalog("Lie")),
+    "preLie": lambda: dual_operad(catalog("Perm")),
+    "diAs": lambda: white_product(catalog("Perm"), catalog("As")),
+    "preAs": lambda: dual_operad(catalog("diAs")),
+    "diNov": lambda: white_product(catalog("Perm"), catalog("Nov")),
+    "postLie": lambda: split(catalog("Lie"), "post"),
+    "ComTriAs": lambda: dual_operad(catalog("postLie")),
 }
 
 _cache: dict[str, QuadOperad] = {}
@@ -172,7 +134,7 @@ def catalog(name: str) -> QuadOperad:
         gens, rels = _TEXTUAL[name]
         op = make_operad(name, gens, rels)
     elif name in _DERIVED:
-        op = _DERIVED[name]()
+        op = _DERIVED[name]().renamed(name)
     else:
         raise InputError(f"unknown operad {name!r}; known: {', '.join(catalog_names())}")
     _cache[name] = op
@@ -186,8 +148,6 @@ def resolve(spec: str) -> QuadOperad:
     """Turn a CLI operand into an operad: a catalog name, dual(NAME) with any
     resolvable NAME inside, nested to any depth, or a path to a JSON operad
     file."""
-    from quadop.koszul import dual_operad
-
     # Peel the dual( layers in a loop and apply the duals from the inside
     # out, so that the nesting depth is not bounded by the call stack.
     spec = spec.strip()

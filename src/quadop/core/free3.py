@@ -19,6 +19,11 @@ the nonzeros of each column as (m, coeff), an int where integral, so an
 integer row acts to an integer row.  Derived spaces are built from column
 dicts by from_columns, the one place that transposes.  Neither the action on
 a vector's support nor the involution check costs a dense d**3 pass.
+
+s3_closure sweeps the images under (12) and (123) into an EchelonBasis
+until the rank stops growing, and is_s3_stable hands the image of each
+canonical row to SubspaceQ.reduce.  Neither reads the canonical form
+itself: SubspaceQ is its only home.
 """
 
 from __future__ import annotations
@@ -31,7 +36,7 @@ from quadop.core.perms import (
     CYC123, IDENT, REP_INDEX, REPS, S3, SWAP12, Perm, compose, coset_decompose,
 )
 from quadop.errors import InputError
-from quadop.linalg import EchelonBasis, SubspaceQ, _as_int_row, _eliminate
+from quadop.linalg import EchelonBasis, SubspaceQ, primitive_row
 
 Vec = dict[int, int | Fraction]
 
@@ -180,18 +185,12 @@ def s3_closure(space: GeneratorSpace, vectors) -> SubspaceQ:
 
 def is_s3_stable(space: GeneratorSpace, sub: SubspaceQ) -> bool:
     """Whether (12) and (123), which generate S3, map every canonical row of
-    sub into sub.  A canonical row holds no pivot column but its own, so an
-    image is reduced in place by one elimination per pivot column in its
-    support, and it lies in sub exactly when nothing is left."""
-    pivot_rows = dict(zip(sub.pivots, sub.rows()))
+    sub into sub: each image, a fresh integer row, is reduced in place by
+    SubspaceQ.reduce and lies in sub exactly when nothing is left."""
     integral = all(type(x) is int for col in space.swap_columns for _, x in col)
     for g in (SWAP12, CYC123):
-        for row in pivot_rows.values():
+        for row in sub.rows():
             image = act(space, g, row)
-            if not integral:
-                image = _as_int_row(image)
-            for c in [c for c in image if c in pivot_rows]:
-                _eliminate(image, pivot_rows[c], c)
-            if image:
+            if sub.reduce(image if integral else primitive_row(image)):
                 return False
     return True

@@ -15,7 +15,7 @@ A failed replay is an internal bug, not a property of the input.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from quadop.core.free3 import GeneratorSpace
@@ -23,7 +23,6 @@ from quadop.core.operad import QuadOperad
 from quadop.core.parser import parse_relation, pretty_print
 from quadop.errors import InputError, InternalCheckError
 from quadop.koszul import dual_generators
-from quadop.linalg import SubspaceQ
 
 
 @dataclass
@@ -34,7 +33,6 @@ class DongReport:
     kernel_dim: int
     witnesses: list[str]
     dims: dict[str, int]
-    kernel: SubspaceQ = field(repr=False, default=None)
 
     def as_dict(self) -> dict:
         return {
@@ -80,13 +78,10 @@ def dong_verdict(P: QuadOperad, dual: QuadOperad | None = None) -> DongReport:
 
     Witnesses are the canonical basis of the block kernel, printed in the
     generators of `dual` when it is given and of dual_generators(P.space)
-    otherwise; they parse back to kernel elements.  The report's kernel is
-    the block kernel's canonical rows read in the whole of F(3).
+    otherwise; they parse back to kernel elements.
     """
     dspace = dual.space if dual is not None else dual_generators(P.space)
-    block_kernel = P.relations.truncated(P.dim_gens ** 2).perp()
-    vectors = block_kernel.basis()
-    kernel = block_kernel.widened(P.dim_free3)
+    vectors = P.relations.truncated(P.dim_gens ** 2).perp().basis()
     witnesses = [pretty_print(dspace, w) for w in vectors]
     replay_witnesses(P, dspace, witnesses)
     return DongReport(
@@ -96,5 +91,4 @@ def dong_verdict(P: QuadOperad, dual: QuadOperad | None = None) -> DongReport:
         kernel_dim=len(vectors),
         witnesses=witnesses,
         dims={**P.dims(), "dual_relations": P.dim_p3, "dual_p3": P.dim_relations},
-        kernel=kernel,
     )

@@ -11,25 +11,28 @@ denominators are read directly, so an int vector never becomes a Fraction,
 and an all-int row is only copied.
 
 * EchelonBasis: an incremental, order-dependent echelon form.  Cheap add and
-  membership, no canonical form.  Used while sweeping generators into a space.
-  Elimination is integer-preserving: each step forms a*v - b*row in place,
-  and the content is divided out once, when a reduction ends in a nonzero
-  residual.
-* SubspaceQ: a canonical wrapper around one reduced EchelonBasis.  Its rows
-  are the reduced row echelon form (pivot columns cleared in every other
-  row), each scaled to its primitive integer row.  That form is unique for a
-  given subspace, so equality and hashing are structural, and membership runs
-  on the canonical rows themselves.  basis() is the one Fraction output, for
-  printing: it scales each row to pivot entry 1.  annihilator_rows() gives
-  primitive integer functionals whose common kernel is the subspace, and
+  membership, no canonical form: the builder that from_vectors, intersect,
+  kernel_basis and the S3 closure sweep generators into.  Elimination is
+  integer-preserving: each step forms a*v - b*row in place, and the content
+  is divided out once, when a reduction ends in a nonzero residual.
+* SubspaceQ: the canonical form, and the only class that reads it.  Its
+  rows, keyed by pivot, are the reduced row echelon form (pivot columns
+  cleared in every other row), each scaled to its primitive integer row.
+  That form is unique for a given subspace, so equality and hashing are
+  structural.  reduce() is the one reduction against canonical rows: one
+  elimination per pivot column in a row's support, and the row lies in the
+  span exactly when nothing is left; contains() and the S3-stability guard
+  both call it.  basis() is the one Fraction output, for printing: it
+  scales each row to pivot entry 1.  annihilator_rows() gives primitive
+  integer functionals whose common kernel is the subspace, and
   invert_matrix reads the inverse off the canonical form of [M | I].
 
   perp() records on its result the subspace it came from, and perp() of
   that result returns it without elimination: (U^perp)^perp = U, and the
   canonical form is unique.  The link runs one way, from the complement to
-  its source, so no reference cycle is made.  widened(n) and truncated(n)
-  (the projection onto the first n columns) read the canonical rows in a
-  larger or a smaller ambient space with no elimination.  from_echelon reaches the canonical form by column-indexed
+  its source, so no reference cycle is made.  truncated(n), the projection
+  onto the first n columns, reads the canonical rows with no elimination.
+  from_echelon reaches the canonical form by column-indexed
   back-substitution, whose cost follows the rows' nonzeros, not the square
   of the rank.
 
@@ -167,20 +170,20 @@ class EchelonBasis:
 class SubspaceQ:
     """A subspace of Q^n in canonical form.
 
-    The basis is a reduced EchelonBasis: rows sorted by pivot column, pivot
-    columns cleared in all other rows, each row a primitive integer row with
-    its entries in column order.  This form is unique for a given subspace,
-    so __eq__ and __hash__ compare subspaces, not presentations.
+    _rows maps each pivot column to its row, in pivot order: the reduced
+    row echelon form (pivot columns cleared in all other rows), each row a
+    primitive integer row with its entries in column order.  This form is
+    unique for a given subspace, so __eq__ and __hash__ compare subspaces,
+    not presentations, and reduce() is the one membership test against it.
     """
 
-    __slots__ = ("ambient_dim", "_eb", "_perp_of")
+    __slots__ = ("ambient_dim", "_rows", "_perp_of")
 
     def __init__(self, ambient_dim: int, rows: dict[int, IntRow]):
         # Not meant to be called directly; use from_vectors / from_echelon.
         # rows must be canonical: pivot order, entries in column order.
         self.ambient_dim = ambient_dim
-        self._eb = EchelonBasis(ambient_dim)
-        self._eb._rows = rows
+        self._rows = rows
         # The subspace this one is the complement of, when perp() made it.
         self._perp_of: SubspaceQ | None = None
 
@@ -198,27 +201,39 @@ class SubspaceQ:
 
     @property
     def dim(self) -> int:
-        return self._eb.rank
+        return len(self._rows)
 
     @property
     def pivots(self) -> tuple[int, ...]:
-        return tuple(self._eb._rows)
+        return tuple(self._rows)
 
     def rows(self) -> list[IntRow]:
         """The canonical rows in pivot order (primitive integer form).  They
         are shared with the subspace; do not modify them."""
-        return list(self._eb._rows.values())
+        return list(self._rows.values())
 
     def basis(self) -> list[dict[int, Fraction]]:
         """Canonical basis vectors as {col: Fraction} mappings, pivot entry 1."""
         out = []
-        for p, r in self._eb._rows.items():
+        for p, r in self._rows.items():
             lead = r[p]
             out.append({c: Fraction(v, lead) for c, v in r.items()})
         return out
 
+    def reduce(self, v: IntRow) -> IntRow:
+        """Reduce the caller's integer row v in place against the canonical
+        rows and return what is left, which is empty exactly when v lies in
+        the span.  A canonical row holds no pivot column but its own, so
+        each elimination leaves v's other pivot entries nonzero and makes
+        no new ones: one elimination per pivot column in v's support, with
+        no search for the smallest column.  The content is left in place."""
+        rows = self._rows
+        for c in [c for c in v if c in rows]:
+            _eliminate(v, rows[c], c)
+        return v
+
     def contains(self, vec) -> bool:
-        return self._eb.contains(vec)
+        return not self.reduce(_as_int_row(vec))
 
     def truncated(self, n: int) -> "SubspaceQ":
         """The projection onto the first n coordinates, as a subspace of Q^n:
@@ -228,7 +243,7 @@ class SubspaceQ:
         if not 0 <= n <= self.ambient_dim:
             raise ValueError(f"cannot truncate Q^{self.ambient_dim} to Q^{n}")
         return SubspaceQ(n, {p: _strip_content({c: v for c, v in r.items() if c < n}, p)
-                             for p, r in self._eb._rows.items() if p < n})
+                             for p, r in self._rows.items() if p < n})
 
     def intersect(self, other: "SubspaceQ") -> "SubspaceQ":
         """Zassenhaus: echelonise rows [u|u] for u in self and [w|0] for w in
@@ -253,7 +268,7 @@ class SubspaceQ:
     def annihilator_rows(self) -> list[IntRow]:
         """Primitive integer rows spanning the orthogonal complement, one per
         free (non-pivot) column, in column order (see _free_column_rows)."""
-        rows = self._eb._rows
+        rows = self._rows
         free = [f for f in range(self.ambient_dim) if f not in rows]
         return [_strip_content(row) for row in _free_column_rows(rows, free)]
 
@@ -268,13 +283,6 @@ class SubspaceQ:
         out._perp_of = self
         return out
 
-    def widened(self, n: int) -> "SubspaceQ":
-        """The same rows as a subspace of Q^n, n >= ambient_dim.  They touch
-        none of the new columns, so they are still its canonical form."""
-        if n < self.ambient_dim:
-            raise ValueError(f"cannot widen Q^{self.ambient_dim} to Q^{n}")
-        return SubspaceQ(n, dict(self._eb._rows))
-
     def _check_ambient(self, other: "SubspaceQ"):
         if self.ambient_dim != other.ambient_dim:
             raise ValueError(
@@ -284,10 +292,10 @@ class SubspaceQ:
     def __eq__(self, other) -> bool:
         if not isinstance(other, SubspaceQ):
             return NotImplemented
-        return self.ambient_dim == other.ambient_dim and self._eb._rows == other._eb._rows
+        return self.ambient_dim == other.ambient_dim and self._rows == other._rows
 
     def __hash__(self) -> int:
-        return hash((self.ambient_dim, tuple(tuple(r.items()) for r in self.rows())))
+        return hash((self.ambient_dim, tuple(tuple(r.items()) for r in self._rows.values())))
 
     def __repr__(self) -> str:
         return f"SubspaceQ(dim={self.dim}, ambient={self.ambient_dim})"

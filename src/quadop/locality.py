@@ -29,8 +29,9 @@ elimination:
 * level 3, any other base: g sums to zero over each value of n_c.
 
 The level is found once per operation pair (i, j), by two membership
-tests, and a residue then costs time in its own number of terms, whatever
-K and T are.
+tests (the second in V_2 + V_3, which holds a base of V_1 exactly when
+V_1 cap (V_2 + V_3) does), and a residue then costs time in its own number
+of terms, whatever K and T are.
 
 Proof.  Three subspaces of one space decompose it into indecomposable
 pieces of only nine types (the D4 quiver is of finite type:
@@ -92,7 +93,7 @@ from dataclasses import dataclass
 from quadop.core.operad import QuadOperad
 from quadop.core.perms import REPS
 from quadop.errors import InputError
-from quadop.linalg import EchelonBasis, IntRow, SubspaceQ, primitive_row
+from quadop.linalg import IntRow, SubspaceQ, primitive_row
 
 # Largest window radius K, checked before anything is built.  Membership
 # costs the same at every K, so this is a bound on the input, not on the
@@ -145,7 +146,9 @@ class LocalityInstance:
         n = self.dim_p3
         self._shared = SubspaceQ.from_vectors(
             n, V1.intersect(V2).rows() + V1.intersect(V3).rows())
-        self._meet = V1.intersect(SubspaceQ.from_vectors(n, V2.rows() + V3.rows()))
+        # Every base lies in V_1, so it lies in V_1 cap (V_2 + V_3) exactly
+        # when it lies in V_2 + V_3: the span needs no intersection.
+        self._others = SubspaceQ.from_vectors(n, V2.rows() + V3.rows())
         self._levels: dict[tuple[int, int], int] = {}
 
     # -- pair data -----------------------------------------------------
@@ -153,15 +156,10 @@ class LocalityInstance:
     def _build_pair_bases(self) -> list[SubspaceQ]:
         """For each sigma block, the span of all projected monomials of that
         block (the "pair space")."""
-        P = self.P
-        out = []
-        for sigma in REPS:
-            eb = EchelonBasis(self.dim_p3)
-            for i in range(P.dim_gens):
-                for j in range(P.dim_gens):
-                    eb.add(self._projected(sigma, i, j))
-            out.append(SubspaceQ.from_echelon(eb))
-        return out
+        d = self.P.dim_gens
+        return [SubspaceQ.from_vectors(self.dim_p3, (self._projected(sigma, i, j)
+                                                     for i in range(d) for j in range(d)))
+                for sigma in REPS]
 
     def _projected(self, sigma, outer, inner) -> IntRow:
         """Image of one monomial in P(3), scaled to a primitive integer row
@@ -170,12 +168,14 @@ class LocalityInstance:
 
     def _level(self, base: IntRow) -> int:
         """The level of a row of V_1: 0 for zero, 1 in V_1 cap V_2 +
-        V_1 cap V_3, 2 in V_1 cap (V_2 + V_3), 3 otherwise."""
+        V_1 cap V_3, 2 in V_1 cap (V_2 + V_3), 3 otherwise.  A row of V_1
+        lies in V_1 cap (V_2 + V_3) exactly when it lies in V_2 + V_3, so
+        level 2 is tested against that span."""
         if not base:
             return 0
         if self._shared.contains(base):
             return 1
-        return 2 if self._meet.contains(base) else 3
+        return 2 if self._others.contains(base) else 3
 
     # -- membership ----------------------------------------------------
 

@@ -122,15 +122,17 @@ def black_product(P: QuadOperad, Q: QuadOperad) -> QuadOperad:
     return QuadOperad(f"black({P.name},{Q.name})", space, rel)
 
 
+# Replication kind -> the catalog entry it takes the white product with.
+REPLICATION_PARTNERS = {"di": "Perm", "tri": "ComTriAs"}
+
+
 def replicate(kind: str, P: QuadOperad) -> QuadOperad:
     """Di- or tri-replication, as a white product with the matching operad."""
     from quadop.core.catalog import catalog  # late import; catalog builds use this module
 
-    if kind == "di":
-        return white_product(catalog("Perm"), P).renamed(f"di({P.name})")
-    if kind == "tri":
-        return white_product(catalog("ComTriAs"), P).renamed(f"tri({P.name})")
-    raise InputError(f"replication kind must be 'di' or 'tri', got {kind!r}")
+    if kind not in REPLICATION_PARTNERS:
+        raise InputError(f"replication kind must be 'di' or 'tri', got {kind!r}")
+    return white_product(catalog(REPLICATION_PARTNERS[kind]), P).renamed(f"{kind}({P.name})")
 
 
 # Splitting: generator g of Q becomes succ/prec (+ perp) copies.

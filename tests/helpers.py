@@ -7,6 +7,7 @@ from math import comb, gcd, lcm
 
 from quadop.core.free3 import GeneratorSpace, Vec, act, s3_closure
 from quadop.core.operad import QuadOperad
+from quadop.core.parser import parse_relation
 from quadop.core.perms import CYC123, IDENT, REPS, SWAP12, compose, coset_decompose
 from quadop.errors import InputError, InternalCheckError
 from quadop.koszul import dual_generators
@@ -96,14 +97,27 @@ def free3_action(space, perm):
 
 
 def reference_is_s3_stable(space, sub):
-    """The S3-stability guard as a plain membership loop: every canonical
-    row's image under (12) and (123) is tested with SubspaceQ.contains.
-    Kept as the reference for the one-pass reduction in is_s3_stable."""
+    """The S3-stability guard as a plain membership loop: the canonical rows
+    are swept into an EchelonBasis, and every row's image under (12) and
+    (123) is tested with EchelonBasis.contains, which searches for the
+    smallest column on every step.  Kept as the reference for
+    SubspaceQ.reduce, the one-pass reduction that is_s3_stable calls; the
+    two share only the single elimination step."""
+    eb = EchelonBasis(sub.ambient_dim)
+    for row in sub.rows():
+        eb.add(row)
     for g in (SWAP12, CYC123):
         for row in sub.rows():
-            if not sub.contains(act(space, g, row)):
+            if not eb.contains(act(space, g, row)):
                 return False
     return True
+
+
+def printed_kernel(report, dspace):
+    """The span of a Dong report's printed witnesses, parsed in the dual
+    generators dspace: the block kernel as the output states it."""
+    return SubspaceQ.from_vectors(dspace.free3_dim,
+                                  [parse_relation(dspace, w) for w in report.witnesses])
 
 
 _REFERENCE_TOKEN_RE = re.compile(

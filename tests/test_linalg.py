@@ -132,6 +132,30 @@ def test_residual_matches_per_step_stripping(data):
     assert canon.rows() == [reference_primitive(b) for b in canon.basis()]
 
 
+@given(sparse_mixed_rows(), st.lists(_mixed_entry, max_size=6))
+@settings(max_examples=200, deadline=None)
+@example(data=(3, [{0: 2, 2: Fraction(1, 2)}, {1: 1, 2: 1}], [{}]), coeffs=[3, Fraction(-1, 2)])
+def test_canonical_membership_matches_the_echelon_search(data, coeffs):
+    # SubspaceQ.contains makes one elimination per pivot column in the
+    # support; EchelonBasis.contains searches for the smallest column on
+    # every step.  They must agree on every vector, and leave it as it was.
+    n, rows, probes = data
+    eb = EchelonBasis(n)
+    for r in rows:
+        eb.add(r)
+    canon = SubspaceQ.from_vectors(n, rows)
+    inside: dict = {}
+    for c, r in zip(coeffs, rows):
+        add_scaled(inside, r, c)
+    free = [{c: Fraction(1, 3)} for c in range(n) if c not in canon.pivots]
+    for vec in probes + [inside, {}] + free[:1]:
+        before = dict(vec)
+        assert canon.contains(vec) == eb.contains(vec)
+        assert vec == before
+    assert canon.contains(inside) and canon.contains({})
+    assert not any(canon.contains(v) for v in free)
+
+
 @st.composite
 def wide_sparse_rows(draw, max_dim=24):
     n = draw(st.integers(min_value=1, max_value=max_dim))
@@ -229,19 +253,6 @@ def test_perp_links_its_result_back_to_its_source_only(data):
     # A subspace that perp() did not make is complemented afresh.
     q = fresh_perp(s)
     assert q == p and q.perp() is not s and q.perp() == s
-
-
-@given(subspace_and_ambient(), st.integers(0, 4))
-@settings(max_examples=40, deadline=None)
-def test_widened_keeps_the_canonical_rows(data, extra):
-    n, vecs = data
-    s = _span(n, *vecs)
-    w = s.widened(n + extra)
-    assert w.ambient_dim == n + extra
-    assert w == SubspaceQ.from_vectors(n + extra, s.rows())
-    assert w.perp() == fresh_perp(w)
-    with pytest.raises(ValueError):
-        s.widened(n - 1)
 
 
 @given(subspace_and_ambient())
