@@ -20,6 +20,12 @@ generator: e_h(xc, w) = ((12)e_h)(w, xc).
 
 pretty_print emits terms in flat-index order and parse_relation inverts it
 exactly; "0" is the empty vector.
+
+The reader is one compiled regex that matches a whole term (sign,
+coefficient, either comb and the whitespace around them): parse_relation
+walks the text with it, one match per term.  The tokenizer and its cursor
+only word the InputError for text that the term regex does not consume, so
+an error reads the same whichever way it was found.
 """
 
 from __future__ import annotations
@@ -28,8 +34,8 @@ import re
 from fractions import Fraction
 
 from quadop.core.free3 import GeneratorSpace, Vec, act
-from quadop.core.perms import IDENT, Perm
-from quadop.errors import InputError
+from quadop.core.perms import IDENT, S3, Perm
+from quadop.errors import InputError, InternalCheckError
 from quadop.linalg import add_scaled
 
 _TOKEN_RE = re.compile(
@@ -41,6 +47,23 @@ _TOKEN_RE = re.compile(
     )""",
     re.VERBOSE,
 )
+
+# One term: an optional sign, an optional "n[/m] *" coefficient, a left comb
+# (groups 4-8) or a right comb (groups 9-13), and the whitespace around
+# them.  Each piece is the tokenizer's pattern for that token, so a text the
+# regex consumes tokenizes to the same tokens.
+_TERM_RE = re.compile(
+    r"""\s*(?:([+-])\s*)?
+        (?:(\d+)\s*(?:/\s*(\d+)\s*)?\*\s*)?
+        (?:
+            \(\s*x([123])\s*\{([^{}]*)\}\s*x([123])\s*\)\s*\{([^{}]*)\}\s*x([123])
+          | x([123])\s*\{([^{}]*)\}\s*\(\s*x([123])\s*\{([^{}]*)\}\s*x([123])\s*\)
+        )\s*""",
+    re.VERBOSE,
+)
+_ZERO_RE = re.compile(r"\s*(\d+)\s*")  # "0" is the empty vector
+_VAR = {"1": 1, "2": 2, "3": 3}
+_PERMS = frozenset(S3)
 
 
 def _tokenize(text: str) -> list[tuple[str, object]]:
@@ -101,7 +124,7 @@ class _Cursor:
 
 def _left_comb(space: GeneratorSpace, a, g, b, h, c) -> Vec:
     sigma: Perm = (a, b, c)
-    if set(sigma) != {1, 2, 3}:
+    if sigma not in _PERMS:
         raise InputError(f"each of x1, x2, x3 must occur exactly once, got x{a}, x{b}, x{c}")
     unit = {space.flat(IDENT, space.gen_index(h), space.gen_index(g)): 1}
     return act(space, sigma, unit)
@@ -109,7 +132,7 @@ def _left_comb(space: GeneratorSpace, a, g, b, h, c) -> Vec:
 
 def _right_comb(space: GeneratorSpace, c, h, a, g, b) -> Vec:
     sigma: Perm = (a, b, c)
-    if set(sigma) != {1, 2, 3}:
+    if sigma not in _PERMS:
         raise InputError(f"each of x1, x2, x3 must occur exactly once, got x{c}, x{a}, x{b}")
     gi = space.gen_index(g)
     out: Vec = {}
@@ -154,15 +177,18 @@ def _parse_term(space: GeneratorSpace, cur: _Cursor) -> Vec:
                 raise InputError("zero denominator")
         coeff = num if denom == 1 else Fraction(num, denom)
         cur.expect("punct", "*")
-    mono = _parse_mono(space, cur)
+    return _scaled(_parse_mono(space, cur), coeff)
+
+
+def _scaled(mono: Vec, coeff) -> Vec:
     if coeff == 1:
         return mono
     return {k: coeff * v for k, v in mono.items()}
 
 
-def parse_relation(space: GeneratorSpace, text: str) -> Vec:
-    """Parse a relation string into {flat index: coefficient} over the space;
-    a relation written with integer coefficients gives int values."""
+def _parse_tokens(space: GeneratorSpace, text: str) -> Vec:
+    """The token path: tokenize the whole text, then parse it with a cursor.
+    It raises the InputError for any text the term path does not consume."""
     toks = _tokenize(text)
     if toks == [("int", 0)]:
         return {}
@@ -180,6 +206,61 @@ def parse_relation(space: GeneratorSpace, text: str) -> Vec:
         if kind != "punct" or val not in "+-":
             raise InputError(f"expected '+' or '-' between terms, got {val!r} in {text!r}")
         sign = 1 if val == "+" else -1
+
+
+def _read_terms(space: GeneratorSpace, text: str) -> Vec | None:
+    """The term path: the vector of text read with one _TERM_RE match per
+    term, or None when the matches do not consume the text or the token
+    path would refuse it before parsing (an empty name, an integer int()
+    refuses).  The terms are all matched before any is evaluated, so the
+    first fault found in evaluation is the token path's first fault too."""
+    zero = _ZERO_RE.fullmatch(text)
+    if zero is not None:
+        try:
+            return {} if int(zero[1]) == 0 else None
+        except ValueError:  # more digits than int() accepts
+            return None
+    terms = []
+    pos = 0
+    while pos < len(text):
+        m = _TERM_RE.match(text, pos)
+        if m is None:
+            return None
+        sign, num, den, la, lg, lb, lh, lc, rc, rh, ra, rg, rb = m.groups()
+        # "+" or "-" between terms; only "-" may open the relation.
+        if (sign is None) if terms else (sign == "+"):
+            return None
+        try:
+            num = 1 if num is None else int(num)
+            den = 1 if den is None else int(den)
+        except ValueError:  # more digits than int() accepts
+            return None
+        if la is not None:
+            comb, args = _left_comb, (_VAR[la], lg.strip(), _VAR[lb], lh.strip(), _VAR[lc])
+        else:
+            comb, args = _right_comb, (_VAR[rc], rh.strip(), _VAR[ra], rg.strip(), _VAR[rb])
+        if not args[1] or not args[3]:  # a name that strips to nothing
+            return None
+        terms.append((-1 if sign == "-" else 1, num, den, comb, args))
+        pos = m.end()
+    if not terms:
+        return None
+    out: Vec = {}
+    for sign, num, den, comb, args in terms:
+        if den == 0:
+            raise InputError("zero denominator")
+        add_scaled(out, _scaled(comb(space, *args), num if den == 1 else Fraction(num, den)), sign)
+    return out
+
+
+def parse_relation(space: GeneratorSpace, text: str) -> Vec:
+    """Parse a relation string into {flat index: coefficient} over the space;
+    a relation written with integer coefficients gives int values."""
+    vec = _read_terms(space, text)
+    if vec is None:
+        _parse_tokens(space, text)  # raises the InputError that words the fault
+        raise InternalCheckError(f"the token path parses a relation the term path refuses: {text!r}")
+    return vec
 
 
 def monomial_str(space: GeneratorSpace, index: int) -> str:

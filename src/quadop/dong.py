@@ -10,7 +10,10 @@ canonical rows (SubspaceQ.truncated), so only its complement is eliminated.
 
 A NotDong verdict prints that kernel's canonical basis in the dual generators
 as witnesses, and each is replayed with dot products only (replay_witnesses).
-A failed replay is an internal bug, not a property of the input.
+A failed replay is an internal bug, not a property of the input.  The replay
+indexes R's entries by column on the block columns only: a witness off the
+block is refused by the block test before its dot products matter, so
+leaving the other columns out changes no verdict.
 """
 
 from __future__ import annotations
@@ -51,22 +54,31 @@ def replay_witnesses(P: QuadOperad, dspace: GeneratorSpace, witnesses: list[str]
     Each must parse in the dual generators dspace to a nonzero vector on the
     identity block with a leading column no earlier witness has, and pair to
     zero with every canonical relation row of P.  Raises InternalCheckError.
+
+    The column index holds only R's entries on the block, c < d*d: a
+    witness with an entry off the block fails the block test whatever its
+    dot products, and the dot products of one on the block read no column
+    past it, so the verdict is the one a full index gives.  Every witness
+    is still parsed and dotted with every relation row that meets the
+    block.
     """
+    block = P.dim_gens ** 2
     by_col: dict[int, list[tuple[int, int]]] = {}
     for k, row in enumerate(P.relations.rows()):
         for c, a in row.items():
-            by_col.setdefault(c, []).append((k, a))
+            if c < block:
+                by_col.setdefault(c, []).append((k, a))
     leads = set()
     for w in witnesses:
         try:
             vec = parse_relation(dspace, w)
         except InputError:
             vec = {}
-        dots: dict[int, Fraction] = {}
+        dots: dict[int, int | Fraction] = {}
         for c, x in vec.items():
             for k, a in by_col.get(c, ()):
                 dots[k] = dots.get(k, 0) + x * a
-        if not vec or max(vec) >= P.dim_gens ** 2 or min(vec) in leads or any(dots.values()):
+        if not vec or max(vec) >= block or min(vec) in leads or any(dots.values()):
             raise InternalCheckError(
                 f"witness {w!r} of {P.name} is not a new nonzero block vector in R-perp"
             )

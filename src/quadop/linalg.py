@@ -22,9 +22,10 @@ and an all-int row is only copied.
   structural.  reduce() is the one reduction against canonical rows: one
   elimination per pivot column in a row's support, and the row lies in the
   span exactly when nothing is left; contains() and the S3-stability guard
-  both call it.  basis() is the one Fraction output, for printing: it
-  scales each row to pivot entry 1.  annihilator_rows() gives primitive
-  integer functionals whose common kernel is the subspace, and
+  both call it.  basis() is the one output that may hold Fractions, for
+  printing: it scales each row to pivot entry 1, and a row whose pivot
+  value is already 1 keeps its int entries.  annihilator_rows() gives
+  primitive integer functionals whose common kernel is the subspace, and
   invert_matrix reads the inverse off the canonical form of [M | I].
 
   perp() records on its result the subspace it came from, and perp() of
@@ -212,12 +213,14 @@ class SubspaceQ:
         are shared with the subspace; do not modify them."""
         return list(self._rows.values())
 
-    def basis(self) -> list[dict[int, Fraction]]:
-        """Canonical basis vectors as {col: Fraction} mappings, pivot entry 1."""
+    def basis(self) -> list[dict[int, int | Fraction]]:
+        """Canonical basis vectors as {col: value} mappings, pivot entry 1.
+        A row whose pivot value is 1 keeps its int entries (a fresh dict);
+        any other row is divided by its pivot value into Fractions."""
         out = []
         for p, r in self._rows.items():
             lead = r[p]
-            out.append({c: Fraction(v, lead) for c, v in r.items()})
+            out.append(dict(r) if lead == 1 else {c: Fraction(v, lead) for c, v in r.items()})
         return out
 
     def reduce(self, v: IntRow) -> IntRow:
@@ -301,10 +304,11 @@ class SubspaceQ:
         return f"SubspaceQ(dim={self.dim}, ambient={self.ambient_dim})"
 
 
-def invert_matrix(mat) -> list[list[Fraction]] | None:
+def invert_matrix(mat) -> list[list[int | Fraction]] | None:
     """Inverse of a square rational matrix, or None if singular: the
     canonical form of the rows [M | I] is [I | M^-1] exactly when M is
-    invertible.  A matrix that is not square raises ValueError."""
+    invertible.  An integral entry of the inverse is an int, any other a
+    Fraction.  A matrix that is not square raises ValueError."""
     n = len(mat)
     for row in mat:
         if len(row) != n:
@@ -313,7 +317,8 @@ def invert_matrix(mat) -> list[list[Fraction]] | None:
                                          for i, row in enumerate(mat)))
     if aug.pivots != tuple(range(n)):
         return None
-    return [[r.get(n + j, Fraction(0)) for j in range(n)] for r in aug.basis()]
+    return [[x.numerator if x.denominator == 1 else x
+             for x in (r.get(n + j, 0) for j in range(n))] for r in aug.basis()]
 
 
 def add_scaled(out: dict, terms, scale=1) -> dict:

@@ -104,7 +104,7 @@ def sparse_mixed_rows(draw, max_dim=10):
 
 @given(sparse_mixed_rows())
 @settings(max_examples=150, deadline=None)
-def test_residual_matches_per_step_stripping(data):
+def test_add_files_the_primitive_reduced_residual(data):
     n, rows, probes = data
     eb = EchelonBasis(n)
     for vec in rows + probes:
@@ -165,9 +165,12 @@ def wide_sparse_rows(draw, max_dim=24):
 
 @given(wide_sparse_rows())
 @settings(max_examples=100, deadline=None)
+@example(data=(3, [{0: 1, 2: 3}, {1: 2, 2: 1}]))
 def test_from_echelon_matches_dense_rref(data):
     # Rows with up to 8 entries carry several pivot columns each, so the
-    # back-substitution clears them in more than one order.
+    # back-substitution clears them in more than one order.  basis() has
+    # the reference's values, as ints on a row whose canonical pivot value
+    # is 1 and as Fractions on any other row.
     n, rows = data
     eb = EchelonBasis(n)
     for vec in rows:
@@ -181,6 +184,9 @@ def test_from_echelon_matches_dense_rref(data):
     assert canon.rows() == [reference_primitive(b) for b in canon.basis()]
     for row in canon.rows():
         assert list(row) == sorted(row)
+    for p, row, vec in zip(canon.pivots, canon.rows(), canon.basis()):
+        assert {type(x) for x in vec.values()} == ({int} if row[p] == 1 else {Fraction})
+        assert vec is not row
 
 
 def test_non_rational_entries_are_rejected():
@@ -415,6 +421,17 @@ def test_invert_matrix_roundtrip():
         for i in range(2)
     ]
     assert prod == [[1, 0], [0, 1]]
+    # An integral entry of the inverse is an int, any other a Fraction; the
+    # product with M is I on both sides.
+    for m in ([[2, 1], [1, 1]], [[2, 0, 1], [0, 3, 0], [1, 0, 1]], [[Fraction(1, 2), 1], [0, 4]]):
+        inv = invert_matrix(m)
+        n = len(m)
+        for row in inv:
+            assert all(type(x) is (int if x.denominator == 1 else Fraction) for x in row)
+        identity = [[int(i == j) for j in range(n)] for i in range(n)]
+        for a, b in ((m, inv), (inv, m)):
+            assert [[sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n)]
+                    for i in range(n)] == identity
 
 
 def test_invert_matrix_singular_returns_none():

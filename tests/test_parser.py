@@ -1,14 +1,19 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from quadop.core.catalog import catalog, resolve
 from quadop.core.free3 import GeneratorSpace
-from quadop.core.parser import _tokenize, monomial_str, parse_relation, pretty_print
+from quadop.core.parser import (
+    _parse_tokens, _read_terms, _tokenize, monomial_str, parse_relation, pretty_print,
+)
 from quadop.core.perms import CYC123, IDENT
 from quadop.errors import InputError
+from quadop.manin import black_product
 from helpers import reference_tokenize
 
 SYM = GeneratorSpace(("m",), ((Fraction(1),),))
@@ -19,6 +24,15 @@ TRIPLE = GeneratorSpace(
         (Fraction(-1), Fraction(0), Fraction(0)),
         (Fraction(0), Fraction(0), Fraction(-1)),
         (Fraction(0), Fraction(-1), Fraction(0)),
+    ),
+)
+# Product-style names: '*', "'" and '\u2022' inside the braces.
+NAMED = GeneratorSpace(
+    ("z1'*p1", "z1'\u2022p2", "b_succ'*m1"),
+    (
+        (Fraction(0), Fraction(1), Fraction(0)),
+        (Fraction(1), Fraction(0), Fraction(0)),
+        (Fraction(0), Fraction(0), Fraction(-1)),
     ),
 )
 
@@ -110,16 +124,25 @@ _FRAGMENTS = ["x1", "x2", "x3", "x4", "{p}", "{c1}", "{c2}", "{}", "{", "}", "("
     st.lists(st.sampled_from(_FRAGMENTS), max_size=24).map("".join),
     st.text(alphabet="x123{}()+-*/ 0pc\u0661", max_size=40),
 ))
+# Valid relations, so that the round trip below runs on every run; the last
+# two parse only over NAMED.
+@example("(x1 {p} x2) {p} x3")
+@example("3 * (x1 {p} x2) {c1} x3 - 3/2 * (x2 {c2} x3) {p} x1")
+@example("x3 {c1} (x1 {p} x2) + (x2 {p} x1) {c2} x3")
+@example("- 2 * x1 {p} (x2 {c2} x3) - (x1 {c1} x2) {p} x3")
+@example("(x1 {z1'*p1} x2) {z1'\u2022p2} x3 - 5/3 * x2 {b_succ'*m1} (x3 {z1'*p1} x1)")
+@example("-(x3{b_succ'*m1}x2){ z1'\u2022p2 }x1")
 def test_parser_fuzz_returns_a_vector_or_input_error(text):
-    try:
-        vec = parse_relation(TRIPLE, text)
-    except InputError:
-        return
-    assert isinstance(vec, dict)
-    for idx, coeff in vec.items():
-        assert 0 <= idx < TRIPLE.free3_dim
-        assert isinstance(coeff, Fraction) and coeff
-    assert parse_relation(TRIPLE, pretty_print(TRIPLE, vec)) == vec
+    for space in (TRIPLE, NAMED):
+        try:
+            vec = parse_relation(space, text)
+        except InputError:
+            continue
+        assert isinstance(vec, dict)
+        for idx, coeff in vec.items():
+            assert 0 <= idx < space.free3_dim
+            assert type(coeff) in (int, Fraction) and coeff
+        assert parse_relation(space, pretty_print(space, vec)) == vec
 
 
 def test_overlong_integer_is_an_input_error():
@@ -155,6 +178,83 @@ def _tokens_or_error(tokenize, text):
        .map("".join))
 def test_tokenizer_matches_the_reference(text):
     assert _tokens_or_error(_tokenize, text) == _tokens_or_error(reference_tokenize, text)
+
+
+PRODUCT = black_product(resolve("dual(Zinb)"), catalog("Perm")).space
+_PRINTED_TOKEN = re.compile(r"x[123]|\{[^{}]*\}|\d+|[()+\-*/]")
+_BLANKS = st.sampled_from(["", " ", "  ", "\t", "\n", "\u2003"])
+_ENTRIES = st.one_of(
+    st.integers(min_value=-6, max_value=6),
+    st.fractions(min_value=-5, max_value=5, max_denominator=6),
+)
+
+
+@st.composite
+def printed_relations(draw):
+    """A space, a vector and its pretty_print text, with whitespace drawn
+    between every two tokens and around the text."""
+    space = draw(st.sampled_from([LIE, TRIPLE, NAMED, PRODUCT]))
+    vec = draw(st.dictionaries(st.integers(0, space.free3_dim - 1), _ENTRIES, max_size=6))
+    vec = {k: v for k, v in vec.items() if v}
+    tokens = _PRINTED_TOKEN.findall(pretty_print(space, vec))
+    text = draw(_BLANKS) + "".join(tok + draw(_BLANKS) for tok in tokens)
+    return space, vec, text
+
+
+def _outcome(read, space, text):
+    try:
+        vec = read(space, text)
+    except InputError as exc:
+        return ("InputError", str(exc))
+    return vec if vec is None else sorted((k, type(v).__name__, v) for k, v in vec.items())
+
+
+@settings(max_examples=200, deadline=None)
+@given(printed_relations())
+@example((TRIPLE, {TRIPLE.flat(IDENT, 0, 1): Fraction(3, 2)}, "3/2 * (x1 {c1} x2) {p} x3"))
+def test_every_printed_relation_is_read_by_the_term_path(case):
+    space, vec, text = case
+    assert _read_terms(space, text) == vec
+    assert _outcome(_read_terms, space, text) == _outcome(_parse_tokens, space, text)
+
+
+_AROUND = st.sampled_from(["", "+", "-", "+ ", "- ", "0 * ", "1/0 * ", "3/ * ", "2 ", " $",
+                           " +", " (x1 {p} x2) {p} x3", " - 0 * x1 {p} (x2 {c1} x3)"])
+
+
+@st.composite
+def relation_texts(draw):
+    """Texts near the grammar: fragments and pieces over TRIPLE, and printed
+    relations with something added in front or behind."""
+    kind = draw(st.integers(0, 2))
+    if kind == 0:
+        return TRIPLE, "".join(draw(st.lists(st.sampled_from(_FRAGMENTS), max_size=24)))
+    if kind == 1:
+        return TRIPLE, "".join(draw(st.lists(_PIECES, max_size=16)))
+    space, _, text = draw(printed_relations())
+    return space, draw(_AROUND) + text + draw(_AROUND)
+
+
+@settings(max_examples=400, deadline=None)
+@given(relation_texts())
+@example((TRIPLE, "+ (x1 {p} x2) {p} x3"))
+@example((TRIPLE, "(x1 {p} x2) {p} x3 (x2 {p} x3) {p} x1"))
+@example((TRIPLE, "- 3/2 * (x1 {p} x2) {c1} x3 + 1/0 * (x1 {p} x2) {q} x3"))
+@example((TRIPLE, "(x1 {q} x2) {p} x3 + (x1 {} x2) {p} x3"))
+@example((TRIPLE, "(x1 {p} x1) {p} x3 + 1/0 * (x1 {p} x2) {p} x3"))
+@example((TRIPLE, " 00\t"))
+@example((TRIPLE, "0" * 5000))
+def test_the_term_path_agrees_with_the_token_path(case):
+    # The same vector, value types included, or the same InputError; text
+    # the term path leaves to the token path must raise there.
+    space, text = case
+    terms = _outcome(_read_terms, space, text)
+    tokens = _outcome(_parse_tokens, space, text)
+    if terms is None:
+        assert tokens[0] == "InputError"
+    else:
+        assert terms == tokens
+    assert _outcome(parse_relation, space, text) == tokens
 
 
 def test_generator_names_with_products_and_primes_read_back():
