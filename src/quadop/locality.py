@@ -30,8 +30,8 @@ elimination:
 
 The level is found once per operation pair (i, j), by two membership
 tests (the second in V_2 + V_3, which holds a base of V_1 exactly when
-V_1 cap (V_2 + V_3) does), and a residue then costs time in its own number
-of terms, whatever K and T are.
+V_1 cap (V_2 + V_3) does).  On a residue these tests reduce to a comparison
+of the level with k and N (below), so no residue is expanded.
 
 Proof.  Three subspaces of one space decompose it into indecomposable
 pieces of only nine types (the D4 quiver is of finite type:
@@ -78,16 +78,46 @@ is the sum of the lines (1; S) with sigma_1 and another sigma in S;
 V_1 cap (V_2 + V_3) adds the e1 of every plane, as e1 = e2 + (e1 - e2);
 outside it base has a (1; sigma_1) component.
 
+The order, read off the level.  The residue of (i, k, j, N) at the anchor
+(n, m) has the points (k - t, n - s + t, m + s), 0 <= s <= N and 0 <= t <= k,
+with coefficient (-1)^(s+t) C(N, s) C(k, t).  The first coordinate fixes t
+and the third fixes s, so no two points coincide.  The sum of g over
+n_c = m + s is (-1)^s C(N, s) (1 - 1)^k.
+
+* For k >= 1 every such sum is 0, so every level is a member already at
+  N = 0.
+* For k = 0 the sum over n_c = m + s is (-1)^s C(N, s), never 0, so level 3
+  is never a member.  The total sum g = (1 - 1)^N vanishes from N = 1.  The
+  moment sum g n_c = m (1 - 1)^N - N (1 - 1)^(N - 1) vanishes from N = 2
+  (it is -1 at N = 1).
+
+So the residue is a member exactly when level = 0, or k > 0, or level < 3
+and N >= level: the order is 0 at level 0 or k >= 1, else the level (1 or
+2), and none at level 3.  The window radius K and the anchor only decide
+whether the residue fits in the window.
+
+Level 3 is the Dong support.  A functional on P(3) is a functional w on F(3)
+that kills the relations R, and it kills V_2 + V_3 exactly when it is
+supported on the identity-block columns c < d*d.  So the dual of
+P(3)/(V_2 + V_3) is the Dong block kernel, the perp of R's projection onto
+those columns (dong.py), and the base of the pair (i, j), the image of the
+column c = flat(IDENT, j, i), lies in V_2 + V_3 exactly when w_c = 0 for
+every kernel vector w.  A base of V_1 has level 3 exactly when it lies
+outside V_2 + V_3, so the pairs of level 3 are those at which some kernel
+vector is nonzero.
+
 Membership is a sound certificate: every ideal generator is a genuine
 relation, so a residue found inside the span really does vanish, and a
-found order certifies exactly that.  A failed membership only says no
-witness exists inside the window (a sum or a moment of g that does not
-vanish), so negative outcomes are evidence, not proof.
+found order certifies exactly that.  A null at level 3 is a proof of
+non-locality: for a kernel vector w with w_c != 0, w (x) [n_c = m] kills the
+ideal (w kills V_2 and V_3, and [n_c = m] is constant on every 1-line, so
+it sums g of D_1 to 0) and takes the value w_c on the residue at k = 0, for
+every N and in every window.  A null at levels 1 and 2 only means that Nmax
+is below the level.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from quadop.core.operad import QuadOperad
@@ -96,9 +126,9 @@ from quadop.errors import InputError
 from quadop.linalg import IntRow, SubspaceQ, primitive_row
 
 # Largest window radius K, checked before anything is built.  Membership
-# costs the same at every K, so this is a bound on the input, not on the
-# work: the tests check the closed forms against the eliminated reference
-# blocks for every K up to it.
+# reads only the pair's level, k and N, so this is a bound on the input, not
+# on the work: the tests check the level tests against the eliminated
+# reference blocks for every K up to it.
 MAX_WINDOW = 16
 
 
@@ -129,8 +159,8 @@ class LocalityInstance:
     """Window of radius K around index 0 for each coefficient family.
 
     The locality ideal preserves the total index T = n_a+n_b+n_c, so
-    membership tests run inside a single T-graded block, by closed forms
-    that read only the residue's points and coefficients.
+    membership tests run inside a single T-graded block.  For a residue the
+    test reads only the pair's level, k and N (module docstring).
     """
 
     def __init__(self, P: QuadOperad, K: int):
@@ -177,24 +207,6 @@ class LocalityInstance:
             return 1
         return 2 if self._others.contains(base) else 3
 
-    # -- membership ----------------------------------------------------
-
-    @staticmethod
-    def _contains(level: int, f: dict[tuple[int, int, int], int]) -> bool:
-        """Whether base (x) f lies in the ideal, for base a row of V_1 of the
-        given level and f an integer function on window points of one total
-        index.  Every test reads the sums of f over each value of n_c."""
-        if not level:
-            return True
-        sums: dict[int, int] = {}
-        for (_, _, nc), c in f.items():
-            sums[nc] = sums.get(nc, 0) + c
-        if level == 3:
-            return not any(sums.values())
-        if sum(sums.values()):
-            return False
-        return level == 1 or not sum(nc * s for nc, s in sums.items())
-
     # -- residues ------------------------------------------------------
 
     def _check_window(self, spec: ResidueSpec) -> None:
@@ -212,30 +224,24 @@ class LocalityInstance:
                 f"residue {spec} does not fit in window radius K={self.K}; requires K >= {need}"
             )
 
-    def _residue_terms(self, spec: ResidueSpec):
-        for s in range(spec.N + 1):
-            cs = (-1) ** s * math.comb(spec.N, s)
-            for t in range(spec.k + 1):
-                coeff = cs * (-1) ** t * math.comb(spec.k, t)
-                yield coeff, (spec.k - t, spec.n - s + t, spec.m + s)
-
     def contains_residue(self, spec: ResidueSpec) -> bool:
         self._check_window(spec)
         level = self._levels.get((spec.i, spec.j))
         if level is None:
             base = self._projected(REPS[0], spec.j, spec.i)
             level = self._levels[spec.i, spec.j] = self._level(base)
-        f: dict[tuple[int, int, int], int] = {}
-        for coeff, point in self._residue_terms(spec):
-            f[point] = f.get(point, 0) + coeff
-        return self._contains(level, f)
+        return not level or spec.k > 0 or (level < 3 and spec.N >= level)
 
     def min_locality_order(self, i: int, k: int, j: int, Nmax: int = 4,
                            n: int = 0, m: int = 0) -> int | None:
         """Smallest N <= Nmax whose residue lies in the ideal, or None.
 
-        None means no certificate exists inside this window, not a proof
-        of non-locality.
+        That is 0 at level 0 or k >= 1, else the pair's level when it is at
+        most Nmax (module docstring).  None at level 3 is a proof of
+        non-locality; None at levels 1 and 2 only means Nmax is below the
+        level.  The search still runs N = 0, 1, ... in turn, so a residue
+        that does not fit in the window raises at the first N that needs a
+        larger one.
         """
         if Nmax < 0:
             raise InputError(f"largest locality order Nmax must be >= 0, got {Nmax}")

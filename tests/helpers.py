@@ -771,6 +771,23 @@ def residue_function(spec):
     return f
 
 
+def level_contains(level, f):
+    """Whether base (x) f lies in the ideal, for base a row of V_1 of the
+    given level and f an integer {point: coefficient} function on window
+    points of one total index, by the level tests of the locality module
+    docstring.  Every test reads the sums of f over each value of n_c."""
+    if not level:
+        return True
+    sums = {}
+    for (_, _, nc), c in f.items():
+        sums[nc] = sums.get(nc, 0) + c
+    if level == 3:
+        return not any(sums.values())
+    if sum(sums.values()):
+        return False
+    return level == 1 or not sum(nc * s for nc, s in sums.items())
+
+
 def reference_sweep(lab, k=0, Nmax=4, n=0, m=0):
     """LocalityInstance.sweep decided on hub blocks."""
     P = lab.P

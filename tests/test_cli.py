@@ -155,6 +155,23 @@ def test_window_violation_reports_radius(capsys):
     assert "requires K >= 3" in err
 
 
+def test_window_errors_come_from_the_search(capsys):
+    """The sweep checks the window at N = 0, 1, ... up to each pair's
+    answer, and up to Nmax for a null pair.  Zinb's null pairs need K >= 4
+    only because they search to Nmax = 4, and Lie's order-2 pair fails at
+    N = 2 in a window of radius 1."""
+    code, out, err = run(capsys, "locality", "Zinb", "--window", "3")
+    assert code == 1 and out == ""
+    assert err == ("error: residue ResidueSpec(i=0, k=0, j=1, N=4, n=0, m=0) does not fit "
+                   "in window radius K=3; requires K >= 4\n")
+    payload = run_json(capsys, "locality", "Zinb", "--window", "3", "--n-max", "3")
+    assert payload["locality"]["pairs"] == {"0,0": 1, "0,1": None, "1,0": 1, "1,1": None}
+    code, out, err = run(capsys, "locality", "Lie", "--window", "1")
+    assert code == 1 and out == ""
+    assert err == ("error: residue ResidueSpec(i=0, k=0, j=0, N=2, n=0, m=0) does not fit "
+                   "in window radius K=1; requires K >= 2\n")
+
+
 def test_operad_from_file(capsys, tmp_path):
     path = tmp_path / "myop.json"
     path.write_text(json.dumps({

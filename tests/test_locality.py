@@ -4,6 +4,7 @@ import itertools
 import random
 from collections import Counter
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -14,6 +15,7 @@ from quadop.core.operad import change_basis
 from quadop.core.perms import REPS
 from quadop.dong import dong_verdict
 from quadop.errors import InputError, InternalCheckError
+from quadop.koszul import dual_generators
 from quadop.linalg import SubspaceQ, add_scaled
 from quadop.locality import MAX_WINDOW, LocalityInstance, ResidueSpec, build_instance
 from quadop.manin import black_product, replicate, split
@@ -29,7 +31,9 @@ from helpers import (
     hub_plane,
     ideal_subspace,
     join_labels,
+    level_contains,
     plane_generators,
+    printed_kernel,
     random_operad,
     random_swap_commuting,
     reference_sweep,
@@ -310,11 +314,12 @@ def _v1_bases(lab, ref, rng):
 
 
 def _decide_v1(lab, ref, case, f, ideal):
-    """The production membership of base (x) f, for a case of _v1_bases,
-    asserted equal to the membership that the dense ideal and the
-    summand-wise reference decide."""
+    """The level test of base (x) f (helpers.level_contains) at the
+    production level of a case of _v1_bases, asserted equal to the
+    membership that the dense ideal and the summand-wise reference
+    decide."""
     base, level, checks = case
-    got = lab._contains(level, f)
+    got = level_contains(level, f)
     dense = ideal.contains(_flat(lab, base, f))
     assert got == dense == ref.contains(checks, f), (level, base, f)
     return got
@@ -325,8 +330,9 @@ def test_summand_membership_matches_the_dense_ideal(name):
     """In every T-block (corners included) at K = 2 and 3, base (x) f is
     decided summand by summand by the reference exactly as membership in
     the neighbour-difference ideal decides it, for rows of every pair
-    space; the production level test decides the same for every row of
-    V_1 tried; and so does every residue of several (k, N, anchor) specs."""
+    space; the level test at the production level decides the same for
+    every row of V_1 tried; and contains_residue decides the same for every
+    residue of several (k, N, anchor) specs."""
     P = resolve(name)
     rng = random.Random(name)
     d = P.dim_gens
@@ -493,19 +499,34 @@ def test_levels_one_to_three_occur_on_the_table():
     assert 0 in zero.values()
 
 
+# The anchors (n, m) of the closed-form grid.
+ANCHORS = ((0, 0), (1, -1), (-1, 1), (2, 0), (0, -2))
+
+
 def test_centred_sweep_order_is_the_level():
-    """At k = 0 and anchor (0, 0) the order-N residue is
-    sum_s (-1)**s C(N, s) at (0, -s, s): its sum vanishes iff N >= 1, its
-    sum and its moment in n_c both iff N >= 2, and its sum over each value
-    of n_c never.  So the order found is the level, and level 3 finds
-    none."""
+    """The residue of (k, N) at the anchor (n, m) has (N + 1)(k + 1)
+    distinct points, and its sum over n_c = m + s is
+    (-1)**s C(N, s) (1 - 1)**k.  At k = 0 and anchor (0, 0) its sum
+    vanishes iff N >= 1, its sum and its moment in n_c both iff N >= 2,
+    and its sum over each value of n_c never.  So the centred order found
+    is the level, and level 3 finds none.  Over the whole grid (K 1-8,
+    k 0-2, N 0-5, five anchors, every pair) of the table entries and
+    seeded random operads, contains_residue decides as the level tests
+    decide on the expanded residue wherever its points fit in the window,
+    and raises wherever they do not."""
+    for k, N, (n, m) in itertools.product(range(3), range(9), ANCHORS):
+        f = residue_function(ResidueSpec(0, k, 0, N, n, m))
+        assert len(f) == (N + 1) * (k + 1) and all(f.values()), (k, N, n, m)
+        sums = Counter()
+        for (_, _, nc), c in f.items():
+            sums[nc] += c
+        assert sums == {m + s: (-1) ** s * comb(N, s) * 0 ** k for s in range(N + 1)}
     for N in range(9):
         f = residue_function(ResidueSpec(0, 0, 0, N))
         total = sum(f.values())
         moment = sum(c * nc for (_, _, nc), c in f.items())
         assert (total == 0) == (N >= 1)
         assert (total == moment == 0) == (N >= 2)
-        assert all(f.values()) and len({nc for _, _, nc in f}) == len(f)
     for P in _operads():
         lab = LocalityInstance(P, 3)
         ref = SummandDecomposition(lab)
@@ -514,6 +535,46 @@ def test_centred_sweep_order_is_the_level():
             assert level == ref.level(lab._projected(REPS[0], j, i)), (P.name, i, j)
             expected[i, j] = None if level == 3 else level
         assert lab.sweep(k=0, Nmax=3) == expected, P.name
+    rng = random.Random(23)
+    grid = [resolve(name) for name in sorted(TABLE_ORDERS)]
+    grid += [random_operad(rng, rng.randint(1, 3), rng.randint(1, 3)) for _ in range(12)]
+    decided = set()
+    for P in grid:
+        levels = _identity_levels(LocalityInstance(P, 1))
+        for K in range(1, 9):
+            lab = LocalityInstance(P, K)
+            for ((i, j), level), k, N, (n, m) in itertools.product(
+                    levels.items(), range(3), range(6), ANCHORS):
+                spec = ResidueSpec(i, k, j, N, n, m)
+                f = residue_function(spec)
+                if max(abs(x) for point in f for x in point) > K:
+                    with pytest.raises(InputError, match="does not fit in window"):
+                        lab.contains_residue(spec)
+                    continue
+                got = lab.contains_residue(spec)
+                assert got == level_contains(level, f), (P.name, K, spec, level)
+                decided.add((level, got))
+    assert decided == {(0, True)} | {(level, b) for level in (1, 2, 3) for b in (True, False)}
+
+
+def test_level_three_is_the_dong_support():
+    """Pair (i, j) has level 3 exactly when some vector of the Dong block
+    kernel, as dong_verdict prints it, is nonzero at the column of the
+    identity monomial (x1 {i} x2) {j} x3: that kernel is the dual of
+    P(3)/(V_2 + V_3) (locality module docstring).  The levels come from the
+    pair spaces of LocalityInstance and the kernel from dong.py, so either
+    one can fail the test."""
+    mixed = 0
+    for P in _operads():
+        report = dong_verdict(P)
+        support = {c for w in printed_kernel(report, dual_generators(P.space)).rows() for c in w}
+        levels = _identity_levels(LocalityInstance(P, 1))
+        level_3 = {pair for pair, level in levels.items() if level == 3}
+        assert level_3 == {(i, j) for i, j in levels
+                           if P.space.flat(REPS[0], j, i) in support}, P.name
+        assert bool(level_3) == (report.verdict == "NotDong"), P.name
+        mixed += 0 < len(level_3) < len(levels)
+    assert mixed
 
 
 def _check_summands(ref):
@@ -552,10 +613,10 @@ PLANE_ENTRIES = ("Lie", "Pois", "GD", "Alt", "Leib", "preLie", "postLie", "dual(
 def test_plane_entries_under_basis_changes_decide_as_the_reference(name):
     """Random changes of generators that commute with the swap (the
     construction of acceptance criterion 10; two at K = 2, one at K = 3)
-    keep the planes, and in every T-block the summand-wise reference and the production
-    level test match the dense ideal, and sweeps match the hub blocks, with
-    residues that meet a plane, and level-2 rows, found both inside and
-    outside the ideal."""
+    keep the planes, and in every T-block the summand-wise reference and the
+    level test at the production level match the dense ideal, and sweeps
+    match the hub blocks, with residues that meet a plane, and level-2 rows,
+    found both inside and outside the ideal."""
     rng = random.Random(name)
     P = resolve(name)
     plane_outcomes, level_2_outcomes = set(), set()
