@@ -39,8 +39,9 @@ from quadop.manin import (
 SCHEMA_VERSION = "1"
 
 _WINDOW_NOTE = (
-    "found orders are exact certificates; null means no certificate exists "
-    "inside this window and is not a proof of non-locality"
+    "found orders are exact certificates; a null is a proof of non-locality "
+    "when Nmax >= 2 (the pair has level 3), and otherwise may only mean that "
+    "the order exceeds Nmax"
 )
 
 

@@ -23,9 +23,10 @@ exactly; "0" is the empty vector.
 
 The reader is one compiled regex that matches a whole term (sign,
 coefficient, either comb and the whitespace around them): parse_relation
-walks the text with it, one match per term.  The tokenizer and its cursor
-only word the InputError for text that the term regex does not consume, so
-an error reads the same whichever way it was found.
+walks the text with it, one match per term, and words its own InputError
+where a match fails, a sign is misplaced, a name strips to nothing or an
+integer is longer than int() accepts.  There is no second parser: the
+token-by-token parser the tests compare against lives in tests/helpers.py.
 """
 
 from __future__ import annotations
@@ -35,23 +36,12 @@ from fractions import Fraction
 
 from quadop.core.free3 import GeneratorSpace, Vec, act
 from quadop.core.perms import IDENT, S3, Perm
-from quadop.errors import InputError, InternalCheckError
+from quadop.errors import InputError
 from quadop.linalg import add_scaled
-
-_TOKEN_RE = re.compile(
-    r"""\s*(?:
-        (?P<var>x[123])
-      | \{(?P<gen>[^{}]*)\}
-      | (?P<int>\d+)
-      | (?P<punct>[()+\-*/])
-    )""",
-    re.VERBOSE,
-)
 
 # One term: an optional sign, an optional "n[/m] *" coefficient, a left comb
 # (groups 4-8) or a right comb (groups 9-13), and the whitespace around
-# them.  Each piece is the tokenizer's pattern for that token, so a text the
-# regex consumes tokenizes to the same tokens.
+# them.
 _TERM_RE = re.compile(
     r"""\s*(?:([+-])\s*)?
         (?:(\d+)\s*(?:/\s*(\d+)\s*)?\*\s*)?
@@ -64,62 +54,6 @@ _TERM_RE = re.compile(
 _ZERO_RE = re.compile(r"\s*(\d+)\s*")  # "0" is the empty vector
 _VAR = {"1": 1, "2": 2, "3": 3}
 _PERMS = frozenset(S3)
-
-
-def _tokenize(text: str) -> list[tuple[str, object]]:
-    toks = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            if text[pos:].strip() == "":
-                break
-            raise InputError(f"cannot tokenize relation at position {pos}: {text[pos:pos + 12]!r}")
-        pos = m.end()
-        kind = m.lastgroup
-        value = m[kind]
-        if kind == "var":
-            toks.append((kind, int(value[1])))
-        elif kind == "gen":
-            name = value.strip()
-            if not name:
-                raise InputError("empty generator name in braces")
-            toks.append((kind, name))
-        elif kind == "int":
-            try:
-                toks.append((kind, int(value)))
-            except ValueError:  # more digits than int() accepts
-                raise InputError(f"integer at position {m.start(kind)} is too long") from None
-        else:
-            toks.append((kind, value))
-    return toks
-
-
-class _Cursor:
-    def __init__(self, toks, text):
-        self.toks = toks
-        self.text = text
-        self.pos = 0
-
-    def peek(self):
-        return self.toks[self.pos] if self.pos < len(self.toks) else (None, None)
-
-    def take(self):
-        tok = self.peek()
-        if tok[0] is None:
-            raise InputError(f"unexpected end of relation: {self.text!r}")
-        self.pos += 1
-        return tok
-
-    def expect(self, kind, value=None):
-        got = self.take()
-        if got[0] != kind or (value is not None and got[1] != value):
-            want = value if value is not None else kind
-            raise InputError(f"expected {want!r}, got {got[1]!r} in {self.text!r}")
-        return got[1]
-
-    def at_end(self):
-        return self.pos >= len(self.toks)
 
 
 def _left_comb(space: GeneratorSpace, a, g, b, h, c) -> Vec:
@@ -142,125 +76,61 @@ def _right_comb(space: GeneratorSpace, c, h, a, g, b) -> Vec:
     return out
 
 
-def _parse_mono(space: GeneratorSpace, cur: _Cursor) -> Vec:
-    kind, val = cur.peek()
-    if kind == "punct" and val == "(":
-        cur.take()
-        a = cur.expect("var")
-        g = cur.expect("gen")
-        b = cur.expect("var")
-        cur.expect("punct", ")")
-        h = cur.expect("gen")
-        c = cur.expect("var")
-        return _left_comb(space, a, g, b, h, c)
-    if kind == "var":
-        c = cur.take()[1]
-        h = cur.expect("gen")
-        cur.expect("punct", "(")
-        a = cur.expect("var")
-        g = cur.expect("gen")
-        b = cur.expect("var")
-        cur.expect("punct", ")")
-        return _right_comb(space, c, h, a, g, b)
-    raise InputError(f"expected a monomial, got {val!r} in {cur.text!r}")
-
-
-def _parse_term(space: GeneratorSpace, cur: _Cursor) -> Vec:
-    coeff = 1
-    if cur.peek()[0] == "int":
-        num = cur.take()[1]
-        denom = 1
-        if cur.peek() == ("punct", "/"):
-            cur.take()
-            denom = cur.expect("int")
-            if denom == 0:
-                raise InputError("zero denominator")
-        coeff = num if denom == 1 else Fraction(num, denom)
-        cur.expect("punct", "*")
-    return _scaled(_parse_mono(space, cur), coeff)
-
-
 def _scaled(mono: Vec, coeff) -> Vec:
     if coeff == 1:
         return mono
     return {k: coeff * v for k, v in mono.items()}
 
 
-def _parse_tokens(space: GeneratorSpace, text: str) -> Vec:
-    """The token path: tokenize the whole text, then parse it with a cursor.
-    It raises the InputError for any text the term path does not consume."""
-    toks = _tokenize(text)
-    if toks == [("int", 0)]:
-        return {}
-    cur = _Cursor(toks, text)
-    out: Vec = {}
-    sign = 1
-    if cur.peek() == ("punct", "-"):
-        cur.take()
-        sign = -1
-    while True:
-        add_scaled(out, _parse_term(space, cur), sign)
-        if cur.at_end():
-            return out
-        kind, val = cur.take()
-        if kind != "punct" or val not in "+-":
-            raise InputError(f"expected '+' or '-' between terms, got {val!r} in {text!r}")
-        sign = 1 if val == "+" else -1
+def _integer(m: re.Match, group: int) -> int:
+    try:
+        return int(m[group])
+    except ValueError:  # more digits than int() accepts
+        raise InputError(f"integer at position {m.start(group)} is too long") from None
 
 
-def _read_terms(space: GeneratorSpace, text: str) -> Vec | None:
-    """The term path: the vector of text read with one _TERM_RE match per
-    term, or None when the matches do not consume the text or the token
-    path would refuse it before parsing (an empty name, an integer int()
-    refuses).  The terms are all matched before any is evaluated, so the
-    first fault found in evaluation is the token path's first fault too."""
+def parse_relation(space: GeneratorSpace, text: str) -> Vec:
+    """Parse a relation string into {flat index: coefficient} over the space;
+    a relation written with integer coefficients gives int values.
+
+    Every term is matched, and its integers and names read, before any is
+    evaluated, so text that breaks the grammar anywhere is refused for that,
+    ahead of an unknown generator, a repeated variable or a zero denominator.
+    """
     zero = _ZERO_RE.fullmatch(text)
-    if zero is not None:
-        try:
-            return {} if int(zero[1]) == 0 else None
-        except ValueError:  # more digits than int() accepts
-            return None
+    if zero is not None and _integer(zero, 1) == 0:
+        return {}
     terms = []
     pos = 0
-    while pos < len(text):
+    while True:
         m = _TERM_RE.match(text, pos)
         if m is None:
-            return None
+            raise InputError(f"cannot read a term at position {pos}: {text[pos:pos + 12]!r}")
         sign, num, den, la, lg, lb, lh, lc, rc, rh, ra, rg, rb = m.groups()
         # "+" or "-" between terms; only "-" may open the relation.
-        if (sign is None) if terms else (sign == "+"):
-            return None
-        try:
-            num = 1 if num is None else int(num)
-            den = 1 if den is None else int(den)
-        except ValueError:  # more digits than int() accepts
-            return None
+        if terms and sign is None:
+            raise InputError(
+                f"expected '+' or '-' before the term at position {pos}: {text[pos:pos + 12]!r}")
+        if not terms and sign == "+":
+            raise InputError(f"a relation cannot open with '+' (position {m.start(1)})")
+        num = 1 if num is None else _integer(m, 2)
+        den = 1 if den is None else _integer(m, 3)
         if la is not None:
             comb, args = _left_comb, (_VAR[la], lg.strip(), _VAR[lb], lh.strip(), _VAR[lc])
         else:
             comb, args = _right_comb, (_VAR[rc], rh.strip(), _VAR[ra], rg.strip(), _VAR[rb])
-        if not args[1] or not args[3]:  # a name that strips to nothing
-            return None
+        if not args[1] or not args[3]:
+            raise InputError("empty generator name in braces")
         terms.append((-1 if sign == "-" else 1, num, den, comb, args))
         pos = m.end()
-    if not terms:
-        return None
+        if pos == len(text):
+            break
     out: Vec = {}
     for sign, num, den, comb, args in terms:
         if den == 0:
             raise InputError("zero denominator")
         add_scaled(out, _scaled(comb(space, *args), num if den == 1 else Fraction(num, den)), sign)
     return out
-
-
-def parse_relation(space: GeneratorSpace, text: str) -> Vec:
-    """Parse a relation string into {flat index: coefficient} over the space;
-    a relation written with integer coefficients gives int values."""
-    vec = _read_terms(space, text)
-    if vec is None:
-        _parse_tokens(space, text)  # raises the InputError that words the fault
-        raise InternalCheckError(f"the token path parses a relation the term path refuses: {text!r}")
-    return vec
 
 
 def monomial_str(space: GeneratorSpace, index: int) -> str:

@@ -218,6 +218,9 @@ class LocalityInstance:
         for label, op in (("inner", spec.i), ("outer", spec.j)):
             if not 0 <= op < d:
                 raise InputError(f"{label} operation index {op} out of range for {d} generators")
+        self._check_fit(spec)
+
+    def _check_fit(self, spec: ResidueSpec) -> None:
         need = spec.required_radius()
         if need > self.K:
             raise InputError(
@@ -251,9 +254,16 @@ class LocalityInstance:
         return None
 
     def sweep(self, k: int = 0, Nmax: int = 4, n: int = 0, m: int = 0):
-        """min_locality_order for every (inner, outer) operation pair."""
-        if Nmax < 0:  # checked here too, for an operad with no pairs to search
+        """min_locality_order for every (inner, outer) operation pair.
+
+        Nmax, k and the fit of the N = 0 residue are checked once up front,
+        so an operad with no pair to search refuses the input that one with
+        pairs does; with pairs, they are the search's own first checks."""
+        if Nmax < 0:
             raise InputError(f"largest locality order Nmax must be >= 0, got {Nmax}")
+        if k < 0:
+            raise InputError("n-product order k must be >= 0")
+        self._check_fit(ResidueSpec(i=0, k=k, j=0, N=0, n=n, m=m))
         d = self.P.dim_gens
         return {
             (i, j): self.min_locality_order(i, k, j, Nmax=Nmax, n=n, m=m)

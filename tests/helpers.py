@@ -7,7 +7,7 @@ from math import comb, gcd, lcm
 
 from quadop.core.free3 import GeneratorSpace, Vec, act, s3_closure
 from quadop.core.operad import QuadOperad
-from quadop.core.parser import parse_relation
+from quadop.core.parser import _left_comb, _right_comb, _scaled, parse_relation
 from quadop.core.perms import CYC123, IDENT, REPS, SWAP12, compose, coset_decompose
 from quadop.errors import InputError, InternalCheckError
 from quadop.koszul import dual_generators
@@ -120,7 +120,7 @@ def printed_kernel(report, dspace):
                                   [parse_relation(dspace, w) for w in report.witnesses])
 
 
-_REFERENCE_TOKEN_RE = re.compile(
+_TOKEN_RE = re.compile(
     r"""\s*(?:
         (?P<var>x[123])
       | \{(?P<gen>[^{}]*)\}
@@ -131,34 +131,122 @@ _REFERENCE_TOKEN_RE = re.compile(
 )
 
 
-def reference_tokenize(text):
-    """The relation tokenizer with one test per token kind, in grammar
-    order.  Kept as the reference for parser._tokenize, which dispatches on
-    the name of the group that matched."""
+def _tokenize(text: str) -> list[tuple[str, object]]:
     toks = []
     pos = 0
     while pos < len(text):
-        m = _REFERENCE_TOKEN_RE.match(text, pos)
+        m = _TOKEN_RE.match(text, pos)
         if m is None:
             if text[pos:].strip() == "":
                 break
             raise InputError(f"cannot tokenize relation at position {pos}: {text[pos:pos + 12]!r}")
         pos = m.end()
-        if m.group("var"):
-            toks.append(("var", int(m.group("var")[1])))
-        elif m.group("gen") is not None:
-            name = m.group("gen").strip()
+        kind = m.lastgroup
+        value = m[kind]
+        if kind == "var":
+            toks.append((kind, int(value[1])))
+        elif kind == "gen":
+            name = value.strip()
             if not name:
                 raise InputError("empty generator name in braces")
-            toks.append(("gen", name))
-        elif m.group("int"):
+            toks.append((kind, name))
+        elif kind == "int":
             try:
-                toks.append(("int", int(m.group("int"))))
+                toks.append((kind, int(value)))
             except ValueError:  # more digits than int() accepts
-                raise InputError(f"integer at position {m.start('int')} is too long") from None
+                raise InputError(f"integer at position {m.start(kind)} is too long") from None
         else:
-            toks.append(("punct", m.group("punct")))
+            toks.append((kind, value))
     return toks
+
+
+class _Cursor:
+    def __init__(self, toks, text):
+        self.toks = toks
+        self.text = text
+        self.pos = 0
+
+    def peek(self):
+        return self.toks[self.pos] if self.pos < len(self.toks) else (None, None)
+
+    def take(self):
+        tok = self.peek()
+        if tok[0] is None:
+            raise InputError(f"unexpected end of relation: {self.text!r}")
+        self.pos += 1
+        return tok
+
+    def expect(self, kind, value=None):
+        got = self.take()
+        if got[0] != kind or (value is not None and got[1] != value):
+            want = value if value is not None else kind
+            raise InputError(f"expected {want!r}, got {got[1]!r} in {self.text!r}")
+        return got[1]
+
+    def at_end(self):
+        return self.pos >= len(self.toks)
+
+
+def _parse_mono(space: GeneratorSpace, cur: _Cursor) -> Vec:
+    kind, val = cur.peek()
+    if kind == "punct" and val == "(":
+        cur.take()
+        a = cur.expect("var")
+        g = cur.expect("gen")
+        b = cur.expect("var")
+        cur.expect("punct", ")")
+        h = cur.expect("gen")
+        c = cur.expect("var")
+        return _left_comb(space, a, g, b, h, c)
+    if kind == "var":
+        c = cur.take()[1]
+        h = cur.expect("gen")
+        cur.expect("punct", "(")
+        a = cur.expect("var")
+        g = cur.expect("gen")
+        b = cur.expect("var")
+        cur.expect("punct", ")")
+        return _right_comb(space, c, h, a, g, b)
+    raise InputError(f"expected a monomial, got {val!r} in {cur.text!r}")
+
+
+def _parse_term(space: GeneratorSpace, cur: _Cursor) -> Vec:
+    coeff = 1
+    if cur.peek()[0] == "int":
+        num = cur.take()[1]
+        denom = 1
+        if cur.peek() == ("punct", "/"):
+            cur.take()
+            denom = cur.expect("int")
+            if denom == 0:
+                raise InputError("zero denominator")
+        coeff = num if denom == 1 else Fraction(num, denom)
+        cur.expect("punct", "*")
+    return _scaled(_parse_mono(space, cur), coeff)
+
+
+def reference_parse(space: GeneratorSpace, text: str) -> Vec:
+    """The relation parser token by token: tokenize the whole text, then
+    parse it with a cursor, evaluating each term as it is read.  Kept as the
+    reference for parser.parse_relation, which reads one regex match per
+    term; the two share only the comb evaluation and its scaling."""
+    toks = _tokenize(text)
+    if toks == [("int", 0)]:
+        return {}
+    cur = _Cursor(toks, text)
+    out: Vec = {}
+    sign = 1
+    if cur.peek() == ("punct", "-"):
+        cur.take()
+        sign = -1
+    while True:
+        add_scaled(out, _parse_term(space, cur), sign)
+        if cur.at_end():
+            return out
+        kind, val = cur.take()
+        if kind != "punct" or val not in "+-":
+            raise InputError(f"expected '+' or '-' between terms, got {val!r} in {text!r}")
+        sign = 1 if val == "+" else -1
 
 
 def pairing_equivariant(space, perm, sign_value):

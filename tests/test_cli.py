@@ -172,6 +172,21 @@ def test_window_errors_come_from_the_search(capsys):
                    "in window radius K=1; requires K >= 2\n")
 
 
+def test_locality_input_is_checked_without_generators(capsys, tmp_path):
+    """An operad with no generators has no pair to search, and still refuses
+    a negative k and an anchor outside the window, with Com's messages."""
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps({"name": "e", "generators": [], "relations": []}))
+    for flags in (["--k", "-3"], ["--anchor", "99,99", "--window", "1"]):
+        code, out, err = run(capsys, "locality", "Com", *flags)
+        assert (code, out) == (1, "")
+        assert run(capsys, "locality", str(path), *flags) == (1, "", err)
+    assert err == ("error: residue ResidueSpec(i=0, k=0, j=0, N=0, n=99, m=99) does not fit "
+                   "in window radius K=1; requires K >= 99\n")
+    payload = run_json(capsys, "locality", str(path))
+    assert payload["locality"]["pairs"] == {}
+
+
 def test_operad_from_file(capsys, tmp_path):
     path = tmp_path / "myop.json"
     path.write_text(json.dumps({
@@ -223,10 +238,13 @@ _GOOD_FILE = {
         ("generators", [["a{", "sym"]], "generator name 'a{'"),
         ("generators", [[" a", "sym"]], "generator name ' a'"),
         ("generators", [["a", "sym"], ["", "sym"]], "generator name ''"),
+        ("relations", ["(x1 {a} x2 {a} x3"],
+         "cannot read a term at position 0: '(x1 {a} x2 {'"),
+        ("relations", ["(x1 {a} x2) {a} x3 $"], "cannot read a term at position 19: '$'"),
     ],
     ids=["generators-string", "swap-not-rational", "relation-not-string", "relations-string",
          "swap-huge-exponent", "name-closing-brace", "name-opening-brace", "name-space",
-         "name-empty"],
+         "name-empty", "relation-unclosed", "relation-stray-symbol"],
 )
 def test_malformed_operad_file_is_an_input_error(capsys, tmp_path, field, value, message):
     path = tmp_path / "bad.json"

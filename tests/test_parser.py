@@ -8,13 +8,11 @@ from hypothesis import strategies as st
 
 from quadop.core.catalog import catalog, resolve
 from quadop.core.free3 import GeneratorSpace
-from quadop.core.parser import (
-    _parse_tokens, _read_terms, _tokenize, monomial_str, parse_relation, pretty_print,
-)
+from quadop.core.parser import monomial_str, parse_relation, pretty_print
 from quadop.core.perms import CYC123, IDENT
 from quadop.errors import InputError
 from quadop.manin import black_product
-from helpers import reference_tokenize
+from helpers import reference_parse
 
 SYM = GeneratorSpace(("m",), ((Fraction(1),),))
 LIE = GeneratorSpace(("b",), ((Fraction(-1),),))
@@ -109,8 +107,35 @@ def test_pretty_print_roundtrip_random():
     ],
 )
 def test_bad_relations_raise(bad):
-    with pytest.raises(InputError):
+    with pytest.raises(InputError) as exc:
         parse_relation(SYM, bad)
+    assert len(str(exc.value).splitlines()) == 1
+    with pytest.raises(InputError):
+        reference_parse(SYM, bad)
+
+
+@pytest.mark.parametrize("bad, message, kept", [
+    ("(x1 {q} x2) {m} x3", "unknown generator 'q'; have ['m']", True),
+    ("(x1 {m} x1) {m} x3", "each of x1, x2, x3 must occur exactly once, got x1, x1, x3", True),
+    ("x2 {m} (x1 {m} x2)", "each of x1, x2, x3 must occur exactly once, got x2, x1, x2", True),
+    ("1/0 * (x1 {m} x2) {m} x3", "zero denominator", True),
+    ("(x1 { } x2) {m} x3", "empty generator name in braces", True),
+    ("(x1 {m} x2) {m} x3 - 2 / " + "7" * 5000 + " * (x2 {m} x3) {m} x1",
+     "integer at position 25 is too long", True),
+    ("0" * 5000, "integer at position 0 is too long", True),
+    ("(x1 {m} x2 {m} x3", "cannot read a term at position 0: '(x1 {m} x2 {'", False),
+    ("(x1 {m} x2) {m} x3 $", "cannot read a term at position 19: '$'", False),
+    ("(x1 {m} x2) {m} x3 (x2 {m} x3) {m} x1",
+     "expected '+' or '-' before the term at position 19: '(x2 {m} x3) '", False),
+    (" + (x1 {m} x2) {m} x3", "a relation cannot open with '+' (position 1)", False),
+    ("", "cannot read a term at position 0: ''", False),
+])
+def test_error_messages_are_pinned(bad, message, kept):
+    # kept: the token-by-token reference words the fault the same way.
+    for read in (parse_relation, reference_parse) if kept else (parse_relation,):
+        with pytest.raises(InputError) as exc:
+            read(SYM, bad)
+        assert str(exc.value) == message
 
 
 # Fragments of the grammar, valid and broken, so that drawn texts often get
@@ -166,20 +191,6 @@ _PIECES = st.one_of(
 )
 
 
-def _tokens_or_error(tokenize, text):
-    try:
-        return tokenize(text)
-    except InputError as exc:
-        return ("InputError", str(exc))
-
-
-@settings(max_examples=400, deadline=None)
-@given(st.one_of(st.lists(_TOKEN_PIECES, max_size=16), st.lists(_PIECES, max_size=16))
-       .map("".join))
-def test_tokenizer_matches_the_reference(text):
-    assert _tokens_or_error(_tokenize, text) == _tokens_or_error(reference_tokenize, text)
-
-
 PRODUCT = black_product(resolve("dual(Zinb)"), catalog("Perm")).space
 _PRINTED_TOKEN = re.compile(r"x[123]|\{[^{}]*\}|\d+|[()+\-*/]")
 _BLANKS = st.sampled_from(["", " ", "  ", "\t", "\n", "\u2003"])
@@ -202,11 +213,14 @@ def printed_relations(draw):
 
 
 def _outcome(read, space, text):
+    """The vector read, with the type of every value, or "InputError" with
+    a check that its message is one line."""
     try:
         vec = read(space, text)
     except InputError as exc:
-        return ("InputError", str(exc))
-    return vec if vec is None else sorted((k, type(v).__name__, v) for k, v in vec.items())
+        assert len(str(exc).splitlines()) == 1, str(exc)
+        return "InputError"
+    return sorted((k, type(v).__name__, v) for k, v in vec.items())
 
 
 @settings(max_examples=200, deadline=None)
@@ -214,8 +228,8 @@ def _outcome(read, space, text):
 @example((TRIPLE, {TRIPLE.flat(IDENT, 0, 1): Fraction(3, 2)}, "3/2 * (x1 {c1} x2) {p} x3"))
 def test_every_printed_relation_is_read_by_the_term_path(case):
     space, vec, text = case
-    assert _read_terms(space, text) == vec
-    assert _outcome(_read_terms, space, text) == _outcome(_parse_tokens, space, text)
+    assert parse_relation(space, text) == vec
+    assert _outcome(parse_relation, space, text) == _outcome(reference_parse, space, text)
 
 
 _AROUND = st.sampled_from(["", "+", "-", "+ ", "- ", "0 * ", "1/0 * ", "3/ * ", "2 ", " $",
@@ -245,16 +259,10 @@ def relation_texts(draw):
 @example((TRIPLE, " 00\t"))
 @example((TRIPLE, "0" * 5000))
 def test_the_term_path_agrees_with_the_token_path(case):
-    # The same vector, value types included, or the same InputError; text
-    # the term path leaves to the token path must raise there.
+    # parse_relation and the token-by-token reference give the same vector,
+    # value types included, or both raise an InputError of one line.
     space, text = case
-    terms = _outcome(_read_terms, space, text)
-    tokens = _outcome(_parse_tokens, space, text)
-    if terms is None:
-        assert tokens[0] == "InputError"
-    else:
-        assert terms == tokens
-    assert _outcome(parse_relation, space, text) == tokens
+    assert _outcome(parse_relation, space, text) == _outcome(reference_parse, space, text)
 
 
 def test_generator_names_with_products_and_primes_read_back():
