@@ -215,7 +215,7 @@ def cmd_locality(args) -> tuple[dict, list[str]]:
     ]
     names = P.space.names
     for (i, j), N in sorted(outcomes.items()):
-        found = f"N = {N}" if N is not None else "none found in window"
+        found = f"N = {N}" if N is not None else "none up to Nmax"
         lines.append(f"  inner {names[i]!s:12s} outer {names[j]!s:12s} {found}")
     lines.append(f"  note: {_WINDOW_NOTE}")
     return payload, lines

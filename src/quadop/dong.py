@@ -7,6 +7,7 @@ c < d*d, so w on B lies in R-perp iff w . r = 0 for every relation row r of
 P: the obstruction is the complement of R's projection onto the block
 columns, and no dual operad is built.  That projection is read off R's
 canonical rows (SubspaceQ.truncated), so only its complement is eliminated.
+The same truncation is the locality lab's level-2 subspace Z_2 (locality.py).
 
 A NotDong verdict prints that kernel's canonical basis in the dual generators
 as witnesses, and each is replayed with dot products only (replay_witnesses).

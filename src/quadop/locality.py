@@ -19,19 +19,29 @@ functions on the block's points that sum to zero on every sigma-line.
 Every residue is base (x) g, with g an integer function on the points of
 one block and base the P(3) image of the identity monomial
 (x1 {i} x2) {j} x3, so base lies in V_1 = V_id, whose outer coordinate
-gamma_1 is n_c.  Membership depends on base only through its level, read
-from two nested subspaces of V_1, and each level is a closed form, with no
-elimination:
+gamma_1 is n_c.  Membership depends on base only through its level, and
+each level is a closed form, with no elimination:
 
 * level 0, base = 0: always a member;
 * level 1, base in V_1 cap V_2 + V_1 cap V_3: sum g = 0;
 * level 2, base in V_1 cap (V_2 + V_3): sum g = 0 and sum g(p) n_c(p) = 0;
 * level 3, any other base: g sums to zero over each value of n_c.
 
-The level is found once per operation pair (i, j), by two membership
-tests (the second in V_2 + V_3, which holds a base of V_1 exactly when
-V_1 cap (V_2 + V_3) does).  On a residue these tests reduce to a comparison
-of the level with k and N (below), so no residue is expanded.
+The level is read off R's rows.  Write B_1, B_2, B_3 for the column blocks
+of the three sigmas in F(3) (B_1 the identity block, c < d*d), r_s for the
+part of a row r on B_s and pi for the projection onto B_1.  A row u on B_1
+maps into V_s exactly when u - w lies in R for some w on B_s, that is when
+u = pi(r) for an r in R that is zero on the third block.  So the image of
+u is 0, in V_1 cap V_2 + V_1 cap V_3, or in V_2 + V_3 (which for a row of
+V_1 is V_1 cap (V_2 + V_3)) exactly when u lies in, respectively,
+Z_0 = pi(R cap {r_2 = r_3 = 0}), Z_1 = pi(R cap {r_3 = 0}) + pi(R cap
+{r_2 = 0}) or Z_2 = pi(R), the projection dong.py reads.  The pair (i, j)
+has the level of the first of these that holds the unit row at
+flat(IDENT, j, i), and 3 if none does.  One elimination of R's rows with
+B_s's columns first and B_1's last gives R cap {r_s = 0} (the rows pivoted
+past B_s) and R cap {r_2 = r_3 = 0} (those pivoted in B_1).  The level is
+found once per operation pair; on a residue these tests reduce to a
+comparison of the level with k and N (below), so no residue is expanded.
 
 Proof.  Three subspaces of one space decompose it into indecomposable
 pieces of only nine types (the D4 quiver is of finite type:
@@ -68,7 +78,7 @@ summand has a closed form:
   sum g = 0 and sum g(p) (c1 gamma_1(p) - c2 gamma_2(p)) = 0.
 
 Each V_sigma is the direct sum of its summands' parts in it, so
-intersections and sums of pair spaces are taken summand by summand.  A
+meets (cap) and sums of pair spaces are taken summand by summand.  A
 base in V_1 has components only in lines (1; S) with sigma_1 in S and in
 planes along e1 (c2 = 0), whose conditions are nested:
 D_1 lies in {sum g = 0 and sum g gamma_1 = 0}, which lies in {sum g = 0}
@@ -96,15 +106,11 @@ and N >= level: the order is 0 at level 0 or k >= 1, else the level (1 or
 2), and none at level 3.  The window radius K and the anchor only decide
 whether the residue fits in the window.
 
-Level 3 is the Dong support.  A functional on P(3) is a functional w on F(3)
-that kills the relations R, and it kills V_2 + V_3 exactly when it is
-supported on the identity-block columns c < d*d.  So the dual of
-P(3)/(V_2 + V_3) is the Dong block kernel, the perp of R's projection onto
-those columns (dong.py), and the base of the pair (i, j), the image of the
-column c = flat(IDENT, j, i), lies in V_2 + V_3 exactly when w_c = 0 for
-every kernel vector w.  A base of V_1 has level 3 exactly when it lies
-outside V_2 + V_3, so the pairs of level 3 are those at which some kernel
-vector is nonzero.
+Level 3 is the Dong support.  The perp of Z_2 = pi(R) is the Dong block
+kernel (dong.py): the functionals w on F(3) supported on B_1 that kill R,
+which are the functionals on P(3) that kill V_2 + V_3.  The unit row at c
+lies outside Z_2 exactly when w_c != 0 for some kernel vector w, so the
+pairs of level 3 are those at which some kernel vector is nonzero.
 
 Membership is a sound certificate: every ideal generator is a genuine
 relation, so a residue found inside the span really does vanish, and a
@@ -121,9 +127,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from quadop.core.operad import QuadOperad
-from quadop.core.perms import REPS
+from quadop.core.perms import IDENT
 from quadop.errors import InputError
-from quadop.linalg import IntRow, SubspaceQ, primitive_row
+from quadop.linalg import EchelonBasis, IntRow, SubspaceQ
 
 # Largest window radius K, checked before anything is built.  Membership
 # reads only the pair's level, k and N, so this is a bound on the input, not
@@ -170,42 +176,31 @@ class LocalityInstance:
             raise InputError(f"window radius K={K} exceeds the cap of {MAX_WINDOW}")
         self.P = P
         self.K = K
-        self.dim_p3 = P.dim_p3
-        self._pair_bases = self._build_pair_bases()
-        V1, V2, V3 = self._pair_bases
-        n = self.dim_p3
-        self._shared = SubspaceQ.from_vectors(
-            n, V1.intersect(V2).rows() + V1.intersect(V3).rows())
-        # Every base lies in V_1, so it lies in V_1 cap (V_2 + V_3) exactly
-        # when it lies in V_2 + V_3: the span needs no intersection.
-        self._others = SubspaceQ.from_vectors(n, V2.rows() + V3.rows())
+        n = P.dim_gens ** 2
+        meets = []
+        for order in ((1, 2, 0), (2, 1, 0)):
+            # R's columns regrouped block by block in this order (0 is the
+            # identity block): the echelon rows pivoted past the first block
+            # span the rows of R that vanish on it, and those pivoted past
+            # 2n lie on the identity block and span R cap B_1.
+            start = {block: k * n for k, block in enumerate(order)}
+            eb = EchelonBasis(3 * n)
+            for row in P.relations.rows():
+                eb.add({start[c // n] + c % n: v for c, v in row.items()})
+            meets.append([(min(r), {c - 2 * n: v for c, v in r.items() if c >= 2 * n})
+                          for r in eb.rows() if min(r) >= n])
+        # Z_0, Z_1 and Z_2 of the module docstring, on the identity block.
+        self._nested = (
+            SubspaceQ.from_vectors(n, (u for pivot, u in meets[0] if pivot >= 2 * n)),
+            SubspaceQ.from_vectors(n, (u for rows in meets for _, u in rows)),
+            P.relations.truncated(n),
+        )
         self._levels: dict[tuple[int, int], int] = {}
 
-    # -- pair data -----------------------------------------------------
-
-    def _build_pair_bases(self) -> list[SubspaceQ]:
-        """For each sigma block, the span of all projected monomials of that
-        block (the "pair space")."""
-        d = self.P.dim_gens
-        return [SubspaceQ.from_vectors(self.dim_p3, (self._projected(sigma, i, j)
-                                                     for i in range(d) for j in range(d)))
-                for sigma in REPS]
-
-    def _projected(self, sigma, outer, inner) -> IntRow:
-        """Image of one monomial in P(3), scaled to a primitive integer row
-        (scaling changes no span and no membership)."""
-        return primitive_row(self.P.p3_projection()[self.P.space.flat(sigma, outer, inner)])
-
-    def _level(self, base: IntRow) -> int:
-        """The level of a row of V_1: 0 for zero, 1 in V_1 cap V_2 +
-        V_1 cap V_3, 2 in V_1 cap (V_2 + V_3), 3 otherwise.  A row of V_1
-        lies in V_1 cap (V_2 + V_3) exactly when it lies in V_2 + V_3, so
-        level 2 is tested against that span."""
-        if not base:
-            return 0
-        if self._shared.contains(base):
-            return 1
-        return 2 if self._others.contains(base) else 3
+    def _level(self, u: IntRow) -> int:
+        """The level of the image of a row u on the identity block: the
+        first of Z_0, Z_1 and Z_2 that holds u, and 3 if none does."""
+        return next((level for level, Z in enumerate(self._nested) if Z.contains(u)), 3)
 
     # -- residues ------------------------------------------------------
 
@@ -231,8 +226,8 @@ class LocalityInstance:
         self._check_window(spec)
         level = self._levels.get((spec.i, spec.j))
         if level is None:
-            base = self._projected(REPS[0], spec.j, spec.i)
-            level = self._levels[spec.i, spec.j] = self._level(base)
+            u = {self.P.space.flat(IDENT, spec.j, spec.i): 1}
+            level = self._levels[spec.i, spec.j] = self._level(u)
         return not level or spec.k > 0 or (level < 3 and spec.N >= level)
 
     def min_locality_order(self, i: int, k: int, j: int, Nmax: int = 4,

@@ -489,7 +489,7 @@ def white_by_projection(P, Q):
 
 # Minimal locality order of every (inner, outer) pair of the 19 criterion-02
 # entries at k=0, anchor (0,0), Nmax 4, in row-major pair order, with "-" for
-# "none found in window".  Frozen at window 6; the orders are the same at 8.
+# "none up to Nmax".  Frozen at window 6; the orders are the same at 8.
 TABLE_ORDERS = {
     "Com": "1",
     "Lie": "2",
@@ -511,6 +511,40 @@ TABLE_ORDERS = {
     "GD": "11-11--22",
     "postLie": "-22-22-22",
 }
+
+
+def projected(P, sigma, outer, inner):
+    """Image of one monomial in P(3), scaled to a primitive integer row
+    (scaling changes no span and no membership)."""
+    return primitive_row(P.p3_projection()[P.space.flat(sigma, outer, inner)])
+
+
+def pair_bases(P):
+    """For each sigma block, the span of all projected monomials of that
+    block (the "pair space").  Kept, with projected, as the P(3) reference
+    for the levels that LocalityInstance reads off R's rows."""
+    d = P.dim_gens
+    return [SubspaceQ.from_vectors(P.dim_p3, (projected(P, sigma, i, j)
+                                              for i in range(d) for j in range(d)))
+            for sigma in REPS]
+
+
+def nested_reference(P):
+    """Z_0, Z_1 and Z_2 of the locality module docstring, on the identity
+    block, by Zassenhaus intersections of R with coordinate subspaces:
+    R cap B_1, then the projections of R cap {r_3 = 0} and R cap {r_2 = 0},
+    then the projection of R."""
+    n = P.dim_gens ** 2
+    R = P.relations
+
+    def on_blocks(*blocks):
+        return SubspaceQ.from_vectors(R.ambient_dim, ({b * n + c: 1} for b in blocks
+                                                       for c in range(n)))
+
+    meets = [R.intersect(on_blocks(0, t)).truncated(n) for t in (1, 2)]
+    return (R.intersect(on_blocks(0)).truncated(n),
+            SubspaceQ.from_vectors(n, meets[0].rows() + meets[1].rows()),
+            R.truncated(n))
 
 
 # Coefficients (on e1, e2) of the line each sigma, in REPS order, meets a
@@ -537,8 +571,8 @@ class SummandDecomposition:
 
     def __init__(self, lab):
         self.name = lab.P.name
-        self.dim_p3 = lab.dim_p3
-        self.pair_bases = lab._pair_bases
+        self.dim_p3 = lab.P.dim_p3
+        self.pair_bases = pair_bases(lab.P)
         self.lines, self.planes = self._decompose()
         n = self.dim_p3
         # Tagged rows [u_t | e_t], one per summand vector: a row reduced to
@@ -796,7 +830,7 @@ def ideal_subspace(lab, T=None):
     """The locality ideal of a window, or its block of total index T, in
     flat window coordinates, from the neighbour differences.  Quadratic in
     the window volume; for small K."""
-    dim = lab.dim_p3 * (2 * lab.K + 1) ** 3
+    dim = lab.P.dim_p3 * (2 * lab.K + 1) ** 3
     return SubspaceQ.from_vectors(dim, neighbour_generators(lab, T))
 
 
@@ -831,8 +865,8 @@ def hub_block(lab, T):
     Kept as the reference for the level-wise membership of
     LocalityInstance."""
     index = block_index(lab.K, T)
-    basis = EchelonBasis(lab.dim_p3 * len(index))
-    for gen in hub_generators(lab, T, index, [V.rows() for V in lab._pair_bases]):
+    basis = EchelonBasis(lab.P.dim_p3 * len(index))
+    for gen in hub_generators(lab, T, index, [V.rows() for V in pair_bases(lab.P)]):
         basis.add(gen)
     return index, basis
 

@@ -12,15 +12,16 @@ from hypothesis import strategies as st
 
 from quadop.core.catalog import catalog, resolve
 from quadop.core.operad import change_basis
-from quadop.core.perms import REPS
+from quadop.core.perms import IDENT, REPS
 from quadop.dong import dong_verdict
 from quadop.errors import InputError, InternalCheckError
 from quadop.koszul import dual_generators
-from quadop.linalg import SubspaceQ, add_scaled
+from quadop.linalg import SubspaceQ, add_scaled, primitive_row
 from quadop.locality import MAX_WINDOW, LocalityInstance, ResidueSpec, build_instance
 from quadop.manin import black_product, replicate, split
 
 import helpers
+import quadop.locality
 from helpers import (
     TABLE_ORDERS,
     SummandDecomposition,
@@ -32,15 +33,17 @@ from helpers import (
     ideal_subspace,
     join_labels,
     level_contains,
+    nested_reference,
+    pair_bases,
     plane_generators,
     printed_kernel,
+    projected,
     random_operad,
     random_swap_commuting,
     reference_sweep,
     residue_function,
     residue_vector,
     sigma_lines,
-    span_sum,
     window_coordinate,
 )
 
@@ -51,12 +54,12 @@ def test_window_size_validation():
 
 
 def test_window_cap_is_checked_before_building(monkeypatch):
-    # The pair bases are built first thing after the checks; if the cap were
+    # The first elimination of R's rows follows the checks; if the cap were
     # checked later, this would fail with the AssertionError instead.
-    def never(self):
-        raise AssertionError("pair bases built for an over-cap window")
+    def never(ambient_dim):
+        raise AssertionError("R eliminated for an over-cap window")
 
-    monkeypatch.setattr(LocalityInstance, "_build_pair_bases", never)
+    monkeypatch.setattr(quadop.locality, "EchelonBasis", never)
     assert MAX_WINDOW >= 8
     with pytest.raises(InputError, match=f"exceeds the cap of {MAX_WINDOW}"):
         LocalityInstance(catalog("Lie"), MAX_WINDOW + 1)
@@ -219,7 +222,7 @@ def test_hub_rows_of_one_sigma_have_distinct_pivots(name):
     P = resolve(name)
     for K in (2, 3):
         lab = LocalityInstance(P, K)
-        pair_rows = [V.rows() for V in lab._pair_bases]
+        pair_rows = [V.rows() for V in pair_bases(P)]
         for blk in range(len(pair_rows)):
             only = [rows if b == blk else [] for b, rows in enumerate(pair_rows)]
             for T in range(-3 * K, 3 * K + 1):
@@ -278,37 +281,42 @@ def _flat(lab, base, f):
     return vec
 
 
-def _bases(lab, rng):
+def _bases(P, rng):
     """P(3) rows to tensor with: the image of every monomial of every sigma,
     so rows of all three pair spaces, and two random rows."""
-    P = lab.P
     d = P.dim_gens
-    bases = [lab._projected(sigma, i, j) for sigma in REPS for i in range(d) for j in range(d)]
+    bases = [projected(P, sigma, i, j) for sigma in REPS for i in range(d) for j in range(d)]
     for _ in range(2):
-        bases.append({r: rng.randint(-2, 2) for r in range(lab.dim_p3)})
+        bases.append({r: rng.randint(-2, 2) for r in range(P.dim_p3)})
     return [b for b in bases if any(b.values())]
 
 
-def _v1_bases(lab, ref, rng):
-    """Rows of V_1 = V_id, one of each, as (base, production level,
-    reference checks), with the level asserted equal to the reference's:
-    the image of every identity monomial (the bases residues use), the rows
-    of V_1 cap V_2, V_1 cap V_3 and V_1 cap (V_2 + V_3), and two random
-    integer combinations of the rows of V_1."""
-    V1, V2, V3 = lab._pair_bases
-    d = lab.P.dim_gens
-    bases = [lab._projected(REPS[0], i, j) for i in range(d) for j in range(d)]
-    bases += V1.intersect(V2).rows() + V1.intersect(V3).rows()
-    bases += V1.intersect(span_sum(V2, V3)).rows()
-    for _ in range(2):
+def _identity_block_rows(P, rng):
+    """Rows on the identity block, one of each: every unit row (the rows
+    residues use), the rows of Z_0, Z_1 and Z_2 as nested_reference
+    computes them with a random integer combination of each, and two
+    random integer rows."""
+    n = P.dim_gens ** 2
+    rows = [{c: 1} for c in range(n)]
+    for Z in nested_reference(P):
+        rows += Z.rows()
         combo = {}
-        for row in V1.rows():
+        for row in Z.rows():
             add_scaled(combo, row, rng.randint(-2, 2))
-        bases.append(combo)
+        rows.append(combo)
+    rows += [{c: x for c in range(n) if (x := rng.randint(-2, 2))} for _ in range(2)]
+    return list({tuple(sorted(u.items())): u for u in rows}.values())
+
+
+def _v1_bases(lab, ref, rng):
+    """Rows of V_1 = V_id as (base, production level, reference checks):
+    the P(3) images of _identity_block_rows, with the level of each row
+    asserted equal to the reference's level of its image."""
     out = []
-    for base in {tuple(sorted(b.items())): b for b in bases}.values():
-        level = lab._level(base)
-        assert level == ref.level(base), (base, level)
+    for u in _identity_block_rows(lab.P, rng):
+        base = primitive_row(lab.P.project(u))
+        level = lab._level(u)
+        assert level == ref.level(base), (u, base, level)
         out.append((base, level, ref.checks(base)))
     return out
 
@@ -340,7 +348,7 @@ def test_summand_membership_matches_the_dense_ideal(name):
     for K in (2, 3):
         lab = LocalityInstance(P, K)
         ref = SummandDecomposition(lab)
-        bases, v1_bases = _bases(lab, rng), _v1_bases(lab, ref, rng)
+        bases, v1_bases = _bases(P, rng), _v1_bases(lab, ref, rng)
         ideals = {T: ideal_subspace(lab, T) for T in range(-3 * K, 3 * K + 1)}
         for T, ideal in ideals.items():
             for f in _v1_functions(rng, block_points(K, T)):
@@ -381,7 +389,7 @@ def test_summand_codimension_matches_the_reference_block(name):
         ref = SummandDecomposition(lab)
         for T in range(-3 * K, 3 * K + 1):
             index, basis = hub_block(lab, T)
-            assert _codimension(ref, K, T) == lab.dim_p3 * len(index) - basis.rank, (K, T)
+            assert _codimension(ref, K, T) == P.dim_p3 * len(index) - basis.rank, (K, T)
 
 
 def _blocks(max_window):
@@ -440,7 +448,7 @@ def test_codimension_grows_by_six_kernel_dims_per_unit_of_window():
             lab = LocalityInstance(P, K)
             ref = SummandDecomposition(lab)
             index, basis = hub_block(lab, 0)
-            codim[K] = lab.dim_p3 * len(index) - basis.rank
+            codim[K] = P.dim_p3 * len(index) - basis.rank
             types = _types(ref)
             predicted = (sum(c for S, c in types.items() if len(S) >= 2)
                          + 3 * len(ref.planes)
@@ -483,8 +491,25 @@ def test_sigma_only_summands_count_the_dong_kernel():
 def _identity_levels(lab):
     """The level of the image of every identity monomial (x1 {i} x2) {j} x3,
     keyed by (i, j)."""
-    d = lab.P.dim_gens
-    return {(i, j): lab._level(lab._projected(REPS[0], j, i)) for i in range(d) for j in range(d)}
+    d, flat = lab.P.dim_gens, lab.P.space.flat
+    return {(i, j): lab._level({flat(IDENT, j, i): 1}) for i in range(d) for j in range(d)}
+
+
+def test_level_of_any_identity_block_row_matches_the_summand_reference():
+    """The level the lab reads off R's rows, for any row u on the identity
+    block (_identity_block_rows), is the summand reference's level of u's
+    image in P(3), on the table entries, the criterion-9 products and
+    seeded random operads, and every level occurs."""
+    rng = random.Random(24)
+    seen = set()
+    for P in _operads():
+        lab = LocalityInstance(P, 1)
+        ref = SummandDecomposition(lab)
+        for u in _identity_block_rows(P, rng):
+            level = lab._level(u)
+            assert level == ref.level(P.project(u)), (P.name, u, level)
+            seen.add(level)
+    assert seen == {0, 1, 2, 3}
 
 
 def test_levels_one_to_three_occur_on_the_table():
@@ -532,7 +557,7 @@ def test_centred_sweep_order_is_the_level():
         ref = SummandDecomposition(lab)
         expected = {}
         for (i, j), level in _identity_levels(lab).items():
-            assert level == ref.level(lab._projected(REPS[0], j, i)), (P.name, i, j)
+            assert level == ref.level(projected(P, IDENT, j, i)), (P.name, i, j)
             expected[i, j] = None if level == 3 else level
         assert lab.sweep(k=0, Nmax=3) == expected, P.name
     rng = random.Random(23)
@@ -561,9 +586,9 @@ def test_level_three_is_the_dong_support():
     """Pair (i, j) has level 3 exactly when some vector of the Dong block
     kernel, as dong_verdict prints it, is nonzero at the column of the
     identity monomial (x1 {i} x2) {j} x3: that kernel is the dual of
-    P(3)/(V_2 + V_3) (locality module docstring).  The levels come from the
-    pair spaces of LocalityInstance and the kernel from dong.py, so either
-    one can fail the test."""
+    P(3)/(V_2 + V_3) (locality module docstring).  The levels come from
+    LocalityInstance and the kernel from dong.py's printed witnesses, so
+    either one can fail the test."""
     mixed = 0
     for P in _operads():
         report = dong_verdict(P)
@@ -599,7 +624,7 @@ def test_random_operads_decompose_and_sweep_as_the_reference(seed, d, nseeds):
     ref = SummandDecomposition(lab)
     _check_summands(ref)
     for (i, j), level in _identity_levels(lab).items():
-        assert level == ref.level(lab._projected(REPS[0], j, i)), (i, j)
+        assert level == ref.level(projected(P, IDENT, j, i)), (i, j)
     for k, n, m in ((0, 0, 0), (1, 0, 0), (0, 1, -1)):
         assert lab.sweep(k=k, Nmax=2, n=n, m=m) == reference_sweep(lab, k=k, Nmax=2, n=n, m=m)
 
@@ -626,7 +651,7 @@ def test_plane_entries_under_basis_changes_decide_as_the_reference(name):
             ref = SummandDecomposition(lab)
             assert ref.planes, name
             _check_summands(ref)
-            bases, v1_bases = _bases(lab, rng), _v1_bases(lab, ref, rng)
+            bases, v1_bases = _bases(lab.P, rng), _v1_bases(lab, ref, rng)
             for T in range(-3 * K, 3 * K + 1):
                 ideal = ideal_subspace(lab, T)
                 for f in _v1_functions(rng, block_points(K, T)):
