@@ -5,9 +5,9 @@ and one relation string per S3-orbit.  Pair-symmetric operations (an
 associative product, say) are modelled as two generators exchanged by (12);
 relations are stated in the first of the pair and closed under S3.
 
-Derived entries are produced by the package's own constructions (duals, white
-products, splitting) and renamed to their usual short names.  They are built
-lazily and cached per process.
+Derived entries are produced by the package's own constructions (duals,
+di-replication, splitting) and renamed to their usual short names.  They
+are built lazily and cached per process.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import re
 from quadop.core.operad import QuadOperad, load_operad_file, make_operad
 from quadop.errors import InputError
 from quadop.koszul import dual_operad
-from quadop.manin import split, white_product
+from quadop.manin import replicate, split
 
 _TEXTUAL: dict[str, tuple[list, list[str]]] = {
     # commutative associative product
@@ -109,11 +109,11 @@ _TEXTUAL: dict[str, tuple[list, list[str]]] = {
 # Each lambda looks its constructors and catalog() up when it runs, so a
 # wrapped catalog() or product is the one called.
 _DERIVED = {
-    "Leib": lambda: white_product(catalog("Perm"), catalog("Lie")),
+    "Leib": lambda: replicate("di", catalog("Lie")),
     "preLie": lambda: dual_operad(catalog("Perm")),
-    "diAs": lambda: white_product(catalog("Perm"), catalog("As")),
+    "diAs": lambda: replicate("di", catalog("As")),
     "preAs": lambda: dual_operad(catalog("diAs")),
-    "diNov": lambda: white_product(catalog("Perm"), catalog("Nov")),
+    "diNov": lambda: replicate("di", catalog("Nov")),
     "postLie": lambda: split(catalog("Lie"), "post"),
     "ComTriAs": lambda: dual_operad(catalog("postLie")),
 }

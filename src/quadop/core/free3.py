@@ -20,10 +20,12 @@ integer row acts to an integer row.  Derived spaces are built from column
 dicts by from_columns, the one place that transposes.  Neither the action on
 a vector's support nor the involution check costs a dense d**3 pass.
 
-s3_closure sweeps the images under (12) and (123) into an EchelonBasis
-until the rank stops growing, and is_s3_stable hands the image of each
-canonical row to SubspaceQ.reduce.  Neither reads the canonical form
-itself: SubspaceQ is its only home.
+s3_closure is a worklist over an EchelonBasis: each vector that grows the
+span queues its (12) and (123) images once, so the span ends S3-stable
+without a last round that only confirms it.  is_s3_stable hands the image
+of each canonical row to SubspaceQ.reduce, and the QuadOperad constructor
+runs it on every operad, closures included.  Neither reads the canonical
+form itself: SubspaceQ is its only home.
 """
 
 from __future__ import annotations
@@ -168,19 +170,19 @@ def act(space: GeneratorSpace, perm: Perm, vec: Vec) -> Vec:
 
 
 def s3_closure(space: GeneratorSpace, vectors) -> SubspaceQ:
-    """Smallest S3-stable subspace of F(3) containing the given vectors."""
+    """Smallest S3-stable subspace of F(3) containing the given vectors.
+
+    A worklist: each vector that grows the span queues its images under
+    (12) and (123), which generate S3, once.  The span is then spanned by
+    the vectors that grew it and holds their images, so it is S3-stable
+    with no confirming sweep."""
     eb = EchelonBasis(space.free3_dim)
-    for v in vectors:
-        eb.add(v)
-    # (12) and (123) generate S3; sweep until the rank stops growing.
-    gens = (SWAP12, CYC123)
-    while True:
-        before = eb.rank
-        for row in eb.rows():
-            for g in gens:
-                eb.add(act(space, g, row))
-        if eb.rank == before:
-            return SubspaceQ.from_echelon(eb)
+    todo = list(vectors)
+    while todo:
+        v = todo.pop()
+        if eb.add(v):
+            todo += (act(space, SWAP12, v), act(space, CYC123, v))
+    return SubspaceQ.from_echelon(eb)
 
 
 def is_s3_stable(space: GeneratorSpace, sub: SubspaceQ) -> bool:

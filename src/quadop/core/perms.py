@@ -30,13 +30,6 @@ def compose(p: Perm, q: Perm) -> Perm:
     return (p[q[0] - 1], p[q[1] - 1], p[q[2] - 1])
 
 
-def inverse(p: Perm) -> Perm:
-    inv = [0, 0, 0]
-    for t in (1, 2, 3):
-        inv[p[t - 1] - 1] = t
-    return (inv[0], inv[1], inv[2])
-
-
 def sign(p: Perm) -> int:
     inv_count = sum(1 for a in range(3) for b in range(a + 1, 3) if p[a] > p[b])
     return -1 if inv_count % 2 else 1

@@ -17,9 +17,8 @@ guard runs on every dual.
 
 from __future__ import annotations
 
-from quadop.core.free3 import GeneratorSpace, act
+from quadop.core.free3 import GeneratorSpace
 from quadop.core.operad import QuadOperad
-from quadop.core.perms import IDENT, REPS
 from quadop.errors import InternalCheckError
 from quadop.linalg import add_scaled
 
@@ -55,9 +54,12 @@ def verify_jacobi_duality(P: QuadOperad, dual: QuadOperad | None = None) -> bool
     matrix identity swap_dual . swap^T = -I.
 
     Degree 3: the Jacobiator
-        J = sum_{pi in REPS} sum_{i,j} pi.(id,j,i)' (x) pi.(id,j,i)
-    must vanish in P!(3) (x) P(3).  Passing `dual` explicitly lets callers
-    probe a mismatched pair, which must fail.
+        J = sum_{c < 3d^2} e_c' (x) e_c
+    over the flat basis of F(3) must vanish in P!(3) (x) P(3): each term
+    pairs the P!(3) image of e_c with the P(3) image of e_c.  For pi in
+    REPS the unit pi.(id,j,i) is e_c at c = flat(pi, j, i), so this is the
+    sum over pi in REPS and i, j of pi.(id,j,i)' (x) pi.(id,j,i).  Passing
+    `dual` explicitly lets callers probe a mismatched pair, which must fail.
     """
     if dual is None:
         dual = dual_operad(P)
@@ -74,10 +76,6 @@ def verify_jacobi_duality(P: QuadOperad, dual: QuadOperad | None = None) -> bool
                 return False
 
     jac = {}
-    for pi in REPS:
-        for i in range(d):
-            for j in range(d):
-                u = dual.project(act(dspace, pi, {dspace.flat(IDENT, j, i): 1}))
-                v = P.project(act(space, pi, {space.flat(IDENT, j, i): 1}))
-                add_scaled(jac, (((r, c), a * b) for r, a in u.items() for c, b in v.items()))
+    for u, v in zip(dual.p3_projection(), P.p3_projection()):
+        add_scaled(jac, (((r, c), a * b) for r, a in u.items() for c, b in v.items()))
     return not jac

@@ -12,9 +12,10 @@ and an all-int row is only copied.
 
 * EchelonBasis: an incremental, order-dependent echelon form.  Cheap add and
   membership, no canonical form: the builder that from_vectors, intersect,
-  kernel_basis and the S3 closure sweep generators into.  Elimination is
-  integer-preserving: each step forms a*v - b*row in place, and the content
-  is divided out once, when a reduction ends in a nonzero residual.
+  kernel_basis and the S3 closure's worklist add rows to (add reports
+  whether the rank grew, and the worklist queues on that).  Elimination
+  is integer-preserving: each step forms a*v - b*row in place, and the
+  content is divided out once, when a reduction ends in a nonzero residual.
 * SubspaceQ: the canonical form, and the only class that reads it.  Its
   rows, keyed by pivot, are the reduced row echelon form (pivot columns
   cleared in every other row), each scaled to its primitive integer row.

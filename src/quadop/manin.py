@@ -18,15 +18,20 @@ Splitting (Bai, Bellier, Guo and Ni, IMRN 2013): each generator of Q splits
 into succ/prec (and perp in the post flavour), with the (12)-action twisted
 by a sign on the succ/prec pair.  The relations of the split operad are
 indexed by a relation f of Q and a nonempty subset M of the three argument
-positions; each monomial of f is rewritten according to how M sits relative
-to its arguments, and signed when exactly one of its legs is a prec.
+positions.  Each monomial of f is rewritten by a 7-entry table, keyed by
+the argument slots of the monomial that M holds, into (outer part, inner
+part) pairs; the rewrite writes their flat indices in the split space
+directly, signed -1 when exactly one leg is a prec.  That sign is D (x) D,
+D = -1 on prec generators: the table is S3-consistent for the unsigned
+action D S' D, S' the split space's swap, and D conjugates that action
+into S', so the seeds span an S3-stable space.  The constructor's guard
+checks it.
 """
 
 from __future__ import annotations
 
-from quadop.core.free3 import GeneratorSpace, Vec, act
+from quadop.core.free3 import GeneratorSpace, Vec
 from quadop.core.operad import QuadOperad
-from quadop.core.perms import IDENT
 from quadop.errors import InputError
 from quadop.koszul import dual_operad
 from quadop.linalg import IntRow, SubspaceQ, add_scaled, kernel_basis
@@ -155,42 +160,38 @@ def _split_space(Q: QuadOperad, mode: str) -> GeneratorSpace:
     return GeneratorSpace.from_columns(names, cols)
 
 
-def _split_monomial(space: GeneratorSpace, Q: QuadOperad, mode: str,
-                    sigma, i: int, j: int, M: frozenset) -> Vec:
-    """Rewrite of the monomial (sigma, i, j) of Q for argument subset M.
+# The argument slots of e_i(e_j(x_a, x_b), x_c) that a subset M holds, as
+# (x_a in M, x_b in M, x_c in M) -> the (outer part, inner part) pairs the
+# monomial is rewritten to, parts 0 succ, 1 prec, 2 perp.  M holding x_c
+# alone gives the star: every part of the inner leg.
+_SPLIT_TABLE = {
+    (True, False, False): ((1, 1),),
+    (False, True, False): ((1, 0),),
+    (False, False, True): ((0, 0), (0, 1), (0, 2)),
+    (True, True, False): ((1, 2),),
+    (True, False, True): ((2, 1),),
+    (False, True, True): ((2, 0),),
+    (True, True, True): ((2, 2),),
+}
 
-    With k1, k2, k3 = sigma(1), sigma(2), sigma(3) the monomial reads
-    e_i(e_j(x_k1, x_k2), x_k3); the subset M selects which arguments the
-    splitting points at, and the table below assigns the split operations.
-    Star is the sum of all components of the split.
-    Each shape carries its sign under D (x) D, D = -1 on prec legs: the
-    table is S3-consistent for the unsigned (Rota-Baxter) action D S D.
+
+def _split_monomial(space: GeneratorSpace, e: int, sigma, i: int, j: int, M: frozenset):
+    """Rewrite of the monomial (sigma, i, j) of Q, e = Q.dim_gens, for the
+    argument subset M, as (flat index in the split space, sign) pairs.
+
+    The monomial reads e_i(e_j(x_sigma(1), x_sigma(2)), x_sigma(3)); its
+    table row is the slots M holds.  A pair (po, pi) is the unit at
+    flat(sigma, po*e + i, pi*e + j): for sigma in REPS that unit is sigma
+    applied to (id, po*e + i, pi*e + j), and the split of a permuted
+    monomial under M is the permuted split under sigma^-1 M, so no action
+    is applied.  The pre flavour has no perp part and drops the pairs that
+    need one.  The sign is that of D (x) D, D = -1 on prec legs: -1 when
+    exactly one leg is a prec, which carries the table's S3-consistency
+    under D S' D over to the split space's own swap S'.
     """
-    e = Q.dim_gens
-    succ, prec = lambda g: g, lambda g: e + g
-    perp = lambda g: 2 * e + g
-    k1, k2, k3 = sigma
-    star = [succ(j), prec(j)] + ([perp(j)] if mode == "post" else [])
-    if M == {k1}:
-        shapes = [(prec(i), prec(j))]
-    elif M == {k2}:
-        shapes = [(prec(i), succ(j))]
-    elif M == {k3}:
-        shapes = [(succ(i), s) for s in star]
-    elif M == {k1, k2}:
-        shapes = [(prec(i), perp(j))]
-    elif M == {k1, k3}:
-        shapes = [(perp(i), prec(j))]
-    elif M == {k2, k3}:
-        shapes = [(perp(i), succ(j))]
-    else:  # M = {k1, k2, k3}
-        shapes = [(perp(i), perp(j))]
-
-    out: Vec = {}
-    for outer, inner in shapes:
-        sign = -1 if (e <= outer < 2 * e) != (e <= inner < 2 * e) else 1
-        add_scaled(out, act(space, sigma, {space.flat(IDENT, outer, inner): sign}))
-    return out
+    for po, pi in _SPLIT_TABLE[tuple(k in M for k in sigma)]:
+        if pi * e < space.dim:
+            yield space.flat(sigma, po * e + i, pi * e + j), -1 if (po == 1) != (pi == 1) else 1
 
 
 def split(Q: QuadOperad, mode: str) -> QuadOperad:
@@ -216,7 +217,9 @@ def split(Q: QuadOperad, mode: str) -> QuadOperad:
             vec: Vec = {}
             for c, coeff in f.items():
                 sigma, i, j = Q.space.unflat(c)
-                add_scaled(vec, _split_monomial(space, Q, mode, sigma, i, j, M), coeff)
+                # Distinct monomials and pairs land on distinct indices.
+                for col, sign in _split_monomial(space, Q.dim_gens, sigma, i, j, M):
+                    vec[col] = sign * coeff
             seeds.append(vec)
     rel = SubspaceQ.from_vectors(space.free3_dim, seeds)
     return QuadOperad(f"split_{mode}({Q.name})", space, rel)

@@ -111,6 +111,31 @@ def test_product_white_dims(capsys):
     assert payload["operad"]["dims"]["relations"] == 6
 
 
+def test_product_dictionaries_are_pinned(capsys):
+    # The split blocks run succ, prec, perp over the base generators; a
+    # replication pairs the partner's generators with the operand's.
+    payload = run_json(capsys, "product", "--post", "Lie")
+    assert payload["product"] == {
+        "recipe": "split_post(Lie)",
+        "dims": {"free3": 27, "gen": 3, "p3": 20, "relations": 7},
+        "dictionary": [
+            {"name": "b_succ", "base": "b", "part": "succ"},
+            {"name": "b_prec", "base": "b", "part": "prec"},
+            {"name": "b_perp", "base": "b", "part": "perp"},
+        ],
+    }
+    payload = run_json(capsys, "product", "--tri", "As")
+    assert payload["product"] == {
+        "recipe": "tri(As)",
+        "dims": {"free3": 108, "gen": 6, "p3": 42, "relations": 66},
+        "dictionary": [
+            {"name": f"b_{part}'*{m}", "left": f"b_{part}'", "right": m}
+            for part in ("succ", "prec", "perp")
+            for m in ("m1", "m2")
+        ],
+    }
+
+
 def test_locality_window_note(capsys):
     payload = run_json(capsys, "locality", "Com", "--window", "2")
     assert payload["locality"]["pairs"] == {"0,0": 1}

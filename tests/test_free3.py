@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quadop.core.catalog import catalog, catalog_names
+from quadop.core.catalog import _TEXTUAL, catalog, catalog_names
 from quadop.core.free3 import GeneratorSpace, act, is_s3_stable, s3_closure
+from quadop.core.parser import parse_relation
 from quadop.core.perms import IDENT, REPS, S3, SWAP12, compose
 from quadop.errors import InputError
 from quadop.linalg import SubspaceQ
@@ -266,6 +267,36 @@ def test_guard_matches_the_membership_loop_on_the_catalog():
             for how in ("dropped", "changed"):
                 sub = _perturbed(P.relations, rng, how)
                 assert is_s3_stable(P.space, sub) == reference_is_s3_stable(P.space, sub), P.name
+
+
+def _orbit_span(space, seeds):
+    """Reference for s3_closure: the span of every seed's images under all
+    six permutations, each read off the dense column matrix of
+    free3_action, so it shares neither act nor the worklist."""
+    images = [_apply_matrix(free3_action(space, p), v) for p in S3 for v in seeds]
+    return SubspaceQ.from_vectors(space.free3_dim, images)
+
+
+@pytest.mark.parametrize("name", sorted(_TEXTUAL))
+def test_closure_is_the_orbit_span_of_the_catalog_seeds(name):
+    space = catalog(name).space
+    seeds = [parse_relation(space, text) for text in _TEXTUAL[name][1]]
+    assert s3_closure(space, seeds) == _orbit_span(space, seeds)
+
+
+def test_closure_is_the_orbit_span_on_random_spaces():
+    # Rational swaps (a conjugated sign matrix), signed and rescaled
+    # monomial swaps, and the fixed RESCALE and MIXING spaces; d 1-4.
+    rng = random.Random(29)
+    spaces = [RESCALE, MIXING]
+    for d in range(1, 5):
+        spaces += [random_involutive_space(rng, d) for _ in range(6)]
+        spaces += [_monomial_involution(rng, d) for _ in range(6)]
+    for space in spaces:
+        for _ in range(2):
+            seeds = [_random_vec(space, rng, rng.randint(1, 4))
+                     for _ in range(rng.randint(1, 3))]
+            assert s3_closure(space, seeds) == _orbit_span(space, seeds), space.swap
 
 
 def test_jacobi_span_has_dimension_one():

@@ -7,7 +7,6 @@ from quadop.core.perms import (
     SWAP12,
     compose,
     coset_decompose,
-    inverse,
     sign,
 )
 
@@ -16,7 +15,6 @@ def test_group_axioms():
     for p in S3:
         assert compose(p, IDENT) == p
         assert compose(IDENT, p) == p
-        assert compose(p, inverse(p)) == IDENT
     for p in S3:
         for q in S3:
             for r in S3:
