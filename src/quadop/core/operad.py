@@ -9,6 +9,11 @@ P(3) = F(3)/R is read through the annihilator rows of R: primitive integer
 functionals whose common kernel is R, so the quotient map takes integer
 vectors to integer vectors.  Fraction enters only where a rational is
 written (relation and swap coefficients, change_basis's matrix) or printed.
+
+An operad caches two facts about R on first use: the quotient map
+(p3_projection) and the identity-block subspaces Z_0, Z_1, Z_2
+(identity_block), which every locality window reads its levels from.  A
+renamed copy shares what is cached when it is made.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ from fractions import Fraction
 from quadop.core.free3 import GeneratorSpace, Vec, is_s3_stable, s3_closure
 from quadop.core.parser import parse_relation, pretty_print
 from quadop.errors import InputError, InternalCheckError
-from quadop.linalg import IntRow, SubspaceQ, add_scaled, invert_matrix
+from quadop.linalg import EchelonBasis, IntRow, SubspaceQ, add_scaled, invert_matrix
 
 _SYMMETRY_KINDS = ("sym", "antisym", "pair", "swap")
 
@@ -43,6 +48,7 @@ class QuadOperad:
         self.space = space
         self.relations = relations
         self._p3 = None
+        self._block = None
 
     @property
     def dim_gens(self) -> int:
@@ -75,6 +81,30 @@ class QuadOperad:
             self._p3 = cols
         return self._p3
 
+    def identity_block(self) -> tuple[SubspaceQ, SubspaceQ, SubspaceQ]:
+        """Z_0, Z_1 and Z_2 of the locality module docstring, computed on
+        first use: the rows on the identity block (columns c < d*d) whose
+        images in P(3) are 0, lie in V_1 cap V_2 + V_1 cap V_3, and lie in
+        V_2 + V_3."""
+        if self._block is None:
+            n = self.dim_gens ** 2
+            meets = []
+            for order in ((1, 2, 0), (2, 1, 0)):
+                # R's columns regrouped block by block in this order (0 is the
+                # identity block): the echelon rows pivoted past the first
+                # block span the rows of R that vanish on it, and those
+                # pivoted past 2n lie on the identity block and span R cap B_1.
+                start = {block: k * n for k, block in enumerate(order)}
+                eb = EchelonBasis(3 * n)
+                for row in self.relations.rows():
+                    eb.add({start[c // n] + c % n: v for c, v in row.items()})
+                meets.append([(min(r), {c - 2 * n: v for c, v in r.items() if c >= 2 * n})
+                              for r in eb.rows() if min(r) >= n])
+            Z0 = SubspaceQ.from_vectors(n, (u for pivot, u in meets[0] if pivot >= 2 * n))
+            Z1 = SubspaceQ.from_vectors(n, (u for rows in meets for _, u in rows))
+            self._block = (Z0, Z1, self.relations.truncated(n))
+        return self._block
+
     def project(self, vec: Vec) -> Vec:
         """Image of a weight-3 vector in P(3) coordinates; integer for an
         integer vector."""
@@ -91,8 +121,8 @@ class QuadOperad:
         return [pretty_print(self.space, row) for row in self.relations.basis()]
 
     def renamed(self, name: str) -> "QuadOperad":
-        """A shallow copy under a new name: the same space, relations and
-        cached projection."""
+        """A shallow copy under a new name: the same space and relations,
+        and whatever of p3_projection and identity_block is cached so far."""
         out = copy.copy(self)
         out.name = name
         return out
@@ -157,12 +187,14 @@ def _swap_matrix(gen_specs: list[tuple[str, object]]) -> GeneratorSpace:
 def _generator_spec(g) -> tuple[str, object]:
     if isinstance(g, dict) and "name" in g and "symmetry" in g:
         name, sym = g["name"], g["symmetry"]
+    elif isinstance(g, dict) and "name" in g and "swap" in g:
+        name, sym = g["name"], {"swap": g["swap"]}
     elif isinstance(g, (list, tuple)) and len(g) == 2:
         name, sym = g
     else:
         raise InputError(
-            f"bad generator {g!r}: expected [name, symmetry] or "
-            '{"name": ..., "symmetry": ...}'
+            f"bad generator {g!r}: expected [name, symmetry], "
+            '{"name": ..., "symmetry": ...} or {"name": ..., "swap": ...}'
         )
     if not isinstance(name, str):
         raise InputError(f"generator name {name!r} is not a string")
@@ -172,8 +204,9 @@ def _generator_spec(g) -> tuple[str, object]:
 def make_operad(name: str, generators, relations) -> QuadOperad:
     """Build an operad from generator specs and relation strings.
 
-    generators: list of (name, symmetry) pairs or {"name":, "symmetry":}
-    dicts, symmetry one of "sym", "antisym", {"pair": other-name} or
+    generators: list of (name, symmetry) pairs, {"name":, "symmetry":}
+    dicts or {"name":, "swap":} dicts (the form `quadop --json` prints),
+    symmetry one of "sym", "antisym", {"pair": other-name} or
     {"swap": {name: rational-string}} in column convention.
 
     relations: list of relation strings; their S3-closure is taken, so one

@@ -7,7 +7,9 @@ c < d*d, so w on B lies in R-perp iff w . r = 0 for every relation row r of
 P: the obstruction is the complement of R's projection onto the block
 columns, and no dual operad is built.  That projection is read off R's
 canonical rows (SubspaceQ.truncated), so only its complement is eliminated.
-The same truncation is the locality lab's level-2 subspace Z_2 (locality.py).
+The same truncation is Z_2, the last of the identity-block subspaces that
+QuadOperad.identity_block caches for the locality lab; the verdict takes it
+afresh, as reading that cache would add its two eliminations of R.
 
 A NotDong verdict prints that kernel's canonical basis in the dual generators
 as witnesses, and each is replayed with dot products only (replay_witnesses).

@@ -39,8 +39,10 @@ Z_0 = pi(R cap {r_2 = r_3 = 0}), Z_1 = pi(R cap {r_3 = 0}) + pi(R cap
 has the level of the first of these that holds the unit row at
 flat(IDENT, j, i), and 3 if none does.  One elimination of R's rows with
 B_s's columns first and B_1's last gives R cap {r_s = 0} (the rows pivoted
-past B_s) and R cap {r_2 = r_3 = 0} (those pivoted in B_1).  The level is
-found once per operation pair; on a residue these tests reduce to a
+past B_s) and R cap {r_2 = r_3 = 0} (those pivoted in B_1).  The
+subspaces are found once per operad, by QuadOperad.identity_block, and
+every window of the operad shares them; each window tabulates the levels
+of its d*d pairs from them.  On a residue these tests reduce to a
 comparison of the level with k and N (below), so no residue is expanded.
 
 Proof.  Three subspaces of one space decompose it into indecomposable
@@ -129,7 +131,6 @@ from dataclasses import dataclass
 from quadop.core.operad import QuadOperad
 from quadop.core.perms import IDENT
 from quadop.errors import InputError
-from quadop.linalg import EchelonBasis, IntRow, SubspaceQ
 
 # Largest window radius K, checked before anything is built.  Membership
 # reads only the pair's level, k and N, so this is a bound on the input, not
@@ -166,7 +167,10 @@ class LocalityInstance:
 
     The locality ideal preserves the total index T = n_a+n_b+n_c, so
     membership tests run inside a single T-graded block.  For a residue the
-    test reads only the pair's level, k and N (module docstring).
+    test reads only the pair's level, k and N (module docstring).  After
+    the checks on K, the constructor fills `levels`, the level of every
+    identity monomial by flat column, from P.identity_block(), which the
+    operad computes on its first window and caches.
     """
 
     def __init__(self, P: QuadOperad, K: int):
@@ -176,31 +180,10 @@ class LocalityInstance:
             raise InputError(f"window radius K={K} exceeds the cap of {MAX_WINDOW}")
         self.P = P
         self.K = K
-        n = P.dim_gens ** 2
-        meets = []
-        for order in ((1, 2, 0), (2, 1, 0)):
-            # R's columns regrouped block by block in this order (0 is the
-            # identity block): the echelon rows pivoted past the first block
-            # span the rows of R that vanish on it, and those pivoted past
-            # 2n lie on the identity block and span R cap B_1.
-            start = {block: k * n for k, block in enumerate(order)}
-            eb = EchelonBasis(3 * n)
-            for row in P.relations.rows():
-                eb.add({start[c // n] + c % n: v for c, v in row.items()})
-            meets.append([(min(r), {c - 2 * n: v for c, v in r.items() if c >= 2 * n})
-                          for r in eb.rows() if min(r) >= n])
-        # Z_0, Z_1 and Z_2 of the module docstring, on the identity block.
-        self._nested = (
-            SubspaceQ.from_vectors(n, (u for pivot, u in meets[0] if pivot >= 2 * n)),
-            SubspaceQ.from_vectors(n, (u for rows in meets for _, u in rows)),
-            P.relations.truncated(n),
-        )
-        self._levels: dict[tuple[int, int], int] = {}
-
-    def _level(self, u: IntRow) -> int:
-        """The level of the image of a row u on the identity block: the
-        first of Z_0, Z_1 and Z_2 that holds u, and 3 if none does."""
-        return next((level for level, Z in enumerate(self._nested) if Z.contains(u)), 3)
+        nested = P.identity_block()
+        # The level of each identity monomial, by its flat column c < d*d.
+        self.levels = [next((level for level, Z in enumerate(nested) if Z.contains({c: 1})), 3)
+                       for c in range(P.dim_gens ** 2)]
 
     # -- residues ------------------------------------------------------
 
@@ -224,10 +207,7 @@ class LocalityInstance:
 
     def contains_residue(self, spec: ResidueSpec) -> bool:
         self._check_window(spec)
-        level = self._levels.get((spec.i, spec.j))
-        if level is None:
-            u = {self.P.space.flat(IDENT, spec.j, spec.i): 1}
-            level = self._levels[spec.i, spec.j] = self._level(u)
+        level = self.levels[self.P.space.flat(IDENT, spec.j, spec.i)]
         return not level or spec.k > 0 or (level < 3 and spec.N >= level)
 
     def min_locality_order(self, i: int, k: int, j: int, Nmax: int = 4,
@@ -268,4 +248,6 @@ class LocalityInstance:
 
 
 def build_instance(P: QuadOperad, K: int = 6) -> LocalityInstance:
+    """LocalityInstance(P, K), kept because perfbench/spans.py times the
+    locality set-up by wrapping this name."""
     return LocalityInstance(P, K)

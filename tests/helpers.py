@@ -529,6 +529,13 @@ def pair_bases(P):
             for sigma in REPS]
 
 
+def identity_level(P, u):
+    """The level of the image of a row u on the identity block: the first
+    of Z_0, Z_1 and Z_2 (P.identity_block()) that holds u, and 3 if none
+    does.  LocalityInstance tabulates this for the unit rows only."""
+    return next((level for level, Z in enumerate(P.identity_block()) if Z.contains(u)), 3)
+
+
 def nested_reference(P):
     """Z_0, Z_1 and Z_2 of the locality module docstring, on the identity
     block, by Zassenhaus intersections of R with coordinate subspaces:

@@ -234,10 +234,14 @@ def test_selfcheck_passes(capsys):
 def test_selfcheck_locality_anchor_tells_every_level_apart(capsys, monkeypatch, a, b):
     """The locality anchor pins Lie (level 2) and Zinb (levels 1 and 3), so
     exchanging any two nonzero levels fails it."""
-    level = LocalityInstance._level
+    init = LocalityInstance.__init__
     swap = {a: b, b: a}
-    monkeypatch.setattr(LocalityInstance, "_level",
-                        lambda self, base: swap.get(level(self, base), level(self, base)))
+
+    def swapped(self, P, K):
+        init(self, P, K)
+        self.levels = [swap.get(level, level) for level in self.levels]
+
+    monkeypatch.setattr(LocalityInstance, "__init__", swapped)
     code, _, err = run(capsys, "selfcheck")
     assert code == 2
     assert "locality order" in err

@@ -11,17 +11,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quadop.core.catalog import catalog, resolve
-from quadop.core.operad import change_basis
+from quadop.core.operad import change_basis, make_operad
 from quadop.core.perms import IDENT, REPS
 from quadop.dong import dong_verdict
 from quadop.errors import InputError, InternalCheckError
 from quadop.koszul import dual_generators
-from quadop.linalg import SubspaceQ, add_scaled, primitive_row
+from quadop.linalg import EchelonBasis, SubspaceQ, add_scaled, primitive_row
 from quadop.locality import MAX_WINDOW, LocalityInstance, ResidueSpec, build_instance
 from quadop.manin import black_product, replicate, split
 
 import helpers
-import quadop.locality
+import quadop.core.operad
 from helpers import (
     TABLE_ORDERS,
     SummandDecomposition,
@@ -31,6 +31,7 @@ from helpers import (
     hub_generators,
     hub_plane,
     ideal_subspace,
+    identity_level,
     join_labels,
     level_contains,
     nested_reference,
@@ -53,18 +54,50 @@ def test_window_size_validation():
         LocalityInstance(catalog("Lie"), 0)
 
 
+# The Zinbiel presentation, for tests that build an operad with nothing
+# cached yet (the catalog builds each entry once per process).
+_ZINB = ([("z1", {"pair": "z2"}), ("z2", {"pair": "z1"})],
+         ["(x1 {z1} x2) {z1} x3 - x1 {z1} (x2 {z1} x3) - x1 {z1} (x3 {z1} x2)"])
+
+
 def test_window_cap_is_checked_before_building(monkeypatch):
     # The first elimination of R's rows follows the checks; if the cap were
     # checked later, this would fail with the AssertionError instead.
     def never(ambient_dim):
         raise AssertionError("R eliminated for an over-cap window")
 
-    monkeypatch.setattr(quadop.locality, "EchelonBasis", never)
+    P = make_operad("Zinb", *_ZINB)
+    monkeypatch.setattr(quadop.core.operad, "EchelonBasis", never)
     assert MAX_WINDOW >= 8
     with pytest.raises(InputError, match=f"exceeds the cap of {MAX_WINDOW}"):
-        LocalityInstance(catalog("Lie"), MAX_WINDOW + 1)
+        LocalityInstance(P, MAX_WINDOW + 1)
     with pytest.raises(InputError, match="exceeds the cap"):
-        build_instance(catalog("Lie"), 10**6)
+        build_instance(P, 10**6)
+
+
+def test_identity_block_is_eliminated_once_per_operad(monkeypatch):
+    """Every window of a freshly built operad, its sweeps and the windows of
+    a renamed copy made afterwards share one identity-block analysis: two
+    eliminations of R's rows in Q^(3 d^2) in all.  dong_verdict makes none."""
+    P = make_operad("Zinb", *_ZINB)
+    free3 = P.dim_free3
+    made = Counter()
+    init = EchelonBasis.__init__
+
+    def counting(eb, ambient_dim):
+        made[ambient_dim] += 1
+        init(eb, ambient_dim)
+
+    monkeypatch.setattr(EchelonBasis, "__init__", counting)
+    dong_verdict(P)
+    assert made[free3] == 0
+    sweeps = [LocalityInstance(P, K).sweep(Nmax=3) for K in range(3, MAX_WINDOW + 1)]
+    for K in (1, 2):
+        LocalityInstance(P, K)
+    assert made[free3] == 2
+    assert all(sweep == sweeps[0] for sweep in sweeps)
+    assert LocalityInstance(P.renamed("Zinb'"), 3).sweep(Nmax=3) == sweeps[0]
+    assert made[free3] == 2
 
 
 def test_lie_bracket_is_local_of_order_two():
@@ -315,7 +348,7 @@ def _v1_bases(lab, ref, rng):
     out = []
     for u in _identity_block_rows(lab.P, rng):
         base = primitive_row(lab.P.project(u))
-        level = lab._level(u)
+        level = identity_level(lab.P, u)
         assert level == ref.level(base), (u, base, level)
         out.append((base, level, ref.checks(base)))
     return out
@@ -490,23 +523,26 @@ def test_sigma_only_summands_count_the_dong_kernel():
 
 def _identity_levels(lab):
     """The level of the image of every identity monomial (x1 {i} x2) {j} x3,
-    keyed by (i, j)."""
+    keyed by (i, j), as the lab's table holds it."""
     d, flat = lab.P.dim_gens, lab.P.space.flat
-    return {(i, j): lab._level({flat(IDENT, j, i): 1}) for i in range(d) for j in range(d)}
+    return {(i, j): lab.levels[flat(IDENT, j, i)] for i in range(d) for j in range(d)}
 
 
 def test_level_of_any_identity_block_row_matches_the_summand_reference():
-    """The level the lab reads off R's rows, for any row u on the identity
-    block (_identity_block_rows), is the summand reference's level of u's
+    """The level read off R's rows (helpers.identity_level over
+    P.identity_block()), for any row u on the identity block
+    (_identity_block_rows), is the summand reference's level of u's
     image in P(3), on the table entries, the criterion-9 products and
-    seeded random operads, and every level occurs."""
+    seeded random operads, and every level occurs.  The subspaces equal
+    nested_reference's Zassenhaus intersections."""
     rng = random.Random(24)
     seen = set()
     for P in _operads():
+        assert P.identity_block() == nested_reference(P), P.name
         lab = LocalityInstance(P, 1)
         ref = SummandDecomposition(lab)
         for u in _identity_block_rows(P, rng):
-            level = lab._level(u)
+            level = identity_level(P, u)
             assert level == ref.level(P.project(u)), (P.name, u, level)
             seen.add(level)
     assert seen == {0, 1, 2, 3}

@@ -7,13 +7,15 @@ import tempfile
 from fractions import Fraction
 
 import pytest
-from helpers import TABLE_ORDERS, random_operad
+from helpers import TABLE_ORDERS, random_involutive_space, random_operad
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quadop.core.catalog import catalog, resolve
+from quadop.cli import main
+from quadop.core.catalog import catalog, catalog_names, resolve
 from quadop.core.free3 import GeneratorSpace
 from quadop.core.operad import QuadOperad, change_basis, load_operad_file, make_operad
+from quadop.core.parser import pretty_print
 from quadop.errors import InputError, InternalCheckError
 from quadop.linalg import SubspaceQ
 
@@ -142,6 +144,56 @@ def test_load_operad_file(tmp_path):
     P = load_operad_file(str(path))
     assert P.name == "fileop"
     assert P.dim_relations == 2  # closure adds the rotated copy
+
+
+def _printed(capsys, *argv):
+    """The operad object that `quadop --json` prints for argv."""
+    code = main(["--json", *argv])
+    out, err = capsys.readouterr()
+    assert code == 0, err
+    return json.loads(out)["operad"]
+
+
+def _random_file(rng, d):
+    """A random operad file: generators with the swap images of a random
+    S2-module rescaled by random rationals q (column j of the swap times
+    q_m / q_j in row m), and one random relation seed."""
+    space = random_involutive_space(rng, d)
+    q = [Fraction(rng.randint(1, 3), rng.randint(1, 3)) for _ in range(d)]
+    generators = [[name, {"swap": {space.names[m]: str(x * q[m] / q[j]) for m, x in column}}]
+                  for j, (name, column) in enumerate(zip(space.names, space.swap_columns))]
+    space = make_operad("scaled", generators, []).space
+    seed = {c: rng.randint(1, 3) for c in rng.sample(range(space.free3_dim), 2)}
+    return {"name": f"random{d}", "generators": generators,
+            "relations": [pretty_print(space, seed)]}
+
+
+def test_printed_operads_load_back(tmp_path, capsys):
+    """The operad object that `show --json` and `product --json` print,
+    written to a file, loads back: show prints the same object again, for
+    every catalog entry, dual(NP), products of every kind and seeded random
+    operad files with rational swaps, whose reloaded operad also has the
+    same swap and relations as the first load."""
+    runs = [["show", name] for name in [*catalog_names(), "dual(NP)"]]
+    runs += [["product", "--white", "As", "Com"], ["product", "--white", "Lie", "Nov"],
+             ["product", "--black", "As", "Lie"], ["product", "--black", "Pois", "Perm"]]
+    runs += [["product", f"--{kind}", name] for kind in ("pre", "post", "di", "tri")
+             for name in ("Lie", "Zinb")]
+    rng = random.Random(26)
+    files = [_random_file(rng, rng.randint(1, 3)) for _ in range(10)]
+    assert any("/" in x for f in files for _, sym in f["generators"] for x in sym["swap"].values())
+    for k, data in enumerate(files):
+        path = tmp_path / f"random{k}.json"
+        path.write_text(json.dumps(data))
+        runs.append(["show", str(path)])
+    for k, argv in enumerate(runs):
+        printed = _printed(capsys, *argv)
+        path = tmp_path / f"printed{k}.json"
+        path.write_text(json.dumps(printed))
+        assert _printed(capsys, "show", str(path)) == printed, argv
+        if argv[1].endswith(".json"):
+            first, again = load_operad_file(argv[1]), load_operad_file(str(path))
+            assert (again.space.swap, again.relations) == (first.space.swap, first.relations)
 
 
 def test_load_operad_file_errors(tmp_path):
