@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import os
 import sys
@@ -133,26 +134,16 @@ def cmd_dong(args) -> tuple[dict, list[str]]:
     return payload, lines
 
 
-def _product_dictionary(kind: str, R, left=None, right=None) -> list[dict]:
-    if kind in ("white", "black", "di", "tri"):
-        dl = left.space.dim
-        dr = right.space.dim
-        return [
-            {"name": R.space.names[a * dr + b],
-             "left": left.space.names[a],
-             "right": right.space.names[b]}
-            for a in range(dl)
-            for b in range(dr)
-        ]
-    # splitting: block order succ, prec (, perp) over the base generators
-    base = left
-    e = base.space.dim
-    parts = ("succ", "prec", "perp") if kind == "post" else ("succ", "prec")
-    return [
-        {"name": R.space.names[p * e + g], "base": base.space.names[g], "part": parts[p]}
-        for p in range(len(parts))
-        for g in range(e)
-    ]
+def _product_dictionary(R, left, right=None) -> list[dict]:
+    """Each generator of R with the pair it stands for: (left, right) in
+    product order, or, for a split of left (right None), (part, base) in
+    block order succ, prec, then perp, which only the post split has."""
+    if right is None:
+        pairs = itertools.product(("succ", "prec", "perp"), left.space.names)
+        return [{"name": name, "base": base, "part": part}
+                for name, (part, base) in zip(R.space.names, pairs)]
+    pairs = itertools.product(left.space.names, right.space.names)
+    return [{"name": name, "left": a, "right": b} for name, (a, b) in zip(R.space.names, pairs)]
 
 
 def cmd_product(args) -> tuple[dict, list[str]]:
@@ -179,7 +170,7 @@ def cmd_product(args) -> tuple[dict, list[str]]:
         product={
             "recipe": recipe,
             "dims": R.dims(),
-            "dictionary": _product_dictionary(kind, R, left, right),
+            "dictionary": _product_dictionary(R, left, right),
         },
     )
     lines = [f"{recipe}:"] + _render_summary(payload["operad"])[1:]

@@ -12,8 +12,11 @@ written (relation and swap coefficients, change_basis's matrix) or printed.
 
 An operad caches two facts about R on first use: the quotient map
 (p3_projection) and the identity-block subspaces Z_0, Z_1, Z_2
-(identity_block), which every locality window reads its levels from.  A
-renamed copy shares what is cached when it is made.
+(identity_block) with the level table read off them (identity_levels),
+which every locality window reads.  The subspaces take one elimination of
+R's rows; the second meet is the (12) image of the first, which rests on
+the S3-stability the constructor's guard certifies.  A renamed copy shares
+what is cached when it is made.
 """
 
 from __future__ import annotations
@@ -22,8 +25,9 @@ import copy
 import json
 from fractions import Fraction
 
-from quadop.core.free3 import GeneratorSpace, Vec, is_s3_stable, s3_closure
+from quadop.core.free3 import GeneratorSpace, Vec, act, is_s3_stable, s3_closure
 from quadop.core.parser import parse_relation, pretty_print
+from quadop.core.perms import SWAP12
 from quadop.errors import InputError, InternalCheckError
 from quadop.linalg import EchelonBasis, IntRow, SubspaceQ, add_scaled, invert_matrix
 
@@ -85,25 +89,39 @@ class QuadOperad:
         """Z_0, Z_1 and Z_2 of the locality module docstring, computed on
         first use: the rows on the identity block (columns c < d*d) whose
         images in P(3) are 0, lie in V_1 cap V_2 + V_1 cap V_3, and lie in
-        V_2 + V_3."""
+        V_2 + V_3.
+
+        One elimination of R's rows, with the column blocks regrouped as
+        (B_3, B_2, B_1): the echelon rows pivoted past B_3 span
+        R cap {r_3 = 0}, and those pivoted in B_1 span R cap B_1, whose
+        projection is Z_0.  (12) fixes B_1 (swapping the inner leg) and
+        exchanges B_2 with B_3, so, R being (12)-stable as the constructor's
+        guard certifies, it maps R cap {r_3 = 0} onto R cap {r_2 = 0}: Z_1
+        is spanned by the projections M of the first rows and their (12)
+        images.  Z_2 is the truncation of R's canonical rows."""
         if self._block is None:
             n = self.dim_gens ** 2
-            meets = []
-            for order in ((1, 2, 0), (2, 1, 0)):
-                # R's columns regrouped block by block in this order (0 is the
-                # identity block): the echelon rows pivoted past the first
-                # block span the rows of R that vanish on it, and those
-                # pivoted past 2n lie on the identity block and span R cap B_1.
-                start = {block: k * n for k, block in enumerate(order)}
-                eb = EchelonBasis(3 * n)
-                for row in self.relations.rows():
-                    eb.add({start[c // n] + c % n: v for c, v in row.items()})
-                meets.append([(min(r), {c - 2 * n: v for c, v in r.items() if c >= 2 * n})
-                              for r in eb.rows() if min(r) >= n])
-            Z0 = SubspaceQ.from_vectors(n, (u for pivot, u in meets[0] if pivot >= 2 * n))
-            Z1 = SubspaceQ.from_vectors(n, (u for rows in meets for _, u in rows))
-            self._block = (Z0, Z1, self.relations.truncated(n))
-        return self._block
+            eb = EchelonBasis(3 * n)
+            for row in self.relations.rows():
+                # Block s of F(3) moves to position 2 - s.
+                eb.add({(2 - c // n) * n + c % n: v for c, v in row.items()})
+            M = [(min(r), {c - 2 * n: v for c, v in r.items() if c >= 2 * n})
+                 for r in eb.rows() if min(r) >= n]
+            Z = (SubspaceQ.from_vectors(n, (u for pivot, u in M if pivot >= 2 * n)),
+                 SubspaceQ.from_vectors(n, [u for _, u in M]
+                                        + [act(self.space, SWAP12, u) for _, u in M]),
+                 self.relations.truncated(n))
+            self._block = Z, tuple(next((level for level, Zl in enumerate(Z)
+                                         if Zl.contains({c: 1})), 3) for c in range(n))
+        return self._block[0]
+
+    def identity_levels(self) -> tuple[int, ...]:
+        """The level of every identity monomial, by flat column c < d*d: the
+        first of identity_block()'s Z_0, Z_1, Z_2 that holds the unit row
+        at c, and 3 if none does.  Cached with the triple, so every window
+        of the operad reads one table."""
+        self.identity_block()
+        return self._block[1]
 
     def project(self, vec: Vec) -> Vec:
         """Image of a weight-3 vector in P(3) coordinates; integer for an
@@ -122,7 +140,8 @@ class QuadOperad:
 
     def renamed(self, name: str) -> "QuadOperad":
         """A shallow copy under a new name: the same space and relations,
-        and whatever of p3_projection and identity_block is cached so far."""
+        and whatever of p3_projection and the identity block and levels is
+        cached so far."""
         out = copy.copy(self)
         out.name = name
         return out
@@ -232,7 +251,7 @@ def load_operad_file(path: str) -> QuadOperad:
             data = json.load(fh)
     except OSError as exc:
         raise InputError(f"cannot read operad file {path}: {exc}") from None
-    except ValueError as exc:  # bad JSON, bad UTF-8, or an int beyond the digit cap
+    except (ValueError, RecursionError) as exc:  # also bad UTF-8, huge ints, deep nesting
         raise InputError(f"{path} is not valid JSON: {exc}") from None
     if not isinstance(data, dict):
         raise InputError(f"{path}: expected a JSON object with keys name, generators, relations")

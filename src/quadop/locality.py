@@ -38,11 +38,15 @@ Z_0 = pi(R cap {r_2 = r_3 = 0}), Z_1 = pi(R cap {r_3 = 0}) + pi(R cap
 {r_2 = 0}) or Z_2 = pi(R), the projection dong.py reads.  The pair (i, j)
 has the level of the first of these that holds the unit row at
 flat(IDENT, j, i), and 3 if none does.  One elimination of R's rows with
-B_s's columns first and B_1's last gives R cap {r_s = 0} (the rows pivoted
-past B_s) and R cap {r_2 = r_3 = 0} (those pivoted in B_1).  The
-subspaces are found once per operad, by QuadOperad.identity_block, and
-every window of the operad shares them; each window tabulates the levels
-of its d*d pairs from them.  On a residue these tests reduce to a
+the blocks regrouped as (B_3, B_2, B_1) gives R cap {r_3 = 0} (the rows
+pivoted past B_3) and R cap {r_2 = r_3 = 0} (those pivoted in B_1).  The
+other meet needs none: (12) fixes B_1, swapping the inner leg, and
+exchanges B_2 with B_3, so on the (12)-stable R, which the QuadOperad
+guard certifies, it maps R cap {r_3 = 0} onto R cap {r_2 = 0}, and
+pi(R cap {r_2 = 0}) is the (12) image of pi(R cap {r_3 = 0}).  The
+subspaces and the level table of the d*d pairs are found once per
+operad, by QuadOperad.identity_block and identity_levels, and every
+window of the operad reads them.  On a residue these tests reduce to a
 comparison of the level with k and N (below), so no residue is expanded.
 
 Proof.  Three subspaces of one space decompose it into indecomposable
@@ -168,9 +172,9 @@ class LocalityInstance:
     The locality ideal preserves the total index T = n_a+n_b+n_c, so
     membership tests run inside a single T-graded block.  For a residue the
     test reads only the pair's level, k and N (module docstring).  After
-    the checks on K, the constructor fills `levels`, the level of every
-    identity monomial by flat column, from P.identity_block(), which the
-    operad computes on its first window and caches.
+    the checks on K, `levels` is P.identity_levels(), the level of every
+    identity monomial by flat column, which the operad tabulates on its
+    first window and every later window shares.
     """
 
     def __init__(self, P: QuadOperad, K: int):
@@ -180,10 +184,7 @@ class LocalityInstance:
             raise InputError(f"window radius K={K} exceeds the cap of {MAX_WINDOW}")
         self.P = P
         self.K = K
-        nested = P.identity_block()
-        # The level of each identity monomial, by its flat column c < d*d.
-        self.levels = [next((level for level, Z in enumerate(nested) if Z.contains({c: 1})), 3)
-                       for c in range(P.dim_gens ** 2)]
+        self.levels = P.identity_levels()
 
     # -- residues ------------------------------------------------------
 

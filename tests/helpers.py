@@ -532,7 +532,8 @@ def pair_bases(P):
 def identity_level(P, u):
     """The level of the image of a row u on the identity block: the first
     of Z_0, Z_1 and Z_2 (P.identity_block()) that holds u, and 3 if none
-    does.  LocalityInstance tabulates this for the unit rows only."""
+    does.  P.identity_levels() tabulates this once per operad for the unit
+    rows only, and LocalityInstance reads that table."""
     return next((level for level, Z in enumerate(P.identity_block()) if Z.contains(u)), 3)
 
 

@@ -311,6 +311,21 @@ def test_operad_file_integer_beyond_digit_cap_is_an_input_error(capsys, tmp_path
     assert "not valid JSON" in err
 
 
+@pytest.mark.parametrize(
+    "text",
+    ["[" * 200000 + "]" * 200000,
+     '{"name": "x", "generators": ' + "[" * 200000 + "]" * 200000 + ', "relations": []}'],
+    ids=["whole-file", "generators"],
+)
+def test_operad_file_nested_past_the_recursion_limit_is_an_input_error(capsys, tmp_path, text):
+    path = tmp_path / "deep.json"
+    path.write_text(text)
+    code, out, err = run(capsys, "show", str(path))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "not valid JSON" in err
+
+
 def test_unexpected_exception_exits_3(capsys, monkeypatch):
     def broken(args):
         raise RuntimeError("boom")

@@ -1,5 +1,6 @@
 """The identity-block criterion and its report plumbing."""
 
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -184,6 +185,14 @@ def test_as_dict_is_json_ready():
     assert d["verdict"] == "Dong"
     assert d["witnesses"] == []
     assert isinstance(d["kernel_dim"], int)
+
+
+@pytest.mark.parametrize("name", ["Lie", "Zinb", "postLie", "preAs"])
+def test_as_dict_copies_every_field_in_order(name):
+    report = dong_verdict(catalog(name))
+    d = report.as_dict()
+    assert list(d.items()) == list(dataclasses.asdict(report).items())
+    assert d["witnesses"] is not report.witnesses and d["dims"] is not report.dims
 
 
 def test_degenerate_presentations():

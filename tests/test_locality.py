@@ -1,5 +1,6 @@
 """Windowed locality lab: frozen sweep outcomes and structural checks."""
 
+import hashlib
 import itertools
 import random
 from collections import Counter
@@ -18,7 +19,7 @@ from quadop.errors import InputError, InternalCheckError
 from quadop.koszul import dual_generators
 from quadop.linalg import EchelonBasis, SubspaceQ, add_scaled, primitive_row
 from quadop.locality import MAX_WINDOW, LocalityInstance, ResidueSpec, build_instance
-from quadop.manin import black_product, replicate, split
+from quadop.manin import black_product, replicate, split, white_product
 
 import helpers
 import quadop.core.operad
@@ -77,8 +78,9 @@ def test_window_cap_is_checked_before_building(monkeypatch):
 
 def test_identity_block_is_eliminated_once_per_operad(monkeypatch):
     """Every window of a freshly built operad, its sweeps and the windows of
-    a renamed copy made afterwards share one identity-block analysis: two
-    eliminations of R's rows in Q^(3 d^2) in all.  dong_verdict makes none."""
+    a renamed copy made afterwards share one identity-block analysis: one
+    elimination of R's rows in Q^(3 d^2) in all, the second meet being its
+    (12) image.  dong_verdict makes none."""
     P = make_operad("Zinb", *_ZINB)
     free3 = P.dim_free3
     made = Counter()
@@ -94,10 +96,44 @@ def test_identity_block_is_eliminated_once_per_operad(monkeypatch):
     sweeps = [LocalityInstance(P, K).sweep(Nmax=3) for K in range(3, MAX_WINDOW + 1)]
     for K in (1, 2):
         LocalityInstance(P, K)
-    assert made[free3] == 2
+    assert made[free3] == 1
     assert all(sweep == sweeps[0] for sweep in sweeps)
     assert LocalityInstance(P.renamed("Zinb'"), 3).sweep(Nmax=3) == sweeps[0]
-    assert made[free3] == 2
+    assert made[free3] == 1
+
+
+def test_windows_share_one_level_table():
+    """The level table is tabulated once per operad: every window of it, and
+    of a renamed copy made after its first window, reads one tuple.  A copy
+    made before the first window tabulates its own, once."""
+    P = make_operad("Zinb", *_ZINB)
+    early = P.renamed("Zinb'")
+    ours = [LocalityInstance(P, K) for K in (1, 4, MAX_WINDOW)]
+    late = [LocalityInstance(P.renamed("Zinb''"), K) for K in (1, 4, MAX_WINDOW)]
+    theirs = [LocalityInstance(early, K) for K in (1, 4, MAX_WINDOW)]
+    assert type(P.identity_levels()) is tuple
+    assert all(lab.levels is P.identity_levels() for lab in ours + late)
+    assert all(lab.levels is early.identity_levels() for lab in theirs)
+    assert early.identity_levels() == P.identity_levels()
+
+
+# d >= 16: dims of Z_0, Z_1, Z_2, the level counts, and the sha256 of the
+# level table as bytes, by flat column.
+_WIDE_PINS = {
+    ("diAs", "diAs"): ((112, 184, 184), {1: 128, 3: 128}, "d88a132a550e0dc9"),
+    ("tri(As)", "diAs"): ((240, 408, 408), {1: 288, 3: 288}, "8686c6e22e18c4f2"),
+}
+
+
+@pytest.mark.parametrize("left, right", sorted(_WIDE_PINS))
+def test_wide_white_product_levels_are_pinned(left, right):
+    ops = {"diAs": catalog("diAs"), "tri(As)": replicate("tri", catalog("As"))}
+    P = white_product(ops[left], ops[right])
+    dims, counts, digest = _WIDE_PINS[left, right]
+    assert tuple(Z.dim for Z in P.identity_block()) == dims
+    levels = LocalityInstance(P, 6).levels
+    assert Counter(levels) == counts
+    assert hashlib.sha256(bytes(levels)).hexdigest().startswith(digest)
 
 
 def test_lie_bracket_is_local_of_order_two():
