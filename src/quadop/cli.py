@@ -239,7 +239,8 @@ def cmd_selfcheck(args) -> tuple[dict, list[str]]:
 
     def check_double_dual():
         # dual(dual(P)) reads P's relations back from the complement, so the
-        # complement of the dual relations is also taken from scratch.
+        # complement of the dual relations is also taken from scratch, by
+        # another route: the annihilator rows, canonicalised from the left.
         for name in ("Lie", "As", "NP", "postLie"):
             P = catalog(name)
             D = dual_operad(P)

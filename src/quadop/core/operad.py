@@ -111,15 +111,17 @@ class QuadOperad:
                  SubspaceQ.from_vectors(n, [u for _, u in M]
                                         + [act(self.space, SWAP12, u) for _, u in M]),
                  self.relations.truncated(n))
-            self._block = Z, tuple(next((level for level, Zl in enumerate(Z)
-                                         if Zl.contains({c: 1})), 3) for c in range(n))
+            units = [Zl.unit_columns() for Zl in Z]
+            self._block = Z, tuple(next((level for level, u in enumerate(units) if c in u), 3)
+                                   for c in range(n))
         return self._block[0]
 
     def identity_levels(self) -> tuple[int, ...]:
         """The level of every identity monomial, by flat column c < d*d: the
         first of identity_block()'s Z_0, Z_1, Z_2 that holds the unit row
-        at c, and 3 if none does.  Cached with the triple, so every window
-        of the operad reads one table."""
+        at c, and 3 if none does.  Read off their unit_columns(), with no
+        reduction, and cached with the triple, so every window of the
+        operad reads one table."""
         self.identity_block()
         return self._block[1]
 

@@ -8,11 +8,12 @@ monomials, and is S3-invariant up to the sign of the permutation; that sign
 is checked in the tests, not re-derived here.
 
 The dual relation space is the annihilator of R under this pairing, which in
-coordinates is a plain kernel computation.  When R is itself a complement
-made by SubspaceQ.perp() (a dual, or the relations of a white product), that
-kernel is read back from the complement instead of eliminated again.  The
-dual still goes through the QuadOperad constructor, so its S3-stability
-guard runs on every dual.
+coordinates is a plain kernel computation: SubspaceQ.perp(), one elimination
+of R's canonical rows from the right.  When R is itself a complement made by
+perp() (a dual, or the relations of a white product, which kernel_basis
+makes as the perp() of a span), that kernel is read back from the complement
+instead of eliminated again.  The dual still goes through the QuadOperad
+constructor, so its S3-stability guard runs on every dual.
 """
 
 from __future__ import annotations
@@ -23,13 +24,24 @@ from quadop.errors import InternalCheckError
 from quadop.linalg import add_scaled
 
 
+def _strippable_primes(name: str) -> int:
+    """How many trailing primes name can lose and stay a valid generator
+    name: all of them, less one when losing all would leave it empty or
+    ending in whitespace."""
+    base = name.rstrip("'")
+    return len(name) - len(base) - (not base or base != base.strip())
+
+
 def dual_generators(space: GeneratorSpace) -> GeneratorSpace:
     """Sign-twisted dual space in paired coordinates: swap -> -swap^T.
 
-    Names gain a prime; a space whose names are all primed instead loses it,
-    so double duals come back under their own names.
+    Names lose a prime when the number of primes all of them can lose
+    (_strippable_primes) is odd, and gain one otherwise.  That number
+    differs by one between a space and its dual, so the toggle is an
+    involution: double duals come back under their own names, and a
+    stripped name is always valid.
     """
-    if all(n.endswith("'") for n in space.names):
+    if min(map(_strippable_primes, space.names), default=0) % 2:
         names = tuple(n[:-1] for n in space.names)
     else:
         names = tuple(n + "'" for n in space.names)

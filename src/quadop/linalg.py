@@ -11,11 +11,12 @@ denominators are read directly, so an int vector never becomes a Fraction,
 and an all-int row is only copied.
 
 * EchelonBasis: an incremental, order-dependent echelon form.  Cheap add and
-  membership, no canonical form: the builder that from_vectors, intersect,
-  kernel_basis and the S3 closure's worklist add rows to (add reports
-  whether the rank grew, and the worklist queues on that).  Elimination
-  is integer-preserving: each step forms a*v - b*row in place, and the
-  content is divided out once, when a reduction ends in a nonzero residual.
+  membership, no canonical form: the builder that from_vectors, intersect
+  and the S3 closure's worklist add rows to (add reports whether the rank
+  grew, and the worklist queues on that), and that perp() reduces its own
+  fresh rows into.  Elimination is integer-preserving: each step forms
+  a*v - b*row in place, and the content is divided out once, when a
+  reduction ends in a nonzero residual.
 * SubspaceQ: the canonical form, and the only class that reads it.  Its
   rows, keyed by pivot, are the reduced row echelon form (pivot columns
   cleared in every other row), each scaled to its primitive integer row.
@@ -23,23 +24,30 @@ and an all-int row is only copied.
   structural.  reduce() is the one reduction against canonical rows: one
   elimination per pivot column in a row's support, and the row lies in the
   span exactly when nothing is left; contains() and the S3-stability guard
-  both call it.  basis() is the one output that may hold Fractions, for
-  printing: it scales each row to pivot entry 1, and a row whose pivot
-  value is already 1 keeps its int entries.  annihilator_rows() gives
-  primitive integer functionals whose common kernel is the subspace, and
-  invert_matrix reads the inverse off the canonical form of [M | I].
+  both call it.  unit_columns() reads off which unit rows lie in the span,
+  with no reduction.  basis() is the one output that may hold Fractions,
+  for printing: it scales each row to pivot entry 1, and a row whose pivot
+  value is already 1 keeps its int entries.  invert_matrix reads the
+  inverse off the canonical form of [M | I].
 
-  perp() records on its result the subspace it came from, and perp() of
-  that result returns it without elimination: (U^perp)^perp = U, and the
-  canonical form is unique.  The link runs one way, from the complement to
-  its source, so no reference cycle is made.  truncated(n), the projection
-  onto the first n columns, reads the canonical rows with no elimination.
+  perp() is the one complement computed by elimination: it eliminates the
+  canonical rows once, from the right, and transposes the reduced rows
+  straight into the complement's canonical rows; unit rows only zero a
+  coordinate, and stay out of the elimination.  It records on its result
+  the subspace it came from, and perp() of that result returns it without
+  elimination: (U^perp)^perp = U, and the canonical form is unique.  The
+  link runs one way, from the complement to its source, so no reference
+  cycle is made.  annihilator_rows() reads primitive integer functionals
+  whose common kernel is the subspace off the canonical rows, with no
+  elimination; they span the complement but are not canonical, and
+  canonicalised with from_vectors they give a second route to it that
+  shares no elimination with perp().  truncated(n), the projection onto
+  the first n columns, reads the canonical rows with no elimination.
   from_echelon reaches the canonical form by column-indexed
   back-substitution, whose cost follows the rows' nonzeros, not the square
   of the rank.
 
-kernel_basis eliminates a row list once, from the right, and transposes the
-reduced rows straight into the kernel's canonical rows.
+kernel_basis, the kernel of a row list, is the perp() of the rows' span.
 """
 
 from __future__ import annotations
@@ -239,6 +247,12 @@ class SubspaceQ:
     def contains(self, vec) -> bool:
         return not self.reduce(_as_int_row(vec))
 
+    def unit_columns(self) -> set[int]:
+        """The columns c whose unit row e_c lies in the subspace: those whose
+        canonical row is {c: 1}.  e_c is 0 at every pivot but c, so it lies
+        in the span only as a multiple of the row at pivot c."""
+        return {p for p, r in self._rows.items() if len(r) == 1}
+
     def truncated(self, n: int) -> "SubspaceQ":
         """The projection onto the first n coordinates, as a subspace of Q^n:
         the rows with pivot < n, cut at column n.  A reduced row cut at a
@@ -253,45 +267,62 @@ class SubspaceQ:
         """Zassenhaus: echelonise rows [u|u] for u in self and [w|0] for w in
         other inside Q^(2n); rows supported entirely in the right half give a
         basis of the intersection."""
-        self._check_ambient(other)
         n = self.ambient_dim
+        if other.ambient_dim != n:
+            raise ValueError(f"ambient dimensions differ: {n} vs {other.ambient_dim}")
         eb = EchelonBasis(2 * n)
         for r in self.rows():
-            v = dict(r)
-            for c, x in r.items():
-                v[c + n] = x
-            eb.add(v)
+            eb.add(r | {c + n: x for c, x in r.items()})
         for r in other.rows():
             eb.add(r)
-        inter = []
-        for pivot, row in eb._rows.items():
-            if pivot >= n:
-                inter.append({c - n: v for c, v in row.items()})
-        return SubspaceQ.from_vectors(n, inter)
+        return SubspaceQ.from_vectors(n, ({c - n: v for c, v in row.items()}
+                                          for pivot, row in eb._rows.items() if pivot >= n))
 
     def annihilator_rows(self) -> list[IntRow]:
         """Primitive integer rows spanning the orthogonal complement, one per
-        free (non-pivot) column, in column order (see _free_column_rows)."""
+        free (non-pivot) column, in column order (see _free_column_rows):
+        read off the canonical rows with no elimination, and not canonical
+        themselves.  perp() does not read them, so a complement
+        canonicalised from them is a second route to perp()'s result."""
         rows = self._rows
         free = [f for f in range(self.ambient_dim) if f not in rows]
         return [_strip_content(row) for row in _free_column_rows(rows, free)]
 
     def perp(self) -> "SubspaceQ":
         """Orthogonal complement with respect to the standard dot product,
-        i.e. the kernel of the matrix whose rows are the basis: the span of
-        annihilator_rows(), canonicalised once.  The complement of a
-        complement that perp() made is its source, returned as it is."""
+        i.e. the kernel of the matrix whose rows are the basis.  The
+        complement of a complement that perp() made is its source, returned
+        as it is.
+
+        One elimination, from the right: with rho(c) = n-1-c, the reduced
+        rows of the rho-images, read back through rho, have each row's
+        largest column as pivot.  The complement row of a free column f
+        (rho-side) has pivot rho(f) and its other entries at rho(p) > rho(f)
+        for pivots p, which no complement row has as pivot: the rows come
+        out canonical once their content is divided out, and in order
+        because the reduced rows come in descending pivot order.  A unit
+        row e_p only sets coordinate p of the complement to 0: no other
+        canonical row holds column p, so it takes no part in the
+        elimination, and rho(p) is neither a pivot nor a free column."""
         if self._perp_of is not None:
             return self._perp_of
-        out = SubspaceQ.from_vectors(self.ambient_dim, self.annihilator_rows())
+        last = self.ambient_dim - 1
+        units = self.unit_columns()
+        eb = EchelonBasis(self.ambient_dim)
+        for p, r in self._rows.items():
+            if p not in units:
+                # A fresh int row, so add's copy is skipped; the rows are
+                # independent, so each reduction ends on a new pivot.
+                v = {last - c: x for c, x in r.items()}
+                col = eb._reduce(v)
+                eb._rows[col] = _strip_content(v, col)
+        reduced = _back_substitute(eb)
+        free = [f for f in range(last, -1, -1) if f not in reduced and last - f not in units]
+        out = SubspaceQ(self.ambient_dim, {
+            last - f: _strip_content(row, last - f)
+            for f, row in zip(free, _free_column_rows(reduced, free, last, -1))})
         out._perp_of = self
         return out
-
-    def _check_ambient(self, other: "SubspaceQ"):
-        if self.ambient_dim != other.ambient_dim:
-            raise ValueError(
-                f"ambient dimensions differ: {self.ambient_dim} vs {other.ambient_dim}"
-            )
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SubspaceQ):
@@ -376,23 +407,6 @@ def _free_column_rows(rows: dict[int, IntRow], free: list[int], off: int = 0, si
 
 def kernel_basis(rows, ncols: int) -> SubspaceQ:
     """Kernel of the linear map Q^ncols -> Q^len(rows) given by a row list:
-    the annihilator of the rows' span, whose perp() is that span.
-
-    One elimination, from the right: with rho(c) = ncols-1-c, the reduced
-    rows of the rho-images, read back through rho, have each row's largest
-    column as pivot.  The kernel row of a free column f (rho-side) has pivot
-    rho(f) and its other entries at rho(p) > rho(f) for pivots p, which no
-    kernel row has as pivot: the rows come out canonical, and in order
-    because the reduced rows come in descending pivot order."""
-    last = ncols - 1
-    eb = EchelonBasis(ncols)
-    for r in rows:
-        eb.add({last - c: v for c, v in (r.items() if isinstance(r, dict) else enumerate(r))})
-    reduced = _back_substitute(eb)
-    free = [f for f in range(last, -1, -1) if f not in reduced]
-    out = SubspaceQ(ncols, {
-        last - f: _strip_content(row, last - f)
-        for f, row in zip(free, _free_column_rows(reduced, free, last, -1))})
-    # The span is built eagerly: the dual of every white product reads it.
-    out._perp_of = SubspaceQ.from_vectors(ncols, rows)
-    return out
+    the perp() of the rows' span, which it returns when asked for its own
+    perp()."""
+    return SubspaceQ.from_vectors(ncols, rows).perp()

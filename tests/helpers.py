@@ -419,9 +419,10 @@ def contains_subspace(big, small):
 
 def fresh_perp(V):
     """The orthogonal complement of V computed from scratch: the span of its
-    annihilator rows, canonicalised, with no link back to V.  A double
-    complement compared against it can fail, where V.perp().perp() returns
-    V itself."""
+    annihilator rows, canonicalised from the left by from_vectors, with no
+    link back to V.  V.perp() eliminates V's own rows from the right, so
+    the two routes share no elimination and a check of one against the
+    other can fail; V.perp().perp() returns V itself."""
     return SubspaceQ.from_vectors(V.ambient_dim, V.annihilator_rows())
 
 
@@ -469,7 +470,7 @@ def white_by_projection(P, Q):
     F_{V(x)W}(3) -> P(3) (x) Q(3), read from the two monomial_projection
     maps, complemented from scratch (fresh_perp).  Kept as the reference for
     white_product, which reaches the same subspace through the annihilator
-    rows and kernel_basis."""
+    rows and kernel_basis (the perp() of the tensor rows' span)."""
     space = _product_space(P, Q, "*", 1)
     pair = _pair_index(P, Q)
     dP, dQ = P.dim_gens, Q.dim_gens
@@ -533,7 +534,8 @@ def identity_level(P, u):
     """The level of the image of a row u on the identity block: the first
     of Z_0, Z_1 and Z_2 (P.identity_block()) that holds u, and 3 if none
     does.  P.identity_levels() tabulates this once per operad for the unit
-    rows only, and LocalityInstance reads that table."""
+    rows only, reading unit pivots with no reduction, and LocalityInstance
+    reads that table; this reduces u, so it stays a reference for it."""
     return next((level for level, Z in enumerate(P.identity_block()) if Z.contains(u)), 3)
 
 

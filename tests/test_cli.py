@@ -286,20 +286,26 @@ def test_malformed_operad_file_is_an_input_error(capsys, tmp_path, field, value,
     assert message in err
 
 
-def test_dual_name_that_would_be_empty_is_an_input_error(capsys, tmp_path):
-    # A lone generator named "'" loads and prints, but its dual would be
-    # named "", which no relation can mention.
+@pytest.mark.parametrize("names", [["'"], ["a '", "b '"]],
+                         ids=["lone-prime", "space-before-prime"])
+def test_dual_of_names_that_cannot_lose_a_prime_gains_one(capsys, tmp_path, names):
+    # Stripping the prime would leave "" or a name ending in a space, so the
+    # dual's names gain a prime instead, and the double dual's lose it again.
     path = tmp_path / "prime.json"
+    g = "{" + names[0] + "}"
     path.write_text(json.dumps({
         "name": "prime",
-        "generators": [["'", "sym"]],
-        "relations": ["(x1 {'} x2) {'} x3 - x1 {'} (x2 {'} x3)"],
+        "generators": [[name, "sym"] for name in names],
+        "relations": [f"(x1 {g} x2) {g} x3 - x1 {g} (x2 {g} x3)"],
     }))
     assert run(capsys, "show", str(path))[0] == 0
-    code, out, err = run(capsys, "dong", str(path))
-    assert (code, out) == (1, "")
-    assert "generator name ''" in err
-    assert err.count("\n") == 1
+    for cmd in ("dual", "dong"):
+        code, out, err = run(capsys, cmd, str(path))
+        assert (code, err) == (0, "")
+    dual = run_json(capsys, "dual", str(path))["dual"]
+    assert [g["name"] for g in dual["generators"]] == [name + "'" for name in names]
+    back = run_json(capsys, "show", f"dual(dual({path}))")["operad"]
+    assert [g["name"] for g in back["generators"]] == names
 
 
 def test_operad_file_integer_beyond_digit_cap_is_an_input_error(capsys, tmp_path):

@@ -140,3 +140,21 @@ def test_dual_name_and_prime_toggle():
     D = dual_operad(catalog("Zinb"))
     assert D.name == "dual(Zinb)"
     assert dual_operad(D).space.names == catalog("Zinb").space.names
+
+
+@pytest.mark.parametrize("names, dual_names", [
+    (("'",), ("''",)),
+    (("'''",), ("''''",)),
+    (("a '", "b '"), ("a ''", "b ''")),
+    (("a '", "b'"), ("a ''", "b''")),
+    (("a'", "b''"), ("a", "b'")),
+    (("a''",), ("a'''",)),
+    (("a", "b'"), ("a'", "b''")),
+])
+def test_prime_toggle_leaves_valid_names_and_is_an_involution(names, dual_names):
+    # A prime is stripped only where every stripped name is valid, and only
+    # when the dual's names could not lose one too: else a'' -> a' -> a.
+    P = make_operad("P", [[n, "sym"] for n in names], [])
+    D = dual_operad(P)
+    assert D.space.names == dual_names
+    assert dual_operad(D).space.names == names

@@ -233,6 +233,18 @@ def test_perp_is_involutive(data):
     p = s.perp()
     assert s.dim + p.dim == n
     assert fresh_perp(p) == s
+    _assert_canonical_copy(p, fresh_perp(s))
+
+
+def _assert_canonical_copy(got, want):
+    """got equals want down to the order its canonical form is stored in:
+    rows in ascending pivot order, int entries in column order within each
+    row (dict equality alone ignores both orders; the hash reads them)."""
+    assert got == want and hash(got) == hash(want)
+    assert list(got.pivots) == sorted(got.pivots)
+    for row in got.rows():
+        assert list(row) == sorted(row)
+        assert all(type(x) is int for x in row.values())
 
 
 def _reachable(obj) -> set[int]:
@@ -283,6 +295,7 @@ def test_perp_of_sparse_rational_rows(data):
     assert s.dim + p.dim == n
     assert fresh_perp(p) == s
     assert p == _span(n, *_dense_kernel(rows, n))
+    _assert_canonical_copy(p, fresh_perp(s))
 
 
 @given(subspace_and_ambient(), subspace_and_ambient())
@@ -350,13 +363,8 @@ def test_kernel_basis_is_the_complement_computed_from_scratch(data):
     ker = kernel_basis(rows, n)
     assert rows == before
     span = SubspaceQ.from_vectors(n, rows)
-    want = fresh_perp(span)
-    assert ker == want and hash(ker) == hash(want)
+    _assert_canonical_copy(ker, fresh_perp(span))
     assert ker == _span(n, *_dense_kernel(rows, n))
-    assert list(ker.pivots) == sorted(ker.pivots)
-    for row in ker.rows():
-        assert list(row) == sorted(row)
-        assert all(type(x) is int for x in row.values())
     back = ker.perp()
     assert back == span and hash(back) == hash(span)
     assert id(ker) not in _reachable(back)
