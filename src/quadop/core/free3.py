@@ -22,10 +22,13 @@ a vector's support nor the involution check costs a dense d**3 pass.
 
 s3_closure is a worklist over an EchelonBasis: each vector that grows the
 span queues its (12) and (123) images once, so the span ends S3-stable
-without a last round that only confirms it.  is_s3_stable hands the image
-of each canonical row to SubspaceQ.reduce, and the QuadOperad constructor
-runs it on every operad, closures included.  Neither reads the canonical
-form itself: SubspaceQ is its only home.
+without a last round that only confirms it.  act_all applies a permutation
+to a sequence of vectors in one pass, reading the space's constants once;
+act is that pass on one vector.  is_s3_stable hands the images of all
+canonical rows under one generator to SubspaceQ.contains_rows, which
+decides most of them at their leading column and reduces the rest, and the
+QuadOperad constructor runs it on every operad, closures included.
+Neither reads the canonical form itself: SubspaceQ is its only home.
 """
 
 from __future__ import annotations
@@ -125,48 +128,55 @@ class GeneratorSpace:
 
 
 def _block_map(perm: Perm) -> tuple[tuple[int, bool], ...]:
-    """For each sigma-block s: the index of the block that perm sends it to,
-    and whether the inner generator is swapped on the way (perm . REPS[s] =
-    rep . (12))."""
+    """For each sigma-block s: how many blocks on perm moves it (the index
+    of its target block minus s), and whether the inner generator is swapped
+    on the way (perm . REPS[s] = rep . (12))."""
     out = []
-    for sigma in REPS:
+    for s, sigma in enumerate(REPS):
         rep, tail = coset_decompose(compose(perm, sigma))
-        out.append((REP_INDEX[rep], tail != IDENT))
+        out.append((REP_INDEX[rep] - s, tail != IDENT))
     return tuple(out)
 
 
 _BLOCK_MAP = {perm: _block_map(perm) for perm in S3}
 
 
-def act(space: GeneratorSpace, perm: Perm, vec: Vec) -> Vec:
-    """Apply perm to a weight-3 vector given as {flat index: coefficient}.
+def act_all(space: GeneratorSpace, perm: Perm, vecs):
+    """Apply perm to each weight-3 vector of vecs, given as {flat index:
+    coefficient}, and yield the images in order, each a fresh dict.
 
-    Touches only the vector's support.  Distinct sigma-blocks go to distinct
-    blocks, so only inner swaps inside one block can make two terms meet.
+    One pass: the space's constants are read once, and each image touches
+    only its vector's support.  Distinct sigma-blocks go to distinct blocks,
+    so only inner swaps inside one block can make two terms meet.
     """
     d = space.dim
     dd = d * d
-    blocks = _BLOCK_MAP[perm]
+    moves = _BLOCK_MAP[perm]
     cols = space.swap_columns
-    out: Vec = {}
-    for c, coeff in vec.items():
-        if not coeff:
-            continue
-        s, rest = divmod(c, dd)
-        target, swapped = blocks[s]
-        if not swapped:
-            out[target * dd + rest] = coeff
-            continue
-        outer, inner = divmod(rest, d)
-        base = target * dd + outer * d
-        for m, entry in cols[inner]:
-            row = base + m
-            val = out.get(row, 0) + coeff * entry
-            if val:
-                out[row] = val
-            elif row in out:
-                del out[row]
-    return out
+    for vec in vecs:
+        out: Vec = {}
+        for c, coeff in vec.items():
+            if not coeff:
+                continue
+            shift, swapped = moves[c // dd]
+            if not swapped:
+                out[c + shift * dd] = coeff
+                continue
+            inner = c % d
+            base = c + shift * dd - inner
+            for m, entry in cols[inner]:
+                row = base + m
+                val = out.get(row, 0) + coeff * entry
+                if val:
+                    out[row] = val
+                elif row in out:
+                    del out[row]
+        yield out
+
+
+def act(space: GeneratorSpace, perm: Perm, vec: Vec) -> Vec:
+    """Apply perm to one weight-3 vector: act_all's pass on it alone."""
+    return next(act_all(space, perm, (vec,)))
 
 
 def s3_closure(space: GeneratorSpace, vectors) -> SubspaceQ:
@@ -187,12 +197,14 @@ def s3_closure(space: GeneratorSpace, vectors) -> SubspaceQ:
 
 def is_s3_stable(space: GeneratorSpace, sub: SubspaceQ) -> bool:
     """Whether (12) and (123), which generate S3, map every canonical row of
-    sub into sub: each image, a fresh integer row, is reduced in place by
-    SubspaceQ.reduce and lies in sub exactly when nothing is left."""
+    sub into sub.  The images of all rows under one generator are fresh
+    integer rows (through primitive_row when the swap has a non-integral
+    entry), and go to SubspaceQ.contains_rows in one pass, which decides
+    most of them at their leading column and reduces the rest."""
     integral = all(type(x) is int for col in space.swap_columns for _, x in col)
+    rows = sub.rows()
     for g in (SWAP12, CYC123):
-        for row in sub.rows():
-            image = act(space, g, row)
-            if sub.reduce(image if integral else primitive_row(image)):
-                return False
+        images = act_all(space, g, rows)
+        if not sub.contains_rows(images if integral else map(primitive_row, images)):
+            return False
     return True

@@ -21,11 +21,15 @@ and an all-int row is only copied.
   rows, keyed by pivot, are the reduced row echelon form (pivot columns
   cleared in every other row), each scaled to its primitive integer row.
   That form is unique for a given subspace, so equality and hashing are
-  structural.  reduce() is the one reduction against canonical rows: one
-  elimination per pivot column in a row's support, and the row lies in the
-  span exactly when nothing is left; contains() and the S3-stability guard
-  both call it.  unit_columns() reads off which unit rows lie in the span,
-  with no reduction.  basis() is the one output that may hold Fractions,
+  structural.  contains_rows() is the one membership test: it decides
+  each fresh row at its leading column, outside when that is not a pivot
+  and inside when the row is plus or minus the canonical row there, and
+  hands any other row to reduce(), the one reduction against canonical
+  rows: one elimination per pivot column in a row's support, and the row
+  lies in the span exactly when nothing is left.  contains() is that test
+  on a copy of one vector, and the S3-stability guard passes it all images
+  under one generator at once.  unit_columns() reads off which unit rows
+  lie in the span, with no reduction.  basis() is the one output that may hold Fractions,
   for printing: it scales each row to pivot entry 1, and a row whose pivot
   value is already 1 keeps its int entries.  invert_matrix reads the
   inverse off the canonical form of [M | I].
@@ -184,7 +188,8 @@ class SubspaceQ:
     row echelon form (pivot columns cleared in all other rows), each row a
     primitive integer row with its entries in column order.  This form is
     unique for a given subspace, so __eq__ and __hash__ compare subspaces,
-    not presentations, and reduce() is the one membership test against it.
+    not presentations, and contains_rows() is the one membership test
+    against it.
     """
 
     __slots__ = ("ambient_dim", "_rows", "_perp_of")
@@ -244,8 +249,31 @@ class SubspaceQ:
             _eliminate(v, rows[c], c)
         return v
 
+    def contains_rows(self, vs) -> bool:
+        """Whether every one of the caller's fresh integer rows lies in the
+        span; each may be negated or reduced in place, and the first row
+        outside ends the pass.  A row is decided at its leading column p: a
+        nonzero element of the span leads at a pivot, so a row leading
+        anywhere else is outside; a row equal to plus or minus the
+        canonical row at p is inside, with no elimination; any other row is
+        inside exactly when reduce() leaves nothing."""
+        rows = self._rows
+        for v in vs:
+            if not v:
+                continue
+            p = min(v)
+            r = rows.get(p)
+            if r is None:
+                return False
+            if v[p] == -r[p]:
+                for c in v:
+                    v[c] = -v[c]
+            if v != r and self.reduce(v):
+                return False
+        return True
+
     def contains(self, vec) -> bool:
-        return not self.reduce(_as_int_row(vec))
+        return self.contains_rows((_as_int_row(vec),))
 
     def unit_columns(self) -> set[int]:
         """The columns c whose unit row e_c lies in the subspace: those whose

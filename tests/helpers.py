@@ -101,8 +101,9 @@ def reference_is_s3_stable(space, sub):
     are swept into an EchelonBasis, and every row's image under (12) and
     (123) is tested with EchelonBasis.contains, which searches for the
     smallest column on every step.  Kept as the reference for
-    SubspaceQ.reduce, the one-pass reduction that is_s3_stable calls; the
-    two share only the single elimination step."""
+    SubspaceQ.contains_rows, the one-pass reduction that is_s3_stable
+    calls, which decides most images at their leading column; the two
+    share only act and the single elimination step."""
     eb = EchelonBasis(sub.ambient_dim)
     for row in sub.rows():
         eb.add(row)

@@ -12,8 +12,9 @@ from quadop.core.free3 import GeneratorSpace, act, is_s3_stable, s3_closure
 from quadop.core.parser import parse_relation
 from quadop.core.perms import IDENT, REPS, S3, SWAP12, compose
 from quadop.errors import InputError
+from quadop.koszul import dual_operad
 from quadop.linalg import SubspaceQ
-from quadop.manin import white_product
+from quadop.manin import replicate, white_product
 from helpers import free3_action, random_involutive_space, reference_is_s3_stable
 
 SYM = GeneratorSpace(("m",), ((Fraction(1),),))
@@ -256,10 +257,15 @@ def test_guard_matches_the_membership_loop(case):
 
 
 def test_guard_matches_the_membership_loop_on_the_catalog():
+    # The wide benchmark's operands too: most images of a dual's rows are
+    # plus or minus the canonical row at their leading column, and those
+    # of a white product's rows fall through to the reduction as well.
     rng = random.Random(5)
     ops = [catalog(name) for name in catalog_names()]
-    ops.append(white_product(catalog("diAs"), catalog("diAs")))
-    assert ops[-1].space.dim == 16
+    diAs = catalog("diAs")
+    for wide in (white_product(diAs, diAs), white_product(replicate("tri", catalog("As")), diAs)):
+        ops += [wide, dual_operad(wide)]
+    assert [P.space.dim for P in ops[-4:]] == [16, 16, 24, 24]
     for P in ops:
         assert is_s3_stable(P.space, P.relations), P.name
         assert reference_is_s3_stable(P.space, P.relations), P.name

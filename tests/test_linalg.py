@@ -2,6 +2,7 @@
 
 import gc
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -154,6 +155,51 @@ def test_canonical_membership_matches_the_echelon_search(data, coeffs):
         assert vec == before
     assert canon.contains(inside) and canon.contains({})
     assert not any(canon.contains(v) for v in free)
+
+
+def _leading_column_probes(canon, rng):
+    """Integer rows to decide against a canonical subspace: the empty row;
+    each canonical row, its negation and twice it; the row and its negation
+    with one entry after the pivot changed; and a row leading at each free
+    column."""
+    n = canon.ambient_dim
+    probes = [{}]
+    for p, r in zip(canon.pivots, canon.rows()):
+        neg = {c: -x for c, x in r.items()}
+        probes += [dict(r), neg, {c: 2 * x for c, x in r.items()}]
+        for base in ((r, neg) if p + 1 < n else ()):
+            changed = dict(base)
+            c = rng.randrange(p + 1, n)
+            changed[c] = changed.get(c, 0) + rng.choice((1, -1, 2))
+            probes.append({c: x for c, x in changed.items() if x})
+    for f in range(n):
+        if f not in canon.pivots:
+            row = {c: rng.randint(-3, 3) for c in range(f + 1, n) if rng.random() < 0.5}
+            probes.append({c: x for c, x in row.items() if x} | {f: rng.choice((1, -2, 3))})
+    return probes
+
+
+@given(sparse_mixed_rows(), st.integers(min_value=0, max_value=2**32))
+@settings(max_examples=200, deadline=None)
+@example(data=(2, [{0: 1}], []), seed=0)
+@example(data=(3, [{0: 2, 2: 1}, {1: 1, 2: -1}], []), seed=1)
+def test_leading_column_pass_matches_the_echelon_search(data, seed):
+    # SubspaceQ.contains_rows decides a row at its leading column: a lead
+    # off the pivots is outside, plus or minus the canonical row there is
+    # inside with no elimination, and any other row is reduced.
+    # EchelonBasis.contains searches for the smallest column on every step.
+    n, rows, _ = data
+    eb = EchelonBasis(n)
+    for r in rows:
+        eb.add(r)
+    canon = SubspaceQ.from_vectors(n, rows)
+    probes = _leading_column_probes(canon, random.Random(seed))
+    for vec in probes:
+        assert canon.contains_rows([dict(vec)]) == eb.contains(vec), vec
+    inside = [v for v in probes if eb.contains(v)]
+    assert canon.contains_rows([dict(v) for v in inside])
+    for out in (v for v in probes if not eb.contains(v)):
+        assert not canon.contains_rows([dict(v) for v in inside] + [dict(out)]), out
 
 
 @st.composite
