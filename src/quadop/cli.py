@@ -34,7 +34,8 @@ from quadop.koszul import dual_operad, verify_jacobi_duality
 from quadop.linalg import SubspaceQ
 from quadop.locality import build_instance
 from quadop.manin import (
-    REPLICATION_PARTNERS, black_product, replicate, split, verify_black_tensor, white_product,
+    REPLICATION_PARTNERS, black_product, replicate, split, split_partner, verify_black_tensor,
+    white_product,
 )
 
 SCHEMA_VERSION = "1"
@@ -134,21 +135,18 @@ def cmd_dong(args) -> tuple[dict, list[str]]:
     return payload, lines
 
 
-def _product_dictionary(R, left, right=None) -> list[dict]:
-    """Each generator of R with the pair it stands for: (left, right) in
-    product order, or, for a split of left (right None), (part, base) in
-    block order succ, prec, then perp, which only the post split has."""
-    if right is None:
-        pairs = itertools.product(("succ", "prec", "perp"), left.space.names)
-        return [{"name": name, "base": base, "part": part}
-                for name, (part, base) in zip(R.space.names, pairs)]
+def _product_dictionary(R, left, right, keys) -> list[dict]:
+    """Each generator of R with the pair it stands for, in product order,
+    under keys: (left, right), or for a split, (part, base), the part being
+    a generator of the split partner."""
     pairs = itertools.product(left.space.names, right.space.names)
-    return [{"name": name, "left": a, "right": b} for name, (a, b) in zip(R.space.names, pairs)]
+    return [{"name": name, keys[0]: a, keys[1]: b} for name, (a, b) in zip(R.space.names, pairs)]
 
 
 def cmd_product(args) -> tuple[dict, list[str]]:
     kind = args.kind
     P = resolve(args.operad)
+    keys = ("left", "right")
     if kind in ("white", "black"):
         if args.operad2 is None:
             raise InputError(f"--{kind} needs two operands")
@@ -163,14 +161,14 @@ def cmd_product(args) -> tuple[dict, list[str]]:
             left, right = catalog(REPLICATION_PARTNERS[kind]), P
         else:
             R = split(P, kind)
-            left, right = P, None
+            left, right, keys = split_partner(kind), P, ("part", "base")
     recipe = R.name
     payload = _payload(
         R,
         product={
             "recipe": recipe,
             "dims": R.dims(),
-            "dictionary": _product_dictionary(R, left, right),
+            "dictionary": _product_dictionary(R, left, right, keys),
         },
     )
     lines = [f"{recipe}:"] + _render_summary(payload["operad"])[1:]

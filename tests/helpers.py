@@ -19,7 +19,7 @@ from quadop.linalg import (
     primitive_row,
 )
 from quadop.locality import ResidueSpec
-from quadop.manin import _pair_index, _product_space
+from quadop.manin import _product_space
 
 
 def random_involutive_space(rng, d):
@@ -342,8 +342,8 @@ def split_in_model_space(Q: QuadOperad, mode: str) -> QuadOperad:
     the sign-twisted convention by flipping every prec leg, a diagonal change
     of basis that conjugates one S2-action into the other, so the
     constructor's S3-stability guard also checks the substitution table.
-    Kept as the reference for manin.split, which builds the same seeds in
-    the result space with a sign per split monomial.
+    Kept as the reference for manin.split, which takes the black product
+    of Q with the split partner, pre- or post-Lie on the parts.
     """
     if mode not in ("pre", "post"):
         raise InputError(f"split mode must be 'pre' or 'post', got {mode!r}")
@@ -430,8 +430,8 @@ def fresh_perp(V):
 def reference_tensor_rows(P, rows_P, Q, rows_Q, space):
     """The tensor rows of manin._tensor_rows computed entry by entry: every
     monomial is split through unflat and every product index built through
-    flat and the pair index."""
-    pair = _pair_index(P, Q)
+    flat and the pair index i * Q.dim_gens + p."""
+    e = Q.dim_gens
     vectors = []
     for r in rows_P:
         by_sigma = {sigma: [] for sigma in REPS}
@@ -443,7 +443,7 @@ def reference_tensor_rows(P, rows_P, Q, rows_Q, space):
             for c, b in s.items():
                 sigma, p, q = Q.space.unflat(c)
                 for i, j, a in by_sigma[sigma]:
-                    vec[space.flat(sigma, pair(i, p), pair(j, q))] = a * b
+                    vec[space.flat(sigma, i * e + p, j * e + q)] = a * b
             if vec:
                 vectors.append(vec)
     return vectors
@@ -472,15 +472,14 @@ def white_by_projection(P, Q):
     maps, complemented from scratch (fresh_perp).  Kept as the reference for
     white_product, which reaches the same subspace through the annihilator
     rows and kernel_basis (the perp() of the tensor rows' span)."""
-    space = _product_space(P, Q, "*", 1)
-    pair = _pair_index(P, Q)
+    space = _product_space(P, Q, "{0}*{1}", 1)
     dP, dQ = P.dim_gens, Q.dim_gens
     projP = monomial_projection(P)
     projQ = monomial_projection(Q)
     rows: dict[tuple[int, int], dict[int, Fraction]] = {}
     for s_idx, sigma in enumerate(REPS):
         for i, p, j, q in iproduct(range(dP), range(dQ), range(dP), range(dQ)):
-            col = space.flat(sigma, pair(i, p), pair(j, q))
+            col = space.flat(sigma, i * dQ + p, j * dQ + q)
             colP = projP[P.space.flat(sigma, i, j)]
             colQ = projQ[Q.space.flat(sigma, p, q)]
             for alpha, a in colP.items():

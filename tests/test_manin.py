@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from quadop.core.catalog import catalog, catalog_names
+from quadop.core.operad import make_operad
 from quadop.dong import dong_verdict
 from quadop.errors import InputError
 from quadop.koszul import dual_operad
@@ -17,6 +18,7 @@ from quadop.manin import (
     black_product,
     replicate,
     split,
+    split_partner,
     verify_black_tensor,
     white_product,
 )
@@ -116,12 +118,12 @@ def test_tensor_rows_match_the_entrywise_reference():
     # Both products' rows, in order: the white product's from the
     # annihilator rows, the black product's from the relation rows.
     for P, Q in _tensor_pairs():
-        for sep, sign, rows in (("*", 1, lambda X: X.relations.annihilator_rows()),
-                                ("•", -1, lambda X: X.relations.rows())):
-            space = _product_space(P, Q, sep, sign)
+        for fmt, sign, rows in (("{0}*{1}", 1, lambda X: X.relations.annihilator_rows()),
+                                ("{0}•{1}", -1, lambda X: X.relations.rows())):
+            space = _product_space(P, Q, fmt, sign)
             got = _tensor_rows(P, rows(P), Q, rows(Q), space)
-            assert got, (P.dims(), Q.dims(), sep)
-            assert got == reference_tensor_rows(P, rows(P), Q, rows(Q), space), (P.dims(), Q.dims(), sep)
+            assert got, (P.dims(), Q.dims(), fmt)
+            assert got == reference_tensor_rows(P, rows(P), Q, rows(Q), space), (P.dims(), Q.dims(), fmt)
 
 
 def _relations_digest(P):
@@ -231,14 +233,45 @@ def test_split_swap_convention():
     assert sw[0][0] == sw[1][1] == 0
 
 
-@pytest.mark.parametrize("name", catalog_names())
+def _random_split_operands():
+    # Seeded draws with 1 to 3 generators; some swaps are non-integral.
+    rng = random.Random(7)
+    draws = [random_operad(rng, rng.randint(1, 3)) for _ in range(150)]
+    assert sum(any(x.denominator != 1 for col in P.space.swap_columns for _, x in col)
+               for P in draws) >= 10
+    return draws
+
+
+_SPLIT_OPERANDS = {
+    **{name: lambda name=name: [catalog(name)] for name in catalog_names()},
+    "dual(NP)": lambda: [dual_operad(catalog("NP"))],
+    "no-generators": lambda: [make_operad("none", [], [])],
+    "no-relations": lambda: [make_operad("free", [("a", {"pair": "b"}), ("b", {"pair": "a"}),
+                                                  ("c", "antisym")], [])],
+    "zero-relation": lambda: [make_operad("zero", [("a", "sym")], ["0"])],
+    "random": _random_split_operands,
+}
+
+
+@pytest.mark.parametrize("name", _SPLIT_OPERANDS)
 def test_split_matches_model_space_reference(name):
-    Q = catalog(name)
+    for Q in _SPLIT_OPERANDS[name]():
+        for mode in ("pre", "post"):
+            got, ref = split(Q, mode), split_in_model_space(Q, mode)
+            assert got.name == ref.name
+            assert got.space.names == ref.space.names
+            assert got.space.swap == ref.space.swap
+            assert got.relations == ref.relations, (Q.show_relations(), mode)
+
+
+def test_split_partner_is_split_lie():
+    # Lie is the unit of the black product, so split(Lie, mode) is the
+    # partner itself with the parts named b_succ, b_prec, b_perp.
     for mode in ("pre", "post"):
-        got, ref = split(Q, mode), split_in_model_space(Q, mode)
-        assert got.space.names == ref.space.names
-        assert got.space.swap == ref.space.swap
-        assert got.relations == ref.relations
+        partner, lie = split_partner(mode), split(catalog("Lie"), mode)
+        assert lie.space.names == tuple(f"b_{x}" for x in partner.space.names)
+        assert lie.space.swap == partner.space.swap
+        assert lie.relations == partner.relations
 
 
 def test_split_pre_lie_is_dual_perm():
