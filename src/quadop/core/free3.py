@@ -23,9 +23,9 @@ a vector's support nor the involution check costs a dense d**3 pass.
 s3_closure is a worklist over an EchelonBasis: each vector that grows the
 span queues its (12) and (123) images once, so the span ends S3-stable
 without a last round that only confirms it.  act_all applies a permutation
-to a sequence of vectors in one pass, reading the space's constants once;
-act is that pass on one vector.  is_s3_stable hands the images of all
-canonical rows under one generator to SubspaceQ.contains_rows, which
+to a sequence of vectors, reading the space's constants once, and act to
+one vector; both run one per-vector body.  is_s3_stable hands the images of
+all canonical rows under one generator to SubspaceQ.contains_rows, which
 decides most of them at their leading column and reduces the rest, and the
 QuadOperad constructor runs it on every operad, closures included.
 Neither reads the canonical form itself: SubspaceQ is its only home.
@@ -35,7 +35,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, partial
 
 from quadop.core.perms import (
     CYC123, IDENT, REP_INDEX, REPS, S3, SWAP12, Perm, compose, coset_decompose,
@@ -141,42 +141,43 @@ def _block_map(perm: Perm) -> tuple[tuple[int, bool], ...]:
 _BLOCK_MAP = {perm: _block_map(perm) for perm in S3}
 
 
+def _act(d: int, dd: int, moves, cols, vec: Vec) -> Vec:
+    """The image of one vector, given the space's dimension d, dd = d*d,
+    perm's block moves and the swap columns: a fresh dict that touches only
+    the vector's support.  Distinct sigma-blocks go to distinct blocks, so
+    only inner swaps inside one block can make two terms meet."""
+    out: Vec = {}
+    for c, coeff in vec.items():
+        if not coeff:
+            continue
+        shift, swapped = moves[c // dd]
+        if not swapped:
+            out[c + shift * dd] = coeff
+            continue
+        inner = c % d
+        base = c + shift * dd - inner
+        for m, entry in cols[inner]:
+            row = base + m
+            val = out.get(row, 0) + coeff * entry
+            if val:
+                out[row] = val
+            elif row in out:
+                del out[row]
+    return out
+
+
 def act_all(space: GeneratorSpace, perm: Perm, vecs):
     """Apply perm to each weight-3 vector of vecs, given as {flat index:
-    coefficient}, and yield the images in order, each a fresh dict.
-
-    One pass: the space's constants are read once, and each image touches
-    only its vector's support.  Distinct sigma-blocks go to distinct blocks,
-    so only inner swaps inside one block can make two terms meet.
-    """
+    coefficient}: an iterator of the images in order, each a fresh dict,
+    made lazily.  The space's constants are read once for the sequence."""
     d = space.dim
-    dd = d * d
-    moves = _BLOCK_MAP[perm]
-    cols = space.swap_columns
-    for vec in vecs:
-        out: Vec = {}
-        for c, coeff in vec.items():
-            if not coeff:
-                continue
-            shift, swapped = moves[c // dd]
-            if not swapped:
-                out[c + shift * dd] = coeff
-                continue
-            inner = c % d
-            base = c + shift * dd - inner
-            for m, entry in cols[inner]:
-                row = base + m
-                val = out.get(row, 0) + coeff * entry
-                if val:
-                    out[row] = val
-                elif row in out:
-                    del out[row]
-        yield out
+    return map(partial(_act, d, d * d, _BLOCK_MAP[perm], space.swap_columns), vecs)
 
 
 def act(space: GeneratorSpace, perm: Perm, vec: Vec) -> Vec:
-    """Apply perm to one weight-3 vector: act_all's pass on it alone."""
-    return next(act_all(space, perm, (vec,)))
+    """Apply perm to one weight-3 vector: act_all's body on it alone."""
+    d = space.dim
+    return _act(d, d * d, _BLOCK_MAP[perm], space.swap_columns, vec)
 
 
 def s3_closure(space: GeneratorSpace, vectors) -> SubspaceQ:

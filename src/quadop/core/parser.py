@@ -19,7 +19,11 @@ comb xc {h} (xa {g} xb) is rewritten through the (12)-symmetry of the outer
 generator: e_h(xc, w) = ((12)e_h)(w, xc).
 
 pretty_print emits terms in flat-index order and parse_relation inverts it
-exactly; "0" is the empty vector.
+exactly; "0" is the empty vector.  Each term is read off its flat index by
+divmod: the sigma-block picks that sigma's left-comb template, the outer
+and inner indices the names put into it.  monomial_str is pretty_print of a
+unit vector, so monomial text has one home; the per-term renderer through
+unflat that the tests compare against lives in tests/helpers.py.
 
 The reader is one compiled regex that matches a whole term (sign,
 coefficient, either comb and the whitespace around them): parse_relation
@@ -35,7 +39,7 @@ import re
 from fractions import Fraction
 
 from quadop.core.free3 import GeneratorSpace, Vec, act
-from quadop.core.perms import IDENT, S3, Perm
+from quadop.core.perms import IDENT, REPS, S3, Perm
 from quadop.errors import InputError
 from quadop.linalg import add_scaled
 
@@ -54,6 +58,9 @@ _TERM_RE = re.compile(
 _ZERO_RE = re.compile(r"\s*(\d+)\s*")  # "0" is the empty vector
 _VAR = {"1": 1, "2": 2, "3": 3}
 _PERMS = frozenset(S3)
+# The left comb (xa {inner} xb) {outer} xc of each sigma = (a, b, c) in REPS,
+# in sigma-block order, with %s for the inner and the outer name.
+_LEFT_COMBS = tuple("(x%d {%%s} x%d) {%%s} x%d" % sigma for sigma in REPS)
 
 
 def _left_comb(space: GeneratorSpace, a, g, b, h, c) -> Vec:
@@ -135,26 +142,25 @@ def parse_relation(space: GeneratorSpace, text: str) -> Vec:
 
 def monomial_str(space: GeneratorSpace, index: int) -> str:
     """Left-comb rendering of the basis monomial with the given flat index."""
-    sigma, outer, inner = space.unflat(index)
-    a, b, c = sigma
-    return (
-        f"(x{a} {{{space.names[inner]}}} x{b}) {{{space.names[outer]}}} x{c}"
-    )
+    return pretty_print(space, {index: 1})
 
 
 def pretty_print(space: GeneratorSpace, vec: Vec) -> str:
-    """Render a weight-3 vector so that parse_relation round-trips exactly."""
+    """Render a weight-3 vector so that parse_relation round-trips exactly,
+    each term read off its flat index by divmod (module docstring)."""
     items = sorted((idx, c) for idx, c in vec.items() if c)
     if not items:
         return "0"
+    d = space.dim
+    dd = d * d
+    names = space.names
     parts = []
-    for pos, (idx, coeff) in enumerate(items):
-        mono = monomial_str(space, idx)
-        if pos == 0:
-            if coeff == 1:
-                parts.append(mono)
-            else:
-                parts.append(f"{coeff} * {mono}")
+    for idx, coeff in items:
+        block, rest = divmod(idx, dd)
+        outer, inner = divmod(rest, d)
+        mono = _LEFT_COMBS[block] % (names[inner], names[outer])
+        if not parts:
+            parts.append(mono if coeff == 1 else f"{coeff} * {mono}")
         else:
             op = " + " if coeff > 0 else " - "
             mag = abs(coeff)

@@ -232,6 +232,11 @@ class LocalityInstance:
     def sweep(self, k: int = 0, Nmax: int = 4, n: int = 0, m: int = 0):
         """min_locality_order for every (inner, outer) operation pair.
 
+        With k, Nmax and the anchor fixed, the order depends on the pair only
+        through its level, so the search runs once per distinct level, at
+        the first pair in (i, j) order that has it, and every later pair of
+        that level reuses its result.  A search that raises therefore raises
+        at the same pair, with the same message, as a search of every pair.
         Nmax, k and the fit of the N = 0 residue are checked once up front,
         so an operad with no pair to search refuses the input that one with
         pairs does; with pairs, they are the search's own first checks."""
@@ -241,11 +246,16 @@ class LocalityInstance:
             raise InputError("n-product order k must be >= 0")
         self._check_fit(ResidueSpec(i=0, k=k, j=0, N=0, n=n, m=m))
         d = self.P.dim_gens
-        return {
-            (i, j): self.min_locality_order(i, k, j, Nmax=Nmax, n=n, m=m)
-            for i in range(d)
-            for j in range(d)
-        }
+        levels, flat = self.levels, self.P.space.flat
+        by_level: dict[int, int | None] = {}
+        out = {}
+        for i in range(d):
+            for j in range(d):
+                level = levels[flat(IDENT, j, i)]
+                if level not in by_level:
+                    by_level[level] = self.min_locality_order(i, k, j, Nmax=Nmax, n=n, m=m)
+                out[i, j] = by_level[level]
+        return out
 
 
 def build_instance(P: QuadOperad, K: int = 6) -> LocalityInstance:

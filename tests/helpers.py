@@ -250,6 +250,31 @@ def reference_parse(space: GeneratorSpace, text: str) -> Vec:
         sign = 1 if val == "+" else -1
 
 
+def _reference_monomial(space: GeneratorSpace, index: int) -> str:
+    sigma, outer, inner = space.unflat(index)
+    a, b, c = sigma
+    return f"(x{a} {{{space.names[inner]}}} x{b}) {{{space.names[outer]}}} x{c}"
+
+
+def reference_pretty_print(space: GeneratorSpace, vec: Vec) -> str:
+    """The relation printer through unflat, one monomial string per term.
+    Kept as the reference for parser.pretty_print, which reads each term
+    off its flat index by divmod and fills a comb template per sigma."""
+    items = sorted((idx, c) for idx, c in vec.items() if c)
+    if not items:
+        return "0"
+    parts = []
+    for pos, (idx, coeff) in enumerate(items):
+        mono = _reference_monomial(space, idx)
+        if pos == 0:
+            parts.append(mono if coeff == 1 else f"{coeff} * {mono}")
+        else:
+            op = " + " if coeff > 0 else " - "
+            mag = abs(coeff)
+            parts.append(op + (mono if mag == 1 else f"{mag} * {mono}"))
+    return "".join(parts)
+
+
 def pairing_equivariant(space, perm, sign_value):
     """Check <perm.u, perm.v> = sign(perm) <u, v> on all basis pairs of the
     weight-3 pairing between the dual free space and the free space."""
@@ -933,6 +958,21 @@ def reference_sweep(lab, k=0, Nmax=4, n=0, m=0):
                  if hub_contains(block, base, residue_function(ResidueSpec(i, k, j, N, n, m)))),
                 None,
             )
+    return out
+
+
+def pairwise_sweep(lab, k=0, Nmax=4, n=0, m=0):
+    """LocalityInstance.sweep searched pair by pair: for every (i, j) in
+    order, contains_residue for N = 0, 1, ..., Nmax, and the first N that
+    holds, or None.  An InputError raised by contains_residue (a residue
+    that does not fit, a negative k) propagates from the pair and the N at
+    which it is raised.  Kept as the reference for sweep, which searches
+    once per level."""
+    out = {}
+    for i in range(lab.P.dim_gens):
+        for j in range(lab.P.dim_gens):
+            out[i, j] = next((N for N in range(Nmax + 1)
+                              if lab.contains_residue(ResidueSpec(i, k, j, N, n, m))), None)
     return out
 
 

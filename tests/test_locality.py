@@ -37,6 +37,7 @@ from helpers import (
     level_contains,
     nested_reference,
     pair_bases,
+    pairwise_sweep,
     plane_generators,
     printed_kernel,
     projected,
@@ -262,6 +263,56 @@ def test_whole_table_sweep(name):
         for j in range(d)
     )
     assert got == TABLE_ORDERS[name]
+
+
+def _outcome(search, *args, **kwargs):
+    """The orders found, or the text of the InputError raised."""
+    try:
+        return search(*args, **kwargs)
+    except InputError as exc:
+        return f"InputError: {exc}"
+
+
+@pytest.mark.parametrize("name", sorted(TABLE_ORDERS))
+def test_sweep_by_level_matches_the_pairwise_search(name):
+    """sweep searches once per level; over K 1-8, k 0-2, Nmax 0-5 and five
+    anchors it finds what contains_residue finds pair by pair, and raises
+    the same InputError text where that search raises (the text names the
+    pair and the N)."""
+    P = resolve(name)
+    raised = found = 0
+    for K in range(1, 9):
+        lab = LocalityInstance(P, K)
+        for k, Nmax, (n, m) in itertools.product(
+                range(3), range(6), ((0, 0), (1, -1), (-1, 1), (2, 0), (5, -5))):
+            want = _outcome(pairwise_sweep, lab, k=k, Nmax=Nmax, n=n, m=m)
+            assert _outcome(lab.sweep, k=k, Nmax=Nmax, n=n, m=m) == want, (K, k, Nmax, n, m)
+            if isinstance(want, str):
+                raised += 1
+            else:
+                found += 1
+    assert raised and found
+
+
+def test_sweep_searches_each_level_once(monkeypatch):
+    """On GD (levels 1, 2 and 3) a sweep runs min_locality_order once per
+    distinct level, at the first pair in (i, j) order that has it."""
+    calls = []
+    search = LocalityInstance.min_locality_order
+
+    def spy(self, i, k, j, **kwargs):
+        calls.append((i, j))
+        return search(self, i, k, j, **kwargs)
+
+    monkeypatch.setattr(LocalityInstance, "min_locality_order", spy)
+    lab = LocalityInstance(resolve("GD"), 6)
+    levels = _identity_levels(lab)
+    first = {}
+    for pair, level in sorted(levels.items()):
+        first.setdefault(level, pair)
+    assert lab.sweep() == {(0, 0): 1, (0, 1): 1, (0, 2): None, (1, 0): 1, (1, 1): 1,
+                           (1, 2): None, (2, 0): None, (2, 1): 2, (2, 2): 2}
+    assert calls == sorted(first.values()) and len(first) == 3
 
 
 @pytest.mark.parametrize("name", sorted(TABLE_ORDERS))

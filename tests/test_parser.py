@@ -12,7 +12,7 @@ from quadop.core.parser import monomial_str, parse_relation, pretty_print
 from quadop.core.perms import CYC123, IDENT
 from quadop.errors import InputError
 from quadop.manin import black_product
-from helpers import reference_parse
+from helpers import random_involutive_space, reference_parse, reference_pretty_print
 
 SYM = GeneratorSpace(("m",), ((Fraction(1),),))
 LIE = GeneratorSpace(("b",), ((Fraction(-1),),))
@@ -91,6 +91,43 @@ def test_pretty_print_roundtrip_random():
             }
             vec = {k: c for k, c in vec.items() if c}
             assert parse_relation(space, pretty_print(space, vec)) == vec
+
+
+_NAME = st.text(st.sampled_from("abz019_'*%s\u2022 ()+-/"), min_size=1, max_size=4).filter(
+    lambda name: name == name.strip())
+
+
+@st.composite
+def printed_vectors(draw):
+    """A random space (random swap, drawn names that may hold '%', '*',
+    primes and inner blanks) and a vector on it with int and Fraction
+    values, zeros among them."""
+    d = draw(st.integers(1, 3))
+    swap = random_involutive_space(random.Random(draw(st.integers(0, 2**16))), d).swap
+    names = draw(st.lists(_NAME, min_size=d, max_size=d, unique=True))
+    space = GeneratorSpace(tuple(names), swap)
+    values = st.one_of(st.integers(-7, 7), st.fractions(-5, 5, max_denominator=6))
+    vec = draw(st.dictionaries(st.integers(0, space.free3_dim - 1), values, max_size=7))
+    return space, vec
+
+
+@settings(max_examples=300, deadline=None)
+@given(printed_vectors())
+@example((TRIPLE, {}))
+@example((TRIPLE, {4: 0, 7: Fraction(0)}))
+@example((TRIPLE, {5: -1, 2: 1}))
+@example((NAMED, {9: Fraction(-3, 2), 20: -1, 3: Fraction(4), 11: 2}))
+@example((LIE, {0: Fraction(-1), 1: Fraction(1, 3)}))
+def test_pretty_print_matches_the_unflat_renderer(case):
+    """pretty_print, which reads each term off its flat index by divmod,
+    prints what the renderer through unflat prints, byte for byte, and
+    parse_relation reads it back."""
+    space, vec = case
+    text = pretty_print(space, vec)
+    assert text == reference_pretty_print(space, vec)
+    assert parse_relation(space, text) == {k: v for k, v in vec.items() if v}
+    for idx in vec:
+        assert monomial_str(space, idx) == reference_pretty_print(space, {idx: 1})
 
 
 @pytest.mark.parametrize(
