@@ -257,16 +257,15 @@ def cmd_selfcheck(args) -> tuple[dict, list[str]]:
         W = white_product(catalog("Com"), As)
         if W.dims()["p3"] != As.dims()["p3"]:
             raise InternalCheckError("white(Com, As) changed the quotient dimension")
-        B = black_product(As, catalog("Lie"))
-        if not verify_black_tensor(As, catalog("Lie"), B):
+        Lie, Leib, Nov = catalog("Lie"), catalog("Leib"), catalog("Nov")
+        B = black_product(As, Lie)
+        if not verify_black_tensor(As, Lie, B):
             raise InternalCheckError("black(As, Lie) failed the tensor check")
-        for left, right in (("As", "Lie"), ("Leib", "Nov")):
-            P, Q = catalog(left), catalog(right)
-            B = black_product(P, Q)
+        for P, Q, B in ((As, Lie, B), (Leib, Nov, black_product(Leib, Nov))):
             D = dual_operad(white_product(dual_operad(P), dual_operad(Q)))
             if (B.space.swap, B.relations) != (D.space.swap, D.relations):
                 raise InternalCheckError(
-                    f"black({left}, {right}) is not the dual of white(dual, dual)"
+                    f"black({P.name}, {Q.name}) is not the dual of white(dual, dual)"
                 )
 
     def check_split():
@@ -312,7 +311,9 @@ class _Parser(argparse.ArgumentParser):
         raise InputError(message)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every main() call in this process, built on the first."""
     parser = _Parser(
         prog="quadop",
         description="exact calculator for binary quadratic operads",
@@ -358,16 +359,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The parser of every main() call in this process, built on the first."""
-    return build_parser()
-
-
 def main(argv=None) -> int:
     try:
         try:
-            args = _parser().parse_args(argv)
+            args = build_parser().parse_args(argv)
         except SystemExit as exc:
             # Only --help gets here (usage errors raise InputError): argparse
             # has printed the help and asks to exit 0.

@@ -143,6 +143,14 @@ from quadop.errors import InputError
 MAX_WINDOW = 16
 
 
+def _order(level: int, k: int, Nmax: int) -> int | None:
+    """The least N <= Nmax at which a residue of this level and k is a
+    member, or None (module docstring)."""
+    if not level or k > 0:
+        return 0
+    return level if level < 3 and level <= Nmax else None
+
+
 @dataclass(frozen=True)
 class ResidueSpec:
     """Parameters of one locality test.
@@ -209,53 +217,51 @@ class LocalityInstance:
     def contains_residue(self, spec: ResidueSpec) -> bool:
         self._check_window(spec)
         level = self.levels[self.P.space.flat(IDENT, spec.j, spec.i)]
-        return not level or spec.k > 0 or (level < 3 and spec.N >= level)
+        return _order(level, spec.k, spec.N) is not None
+
+    def _pair_order(self, i: int, k: int, j: int, Nmax: int, n: int, m: int) -> int | None:
+        # The N = 0 residue fits, so |n| <= K and |m| <= K, and the order-N
+        # residue fits exactly while n - N >= -K and m + N <= K, that is
+        # while N <= K + min(n, -m).  A search of N = 0, 1, ... up to the
+        # order (Nmax when there is none) raises at the first N past that.
+        order = _order(self.levels[self.P.space.flat(IDENT, j, i)], k, Nmax)
+        first_misfit = self.K + 1 + min(n, -m)
+        if first_misfit <= (Nmax if order is None else order):
+            self._check_fit(ResidueSpec(i, k, j, first_misfit, n, m))
+        return order
 
     def min_locality_order(self, i: int, k: int, j: int, Nmax: int = 4,
                            n: int = 0, m: int = 0) -> int | None:
         """Smallest N <= Nmax whose residue lies in the ideal, or None.
 
         That is 0 at level 0 or k >= 1, else the pair's level when it is at
-        most Nmax (module docstring).  None at level 3 is a proof of
-        non-locality; None at levels 1 and 2 only means Nmax is below the
-        level.  The search still runs N = 0, 1, ... in turn, so a residue
-        that does not fit in the window raises at the first N that needs a
-        larger one.
+        most Nmax (module docstring), read off the level with no search.
+        None at level 3 is a proof of non-locality; None at levels 1 and 2
+        only means Nmax is below the level.  It raises where a search of
+        N = 0, 1, ... would: at the first N up to the order (Nmax when there
+        is none) whose residue does not fit in the window, named in the
+        message.
         """
         if Nmax < 0:
             raise InputError(f"largest locality order Nmax must be >= 0, got {Nmax}")
-        for N in range(Nmax + 1):
-            if self.contains_residue(ResidueSpec(i=i, k=k, j=j, N=N, n=n, m=m)):
-                return N
-        return None
+        self._check_window(ResidueSpec(i, k, j, 0, n, m))
+        return self._pair_order(i, k, j, Nmax, n, m)
 
     def sweep(self, k: int = 0, Nmax: int = 4, n: int = 0, m: int = 0):
         """min_locality_order for every (inner, outer) operation pair.
 
-        With k, Nmax and the anchor fixed, the order depends on the pair only
-        through its level, so the search runs once per distinct level, at
-        the first pair in (i, j) order that has it, and every later pair of
-        that level reuses its result.  A search that raises therefore raises
-        at the same pair, with the same message, as a search of every pair.
         Nmax, k and the fit of the N = 0 residue are checked once up front,
-        so an operad with no pair to search refuses the input that one with
-        pairs does; with pairs, they are the search's own first checks."""
+        so an operad with no pair refuses the input that one with pairs
+        does.  Each pair's order is then read off its level, in (i, j)
+        order, so the first pair whose search would raise is the one that
+        raises, with the message min_locality_order gives."""
         if Nmax < 0:
             raise InputError(f"largest locality order Nmax must be >= 0, got {Nmax}")
         if k < 0:
             raise InputError("n-product order k must be >= 0")
         self._check_fit(ResidueSpec(i=0, k=k, j=0, N=0, n=n, m=m))
         d = self.P.dim_gens
-        levels, flat = self.levels, self.P.space.flat
-        by_level: dict[int, int | None] = {}
-        out = {}
-        for i in range(d):
-            for j in range(d):
-                level = levels[flat(IDENT, j, i)]
-                if level not in by_level:
-                    by_level[level] = self.min_locality_order(i, k, j, Nmax=Nmax, n=n, m=m)
-                out[i, j] = by_level[level]
-        return out
+        return {(i, j): self._pair_order(i, k, j, Nmax, n, m) for i in range(d) for j in range(d)}
 
 
 def build_instance(P: QuadOperad, K: int = 6) -> LocalityInstance:

@@ -961,19 +961,24 @@ def reference_sweep(lab, k=0, Nmax=4, n=0, m=0):
     return out
 
 
+def reference_order(lab, i, k, j, Nmax=4, n=0, m=0):
+    """LocalityInstance.min_locality_order searched N by N: contains_residue
+    for N = 0, 1, ..., Nmax, and the first N that holds, or None.  An
+    InputError raised by contains_residue (a residue that does not fit, a
+    negative k, an operation out of range) propagates from the N at which
+    it is raised.  Kept as the reference for min_locality_order, which
+    reads the order off the pair's level."""
+    return next((N for N in range(Nmax + 1)
+                 if lab.contains_residue(ResidueSpec(i, k, j, N, n, m))), None)
+
+
 def pairwise_sweep(lab, k=0, Nmax=4, n=0, m=0):
-    """LocalityInstance.sweep searched pair by pair: for every (i, j) in
-    order, contains_residue for N = 0, 1, ..., Nmax, and the first N that
-    holds, or None.  An InputError raised by contains_residue (a residue
-    that does not fit, a negative k) propagates from the pair and the N at
-    which it is raised.  Kept as the reference for sweep, which searches
-    once per level."""
-    out = {}
-    for i in range(lab.P.dim_gens):
-        for j in range(lab.P.dim_gens):
-            out[i, j] = next((N for N in range(Nmax + 1)
-                              if lab.contains_residue(ResidueSpec(i, k, j, N, n, m))), None)
-    return out
+    """LocalityInstance.sweep searched pair by pair: reference_order for
+    every (i, j) in order, so an InputError propagates from the first pair
+    whose search raises.  Kept as the reference for sweep, which reads each
+    pair's order off its level."""
+    d = lab.P.dim_gens
+    return {(i, j): reference_order(lab, i, k, j, Nmax, n, m) for i in range(d) for j in range(d)}
 
 
 def residue_vector(lab, spec):

@@ -43,6 +43,7 @@ from helpers import (
     projected,
     random_operad,
     random_swap_commuting,
+    reference_order,
     reference_sweep,
     residue_function,
     residue_vector,
@@ -275,8 +276,9 @@ def _outcome(search, *args, **kwargs):
 
 @pytest.mark.parametrize("name", sorted(TABLE_ORDERS))
 def test_sweep_by_level_matches_the_pairwise_search(name):
-    """sweep searches once per level; over K 1-8, k 0-2, Nmax 0-5 and five
-    anchors it finds what contains_residue finds pair by pair, and raises
+    """sweep reads each pair's order off its level; over K 1-8, k 0-2,
+    Nmax 0-5 and five anchors it finds what contains_residue finds pair by
+    pair, and raises
     the same InputError text where that search raises (the text names the
     pair and the N)."""
     P = resolve(name)
@@ -294,25 +296,63 @@ def test_sweep_by_level_matches_the_pairwise_search(name):
     assert raised and found
 
 
-def test_sweep_searches_each_level_once(monkeypatch):
-    """On GD (levels 1, 2 and 3) a sweep runs min_locality_order once per
-    distinct level, at the first pair in (i, j) order that has it."""
-    calls = []
-    search = LocalityInstance.min_locality_order
+def test_orders_are_read_off_the_level_with_no_membership_test(monkeypatch):
+    """sweep and min_locality_order call no contains_residue: with it made to
+    raise, both still give TABLE_ORDERS on the 19 table entries."""
 
-    def spy(self, i, k, j, **kwargs):
-        calls.append((i, j))
-        return search(self, i, k, j, **kwargs)
+    def refuse(self, spec):
+        raise AssertionError(f"contains_residue({spec}) was called")
 
-    monkeypatch.setattr(LocalityInstance, "min_locality_order", spy)
-    lab = LocalityInstance(resolve("GD"), 6)
-    levels = _identity_levels(lab)
-    first = {}
-    for pair, level in sorted(levels.items()):
-        first.setdefault(level, pair)
-    assert lab.sweep() == {(0, 0): 1, (0, 1): 1, (0, 2): None, (1, 0): 1, (1, 1): 1,
-                           (1, 2): None, (2, 0): None, (2, 1): 2, (2, 2): 2}
-    assert calls == sorted(first.values()) and len(first) == 3
+    monkeypatch.setattr(LocalityInstance, "contains_residue", refuse)
+    for name, want in TABLE_ORDERS.items():
+        lab = LocalityInstance(resolve(name), 6)
+        d = lab.P.dim_gens
+        pairs = [(i, j) for i in range(d) for j in range(d)]
+        swept = lab.sweep(k=0, Nmax=4)
+        searched = {(i, j): lab.min_locality_order(i, 0, j, Nmax=4) for i, j in pairs}
+        for orders in (swept, searched):
+            got = "".join("-" if orders[p] is None else str(orders[p]) for p in pairs)
+            assert got == want, name
+
+
+def _reference_anchors(K):
+    """Anchors (n, m) with |n|, |m| <= 18 that put the first N whose residue
+    does not fit, K + 1 + min(n, -m), at 0 (none fits), 1-3, 7, 8, 20, 21,
+    K + 1, K + 2 and 2K + 1, reached through n, through m and through both,
+    with the four corners (+-18, +-18)."""
+    anchors = {(a, b) for a in (-18, 18) for b in (-18, 18)}
+    for first in {0, 1, 2, 3, 7, 8, 20, 21, K + 1, K + 2, 2 * K + 1}:
+        low = first - K - 1  # min(n, -m)
+        anchors |= {(low, -low), (low, -K), (K, -low)}
+    return sorted((n, m) for n, m in anchors if abs(n) <= 18 and abs(m) <= 18)
+
+
+def test_orders_match_the_n_by_n_search():
+    """min_locality_order and sweep give what reference_order's search of
+    N = 0, 1, ... through contains_residue gives, the order or the exact
+    InputError text (the pair and the first N that does not fit), over
+    K 1, 2, 5, 9 and 16, Nmax 0-3, 7, 20, 40 and 10**6, k 0-2 and anchors
+    on both sides of every window edge, on GD (levels 1-3) and
+    black(As, As) (levels 0 and 1).  A sweep raises at the first pair in
+    (i, j) order whose search raises."""
+    raised = found = 0
+    for P in (resolve("GD"), black_product(catalog("As"), catalog("As"))):
+        d = P.dim_gens
+        for K in (1, 2, 5, 9, 16):
+            lab = LocalityInstance(P, K)
+            for k, Nmax, (n, m) in itertools.product(
+                    range(3), (0, 1, 2, 3, 7, 20, 40, 10**6), _reference_anchors(K)):
+                want = {(i, j): _outcome(reference_order, lab, i, k, j, Nmax, n, m)
+                        for i in range(d) for j in range(d)}
+                for (i, j), order in want.items():
+                    got = _outcome(lab.min_locality_order, i, k, j, Nmax=Nmax, n=n, m=m)
+                    assert got == order, (P.name, K, k, Nmax, n, m, i, j)
+                errors = [v for v in want.values() if isinstance(v, str)]
+                swept = _outcome(lab.sweep, k=k, Nmax=Nmax, n=n, m=m)
+                assert swept == (errors[0] if errors else want), (P.name, K, k, Nmax, n, m)
+                raised += bool(errors)
+                found += not errors
+    assert raised and found
 
 
 @pytest.mark.parametrize("name", sorted(TABLE_ORDERS))
