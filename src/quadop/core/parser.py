@@ -16,13 +16,14 @@ once per monomial.
 A left comb (xa {g} xb) {h} xc is the basis-adjacent shape: with sigma the
 permutation (a, b, c) it is sigma acting on the monomial (id, h, g).  A right
 comb xc {h} (xa {g} xb) is rewritten through the (12)-symmetry of the outer
-generator: e_h(xc, w) = ((12)e_h)(w, xc).
+generator: e_h(xc, w) = ((12)e_h)(w, xc), so sigma acts once on the
+identity-block vector whose outer entries are the swap column of h.  Each
+comb's vector is scaled by its signed coefficient in one add_scaled call.
 
 pretty_print emits terms in flat-index order and parse_relation inverts it
 exactly; "0" is the empty vector.  Each term is read off its flat index by
 divmod: the sigma-block picks that sigma's left-comb template, the outer
-and inner indices the names put into it.  monomial_str is pretty_print of a
-unit vector, so monomial text has one home; the per-term renderer through
+and inner indices the names put into it.  The per-term renderer through
 unflat that the tests compare against lives in tests/helpers.py.
 
 The reader is one compiled regex that matches a whole term (sign,
@@ -75,18 +76,9 @@ def _right_comb(space: GeneratorSpace, c, h, a, g, b) -> Vec:
     sigma: Perm = (a, b, c)
     if sigma not in _PERMS:
         raise InputError(f"each of x1, x2, x3 must occur exactly once, got x{c}, x{a}, x{b}")
-    gi = space.gen_index(g)
-    out: Vec = {}
-    # e_h(xc, w) = sum_m swap[m][h] e_m(w, xc)
-    for m, coeff in space.swap_columns[space.gen_index(h)]:
-        add_scaled(out, act(space, sigma, {space.flat(IDENT, m, gi): 1}), coeff)
-    return out
-
-
-def _scaled(mono: Vec, coeff) -> Vec:
-    if coeff == 1:
-        return mono
-    return {k: coeff * v for k, v in mono.items()}
+    gi, hi = space.gen_index(g), space.gen_index(h)
+    # e_h(xc, w) = sum_m swap[m][h] e_m(w, xc), evaluated by one act on that sum
+    return act(space, sigma, {space.flat(IDENT, m, gi): x for m, x in space.swap_columns[hi]})
 
 
 def _integer(m: re.Match, group: int) -> int:
@@ -136,13 +128,10 @@ def parse_relation(space: GeneratorSpace, text: str) -> Vec:
     for sign, num, den, comb, args in terms:
         if den == 0:
             raise InputError("zero denominator")
-        add_scaled(out, _scaled(comb(space, *args), num if den == 1 else Fraction(num, den)), sign)
+        # n/1 is the int n and n/n the int 1, so a unit coefficient keeps int values int.
+        add_scaled(out, comb(space, *args),
+                   sign * (num // den if den in (1, num) else Fraction(num, den)))
     return out
-
-
-def monomial_str(space: GeneratorSpace, index: int) -> str:
-    """Left-comb rendering of the basis monomial with the given flat index."""
-    return pretty_print(space, {index: 1})
 
 
 def pretty_print(space: GeneratorSpace, vec: Vec) -> str:

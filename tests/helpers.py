@@ -7,7 +7,7 @@ from math import comb, gcd, lcm
 
 from quadop.core.free3 import GeneratorSpace, Vec, act, s3_closure
 from quadop.core.operad import QuadOperad
-from quadop.core.parser import _left_comb, _right_comb, _scaled, parse_relation
+from quadop.core.parser import parse_relation
 from quadop.core.perms import CYC123, IDENT, REPS, SWAP12, compose, coset_decompose
 from quadop.errors import InputError, InternalCheckError
 from quadop.koszul import dual_generators
@@ -188,6 +188,35 @@ class _Cursor:
         return self.pos >= len(self.toks)
 
 
+# The reference's own comb evaluation: one act per basis unit, summed with
+# add_scaled, and its own scaling; it shares only act and gen_index with the
+# parser.
+def _check_vars(x, y, z):
+    if sorted((x, y, z)) != [1, 2, 3]:
+        raise InputError(f"each of x1, x2, x3 must occur exactly once, got x{x}, x{y}, x{z}")
+
+
+def _left_comb(space: GeneratorSpace, a, g, b, h, c) -> Vec:
+    _check_vars(a, b, c)
+    return act(space, (a, b, c), {space.flat(IDENT, space.gen_index(h), space.gen_index(g)): 1})
+
+
+def _right_comb(space: GeneratorSpace, c, h, a, g, b) -> Vec:
+    # e_h(xc, w) = sum_m swap[m][h] e_m(w, xc), one act per term
+    _check_vars(c, a, b)
+    gi = space.gen_index(g)
+    out: Vec = {}
+    for m, coeff in space.swap_columns[space.gen_index(h)]:
+        add_scaled(out, act(space, (a, b, c), {space.flat(IDENT, m, gi): 1}), coeff)
+    return out
+
+
+def _scaled(mono: Vec, coeff) -> Vec:
+    if coeff == 1:
+        return mono
+    return {k: coeff * v for k, v in mono.items()}
+
+
 def _parse_mono(space: GeneratorSpace, cur: _Cursor) -> Vec:
     kind, val = cur.peek()
     if kind == "punct" and val == "(":
@@ -230,7 +259,8 @@ def reference_parse(space: GeneratorSpace, text: str) -> Vec:
     """The relation parser token by token: tokenize the whole text, then
     parse it with a cursor, evaluating each term as it is read.  Kept as the
     reference for parser.parse_relation, which reads one regex match per
-    term; the two share only the comb evaluation and its scaling."""
+    term and evaluates a right comb with one act; the two share only act
+    and gen_index."""
     toks = _tokenize(text)
     if toks == [("int", 0)]:
         return {}

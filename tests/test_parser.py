@@ -8,9 +8,10 @@ from hypothesis import strategies as st
 
 from quadop.core.catalog import catalog, resolve
 from quadop.core.free3 import GeneratorSpace
-from quadop.core.parser import monomial_str, parse_relation, pretty_print
-from quadop.core.perms import CYC123, IDENT
+from quadop.core.parser import parse_relation, pretty_print
+from quadop.core.perms import CYC123, IDENT, S3
 from quadop.errors import InputError
+from quadop.linalg import add_scaled
 from quadop.manin import black_product
 from helpers import random_involutive_space, reference_parse, reference_pretty_print
 
@@ -33,6 +34,9 @@ NAMED = GeneratorSpace(
         (Fraction(0), Fraction(0), Fraction(-1)),
     ),
 )
+# A conjugated-sign swap on g0, g1, g2 whose every column has three terms:
+# (12)e_g0 = 7/3 e_g0 - 4/3 e_g1 + 4/3 e_g2, (12)e_g2 = -4 e_g0 + 4 e_g1 - 3 e_g2.
+MIXED = random_involutive_space(random.Random(3), 3)
 
 
 def test_left_comb_is_a_basis_monomial():
@@ -46,6 +50,38 @@ def test_right_comb_rewrites_through_the_swap():
     # e_b(x1, w) = ((12)e_b)(w, x1) = -e_b(w, x1) for an antisymmetric b.
     v = parse_relation(LIE, "x1 {b} (x2 {b} x3)")
     assert v == {LIE.flat(CYC123, 0, 0): Fraction(-1)}
+
+
+def test_right_combs_over_mixing_swaps_match_the_reference():
+    # Every right comb over MIXED, where (12)e_h has three terms, is the sum
+    # of its swap column's left combs, and reads as the token-by-token
+    # reference reads it, value types included.
+    names = MIXED.names
+    for a, b, c in S3:
+        for g in names:
+            for h in names:
+                text = f"x{c} {{{h}}} (x{a} {{{g}}} x{b})"
+                want: dict = {}
+                for m, x in MIXED.swap_columns[MIXED.gen_index(h)]:
+                    left = f"(x{a} {{{g}}} x{b}) {{{names[m]}}} x{c}"
+                    add_scaled(want, parse_relation(MIXED, left), x)
+                assert parse_relation(MIXED, text) == want
+                read = _outcome(parse_relation, MIXED, text)
+                assert read == _outcome(reference_parse, MIXED, text)
+
+
+@pytest.mark.parametrize("text, cancelled", [
+    # 7/3 (x1 {g1} x2) {g0} x3 is one term of the right comb; both land on it.
+    ("x3 {g0} (x1 {g1} x2) - 7/3 * (x1 {g1} x2) {g0} x3", "(x1 {g1} x2) {g0} x3"),
+    # The inner swap spreads each outer term over three inner generators.
+    ("x3 {g0} (x2 {g1} x1) - 7/3 * (x2 {g1} x1) {g0} x3", "(x2 {g1} x1) {g0} x3"),
+    ("x3 {g2} (x1 {g0} x2) + 4 * (x1 {g0} x2) {g0} x3", "(x1 {g0} x2) {g0} x3"),
+    ("- x1 {g1} (x2 {g2} x3) + x1 {g1} (x2 {g2} x3)", "x1 {g1} (x2 {g2} x3)"),
+])
+def test_right_comb_terms_cancel_on_a_shared_basis_vector(text, cancelled):
+    vec = parse_relation(MIXED, text)
+    assert not set(vec) & set(parse_relation(MIXED, cancelled))
+    assert _outcome(parse_relation, MIXED, text) == _outcome(reference_parse, MIXED, text)
 
 
 def test_rational_coefficients():
@@ -71,10 +107,10 @@ def test_inner_swap_folds_into_same_basis_vector():
     assert anti == {LIE.flat(IDENT, 0, 0): Fraction(-1)}
 
 
-def test_monomial_str_inverts_flat_index():
+def test_unit_text_inverts_flat_index():
     for space in (SYM, TRIPLE):
         for idx in range(space.free3_dim):
-            v = parse_relation(space, monomial_str(space, idx))
+            v = parse_relation(space, pretty_print(space, {idx: 1}))
             assert v == {idx: Fraction(1)}
 
 
@@ -127,7 +163,7 @@ def test_pretty_print_matches_the_unflat_renderer(case):
     assert text == reference_pretty_print(space, vec)
     assert parse_relation(space, text) == {k: v for k, v in vec.items() if v}
     for idx in vec:
-        assert monomial_str(space, idx) == reference_pretty_print(space, {idx: 1})
+        assert pretty_print(space, {idx: 1}) == reference_pretty_print(space, {idx: 1})
 
 
 @pytest.mark.parametrize(
@@ -273,17 +309,43 @@ _AROUND = st.sampled_from(["", "+", "-", "+ ", "- ", "0 * ", "1/0 * ", "3/ * ", 
                            " +", " (x1 {p} x2) {p} x3", " - 0 * x1 {p} (x2 {c1} x3)"])
 
 
+_COEFFICIENTS = st.sampled_from(["", "2 * ", "3/2 * ", "2/2 * ", "0 * ", "5/3 * "])
+
+
+@st.composite
+def right_comb_relations(draw):
+    """A random involutive space, whose (12)e_h mostly has several terms,
+    some non-integral, and a relation of right combs on it, with a left
+    comb now and then."""
+    d = draw(st.integers(2, 3))
+    space = random_involutive_space(random.Random(draw(st.integers(0, 2**16))), d)
+    parts = []
+    for pos in range(draw(st.integers(1, 4))):
+        a, b, c = draw(st.sampled_from(S3))
+        g, h = draw(st.sampled_from(space.names)), draw(st.sampled_from(space.names))
+        if draw(st.integers(0, 2)):
+            mono = f"x{c} {{{h}}} (x{a} {{{g}}} x{b})"
+        else:
+            mono = f"(x{a} {{{g}}} x{b}) {{{h}}} x{c}"
+        sign = draw(st.sampled_from(["", "- "] if pos == 0 else [" + ", " - "]))
+        parts.append(sign + draw(_COEFFICIENTS) + mono)
+    return space, "".join(parts)
+
+
 @st.composite
 def relation_texts(draw):
-    """Texts near the grammar: fragments and pieces over TRIPLE, and printed
-    relations with something added in front or behind."""
-    kind = draw(st.integers(0, 2))
+    """Texts near the grammar: fragments and pieces over TRIPLE, printed
+    relations with something added in front or behind, and right-comb
+    relations over random mixing swaps."""
+    kind = draw(st.integers(0, 3))
     if kind == 0:
         return TRIPLE, "".join(draw(st.lists(st.sampled_from(_FRAGMENTS), max_size=24)))
     if kind == 1:
         return TRIPLE, "".join(draw(st.lists(_PIECES, max_size=16)))
-    space, _, text = draw(printed_relations())
-    return space, draw(_AROUND) + text + draw(_AROUND)
+    if kind == 2:
+        space, _, text = draw(printed_relations())
+        return space, draw(_AROUND) + text + draw(_AROUND)
+    return draw(right_comb_relations())
 
 
 @settings(max_examples=400, deadline=None)
@@ -295,6 +357,10 @@ def relation_texts(draw):
 @example((TRIPLE, "(x1 {p} x1) {p} x3 + 1/0 * (x1 {p} x2) {p} x3"))
 @example((TRIPLE, " 00\t"))
 @example((TRIPLE, "0" * 5000))
+# A coefficient written n/n scales int values to ints, as 1 does.
+@example((TRIPLE, "- 2/2 * (x1 {p} x2) {p} x3 + 3/3 * x3 {c1} (x1 {p} x2)"))
+@example((MIXED, "x3 {g0} (x1 {g1} x2) - 2 * x1 {g2} (x3 {g1} x2)"))
+@example((MIXED, "- 2/2 * x3 {g1} (x2 {g0} x1) + 3/2 * x2 {g2} (x1 {g2} x3)"))
 def test_the_term_path_agrees_with_the_token_path(case):
     # parse_relation and the token-by-token reference give the same vector,
     # value types included, or both raise an InputError of one line.
