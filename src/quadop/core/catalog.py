@@ -12,6 +12,7 @@ are built lazily and cached per process.
 
 from __future__ import annotations
 
+import functools
 import os
 import re
 
@@ -118,27 +119,20 @@ _DERIVED = {
     "ComTriAs": lambda: dual_operad(catalog("postLie")),
 }
 
-_cache: dict[str, QuadOperad] = {}
-
 
 def catalog_names() -> list[str]:
     return sorted(_TEXTUAL) + sorted(_DERIVED)
 
 
+@functools.cache
 def catalog(name: str) -> QuadOperad:
     """The built-in operad of that name (built once per process)."""
-    op = _cache.get(name)
-    if op is not None:
-        return op
     if name in _TEXTUAL:
         gens, rels = _TEXTUAL[name]
-        op = make_operad(name, gens, rels)
-    elif name in _DERIVED:
-        op = _DERIVED[name]().renamed(name)
-    else:
-        raise InputError(f"unknown operad {name!r}; known: {', '.join(catalog_names())}")
-    _cache[name] = op
-    return op
+        return make_operad(name, gens, rels)
+    if name in _DERIVED:
+        return _DERIVED[name]().renamed(name)
+    raise InputError(f"unknown operad {name!r}; known: {', '.join(catalog_names())}")
 
 
 _DUAL_RE = re.compile(r"^dual\((.+)\)$")

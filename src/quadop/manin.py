@@ -26,6 +26,8 @@ the split's: with S the swap of Q, (12) sends g_succ to
 
 from __future__ import annotations
 
+import functools
+
 from quadop.core.free3 import GeneratorSpace
 from quadop.core.operad import QuadOperad, make_operad
 from quadop.errors import InputError
@@ -153,19 +155,15 @@ _SPLIT_PARTNERS = {
 }
 
 
-_partners: dict[str, QuadOperad] = {}
-
-
+@functools.cache
 def split_partner(mode: str) -> QuadOperad:
     """The operad whose black product with Q is split(Q, mode): pre-Lie
     (mode 'pre') or post-Lie (mode 'post') with the parts succ, prec (and
     perp) as generators.  Built once per process."""
     if mode not in ("pre", "post"):
         raise InputError(f"split mode must be 'pre' or 'post', got {mode!r}")
-    if mode not in _partners:
-        gens, rels = _SPLIT_PARTNERS[mode]
-        _partners[mode] = make_operad(f"split_{mode}(Lie)", gens, rels)
-    return _partners[mode]
+    gens, rels = _SPLIT_PARTNERS[mode]
+    return make_operad(f"split_{mode}(Lie)", gens, rels)
 
 
 def split(Q: QuadOperad, mode: str) -> QuadOperad:

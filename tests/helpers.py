@@ -545,7 +545,7 @@ def white_by_projection(P, Q):
 
 # Minimal locality order of every (inner, outer) pair of the 19 criterion-02
 # entries at k=0, anchor (0,0), Nmax 4, in row-major pair order, with "-" for
-# "none up to Nmax".  Frozen at window 6; the orders are the same at 8.
+# "none up to Nmax".  Frozen at window 6; the orders are the same at 8 and 16.
 TABLE_ORDERS = {
     "Com": "1",
     "Lie": "2",

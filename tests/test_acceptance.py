@@ -269,9 +269,9 @@ def test_criterion_11_locality_sweep():
 
 def test_criterion_11_whole_table_sweep_orders(capsys):
     """The frozen minimal orders of all 19 criterion-02 entries, read from
-    `quadop --json locality` at windows 6 and 8."""
+    `quadop --json locality` at windows 6, 8 and 16."""
     t0 = time.monotonic()
-    for K in (6, 8):
+    for K in (6, 8, 16):
         for name, orders in TABLE_ORDERS.items():
             assert main(["--json", "locality", name, "--window", str(K)]) == 0
             pairs = json.loads(capsys.readouterr().out)["locality"]["pairs"]

@@ -59,9 +59,13 @@ def test_resolve_names_and_duals():
 
 def test_deeply_nested_dual_resolves(capsys):
     """dual(...) nests to any depth: 1200 layers, deeper than the default
-    recursion limit, give the operad of the same depth parity."""
+    recursion limit, give the operad of the same depth parity, in text and
+    in --json."""
     depth = 1200
-    code = main(["--json", "show", "dual(" * depth + "Lie" + ")" * depth])
+    spec = "dual(" * depth + "Lie" + ")" * depth
+    assert main(["show", spec]) == 0
+    assert capsys.readouterr().err == ""
+    code = main(["--json", "show", spec])
     captured = capsys.readouterr()
     assert (code, captured.err) == (0, "")
     shown = json.loads(captured.out)["operad"]

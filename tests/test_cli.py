@@ -202,7 +202,7 @@ def test_locality_input_is_checked_without_generators(capsys, tmp_path):
     a negative k and an anchor outside the window, with Com's messages."""
     path = tmp_path / "empty.json"
     path.write_text(json.dumps({"name": "e", "generators": [], "relations": []}))
-    for flags in (["--k", "-3"], ["--anchor", "99,99", "--window", "1"]):
+    for flags in (["--k", "-1"], ["--k", "-3"], ["--anchor", "99,99", "--window", "1"]):
         code, out, err = run(capsys, "locality", "Com", *flags)
         assert (code, out) == (1, "")
         assert run(capsys, "locality", str(path), *flags) == (1, "", err)
@@ -278,12 +278,13 @@ _GOOD_FILE = {
 def test_malformed_operad_file_is_an_input_error(capsys, tmp_path, field, value, message):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({**_GOOD_FILE, field: value}))
-    code, out, err = run(capsys, "dong", str(path))
-    assert code == 1
-    assert out == ""
-    assert "Traceback" not in err
-    assert err.count("\n") == 1
-    assert message in err
+    for cmd in ("show", "dong"):
+        code, out, err = run(capsys, cmd, str(path))
+        assert code == 1
+        assert out == ""
+        assert "Traceback" not in err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert message in err
 
 
 @pytest.mark.parametrize("names", [["'"], ["a '", "b '"]],

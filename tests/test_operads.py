@@ -154,6 +154,14 @@ def _printed(capsys, *argv):
     return json.loads(out)["operad"]
 
 
+def _dong_text(capsys, operand):
+    """What `quadop dong OPERAND` prints."""
+    code = main(["dong", operand])
+    out, err = capsys.readouterr()
+    assert code == 0, err
+    return out
+
+
 def _random_file(rng, d):
     """A random operad file: generators with the swap images of a random
     S2-module rescaled by random rationals q (column j of the swap times
@@ -173,7 +181,8 @@ def test_printed_operads_load_back(tmp_path, capsys):
     written to a file, loads back: show prints the same object again, for
     every catalog entry, dual(NP), products of every kind and seeded random
     operad files with rational swaps, whose reloaded operad also has the
-    same swap and relations as the first load."""
+    same swap and relations as the first load.  For every catalog entry and
+    dual(NP), `dong` of the printed file prints what `dong NAME` prints."""
     runs = [["show", name] for name in [*catalog_names(), "dual(NP)"]]
     runs += [["product", "--white", "As", "Com"], ["product", "--white", "Lie", "Nov"],
              ["product", "--black", "As", "Lie"], ["product", "--black", "Pois", "Perm"]]
@@ -194,6 +203,8 @@ def test_printed_operads_load_back(tmp_path, capsys):
         if argv[1].endswith(".json"):
             first, again = load_operad_file(argv[1]), load_operad_file(str(path))
             assert (again.space.swap, again.relations) == (first.space.swap, first.relations)
+        elif argv[0] == "show":
+            assert _dong_text(capsys, str(path)) == _dong_text(capsys, argv[1]), argv
 
 
 def test_load_operad_file_errors(tmp_path):
