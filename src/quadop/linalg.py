@@ -7,16 +7,20 @@ band-structured systems are never touched.
 
 One row type: every row is a primitive integer row (content 1, positive
 leading value).  Input entries may be int or Fraction; their numerators and
-denominators are read directly, so an int vector never becomes a Fraction,
-and an all-int row is only copied.
+denominators are read directly, so an int vector never becomes a Fraction.
+A row is copied, stripped of its content or rescaled only when a step
+changes it: EchelonBasis.add reduces a caller's all-int row copy-on-write,
+the content scan stops once the gcd is 1, and a complement row with pivot
+entry 1 or a canonical row that truncated(n) does not cut is kept as it is.
 
 * EchelonBasis: an incremental, order-dependent echelon form.  Cheap add and
   membership, no canonical form: the builder that from_vectors, intersect
   and the S3 closure's worklist add rows to (add reports whether the rank
   grew, and the worklist queues on that), and that perp() reduces its own
   fresh rows into.  Elimination is integer-preserving: each step forms
-  a*v - b*row in place, and the content is divided out once, when a
-  reduction ends in a nonzero residual.
+  a*v - b*row in place (on a copy of a caller's row, made before its first
+  step), and the content is divided out once, when a reduction ends in a
+  nonzero residual.
 * SubspaceQ: the canonical form, and the only class that reads it.  Its
   rows, keyed by pivot, are the reduced row echelon form (pivot columns
   cleared in every other row), each scaled to its primitive integer row.
@@ -46,7 +50,8 @@ and an all-int row is only copied.
   elimination; they span the complement but are not canonical, and
   canonicalised with from_vectors they give a second route to it that
   shares no elimination with perp().  truncated(n), the projection onto
-  the first n columns, reads the canonical rows with no elimination.
+  the first n columns, reads the canonical rows with no elimination and
+  shares each row that ends before column n.
   from_echelon reaches the canonical form by column-indexed
   back-substitution, whose cost follows the rows' nonzeros, not the square
   of the rank.
@@ -63,15 +68,19 @@ from math import gcd, lcm
 IntRow = dict[int, int]
 
 
-def _as_int_row(vec) -> IntRow:
+def _as_int_row(vec, fresh: bool = True) -> IntRow:
     """Clear the denominators of a vector (dense sequence or {col: value}
-    mapping, entries int or Fraction).  Always returns a fresh dict, which
-    the caller may reduce in place; the content is not divided out."""
+    mapping, entries int or Fraction); the content is not divided out.
+    Returns a fresh dict, which the caller may reduce in place, except
+    that with fresh=False an all-int dict with no zero entry is returned
+    as it is, and the caller must copy it before changing it."""
     if isinstance(vec, dict):
         for v in vec.values():
             if type(v) is not int:
                 break
         else:  # all int (not bool): only copy, dropping zeros
+            if not fresh and 0 not in vec.values():
+                return vec
             return {c: v for c, v in vec.items() if v}
     items = vec.items() if isinstance(vec, dict) else enumerate(vec)
     terms = []
@@ -104,6 +113,8 @@ def _strip_content(row: IntRow, lead: int | None = None) -> IntRow:
     g = 0
     for v in row.values():
         g = gcd(g, v)
+        if g == 1:
+            break
     if lead is None:
         lead = min(row)
     if row[lead] < 0:
@@ -150,27 +161,37 @@ class EchelonBasis:
     def rank(self) -> int:
         return len(self._rows)
 
-    def _reduce(self, v: IntRow) -> int | None:
-        """Reduce the integer row v in place against the current rows.
-        Returns its leading column, which no row has as pivot, or None when
-        v reduces to zero.  The content of v is left in place."""
+    def _reduce(self, v: IntRow, shared: bool = False) -> tuple[IntRow, int | None]:
+        """Reduce the integer row v against the current rows, in place
+        unless it is shared (the caller's): a shared row is copied just
+        before its first elimination, so one that no step changes is
+        returned as it is.  Returns the reduced row and its leading column,
+        which no row has as pivot, or None when it reduces to zero.  The
+        content is left in place."""
         rows = self._rows
         while v:
             col = min(v)
             row = rows.get(col)
             if row is None:
-                return col
+                return v, col
+            if shared:
+                v, shared = dict(v), False
             _eliminate(v, row, col)
-        return None
+        return v, None
 
     def contains(self, vec) -> bool:
-        return self._reduce(_as_int_row(vec)) is None
+        return self._reduce(_as_int_row(vec))[1] is None
 
     def add(self, vec) -> bool:
         """Add vec to the span, filed under the pivot its reduction ends
-        on.  Returns True if the rank grew."""
-        v = _as_int_row(vec)
-        col = self._reduce(v)
+        on.  Returns True if the rank grew.  vec is never changed.  An
+        all-int dict with no zero entry is reduced copy-on-write, so when
+        no step changes it, its content is 1 and its lead is positive, the
+        basis files vec itself: the caller must not change vec while the
+        basis is in use.
+        from_echelon builds fresh rows, so no SubspaceQ holds it."""
+        v = _as_int_row(vec, fresh=False)
+        v, col = self._reduce(v, v is vec)
         if col is None:
             return False
         self._rows[col] = _strip_content(v, col)
@@ -285,10 +306,14 @@ class SubspaceQ:
         """The projection onto the first n coordinates, as a subspace of Q^n:
         the rows with pivot < n, cut at column n.  A reduced row cut at a
         column prefix stays reduced and rows with pivot >= n project to 0,
-        so only the content is divided out again."""
+        so only the content is divided out again, and only in a row that
+        reaches past n.  A row that ends before n (its entries are in
+        column order) is kept as it is, shared with this subspace as
+        rows() shares it."""
         if not 0 <= n <= self.ambient_dim:
             raise ValueError(f"cannot truncate Q^{self.ambient_dim} to Q^{n}")
-        return SubspaceQ(n, {p: _strip_content({c: v for c, v in r.items() if c < n}, p)
+        return SubspaceQ(n, {p: r if next(reversed(r)) < n
+                             else _strip_content({c: v for c, v in r.items() if c < n}, p)
                              for p, r in self._rows.items() if p < n})
 
     def intersect(self, other: "SubspaceQ") -> "SubspaceQ":
@@ -339,15 +364,16 @@ class SubspaceQ:
         eb = EchelonBasis(self.ambient_dim)
         for p, r in self._rows.items():
             if p not in units:
-                # A fresh int row, so add's copy is skipped; the rows are
-                # independent, so each reduction ends on a new pivot.
-                v = {last - c: x for c, x in r.items()}
-                col = eb._reduce(v)
+                # A fresh row, reduced in place (add would copy it before
+                # its first elimination); the rows are independent, so each
+                # reduction ends on a new pivot.
+                v, col = eb._reduce({last - c: x for c, x in r.items()})
                 eb._rows[col] = _strip_content(v, col)
         reduced = _back_substitute(eb)
         free = [f for f in range(last, -1, -1) if f not in reduced and last - f not in units]
+        # A row with pivot entry 1 already has content 1 and a positive lead.
         out = SubspaceQ(self.ambient_dim, {
-            last - f: _strip_content(row, last - f)
+            last - f: row if row[last - f] == 1 else _strip_content(row, last - f)
             for f, row in zip(free, _free_column_rows(reduced, free, last, -1))})
         out._perp_of = self
         return out
@@ -419,22 +445,30 @@ def _free_column_rows(rows: dict[int, IntRow], free: list[int], off: int = 0, si
     with r_p[f] = x, scale the lcm of those leads.  Pivot columns are cleared
     in every other row, so each non-leading entry sits in a free column.
     Column c is written at off + sign*c, f first and then the pivots in the
-    order of rows; the content is left in place."""
+    order of rows; the content is left in place.  A free column that only
+    rows with lead 1 reach has scale 1: no lcm and no scale // lead."""
     terms: dict[int, list] = {f: [] for f in free}
+    scaled = set()  # the free columns that some row with lead != 1 reaches
     for p, r in rows.items():
+        lead, at = r[p], off + sign * p
+        if lead != 1:
+            scaled.update(r)
         for f, x in r.items():
             if f != p:
-                terms[f].append((off + sign * p, x, r[p]))
+                terms[f].append((at, x, lead))
     for f, ts in terms.items():
-        scale = lcm(*(lead for _, _, lead in ts))
+        scale = lcm(*(lead for _, _, lead in ts)) if f in scaled else 1
         row = {off + sign * f: scale}
         for c, x, lead in ts:
-            row[c] = -x * (scale // lead)
+            row[c] = -x if scale == 1 else -x * (scale // lead)
         yield row
 
 
 def kernel_basis(rows, ncols: int) -> SubspaceQ:
     """Kernel of the linear map Q^ncols -> Q^len(rows) given by a row list:
     the perp() of the rows' span, which it returns when asked for its own
-    perp()."""
+    perp().  The span's echelon form files an all-int row that no step
+    changes without copying it (a white product's tensor rows are all
+    independent and reduced), and its canonical rows are fresh dicts, so
+    neither result holds or changes a caller's row."""
     return SubspaceQ.from_vectors(ncols, rows).perp()

@@ -1,5 +1,6 @@
 """Exact subspace arithmetic: canonical forms, membership, perp, intersections."""
 
+import functools
 import gc
 import math
 import random
@@ -13,6 +14,7 @@ from quadop.linalg import (
     EchelonBasis,
     SubspaceQ,
     _as_int_row,
+    _strip_content,
     add_scaled,
     invert_matrix,
     kernel_basis,
@@ -465,6 +467,94 @@ def test_bool_and_fraction_entries_give_the_integer_rows(rows):
         assert got == _as_int_row(w) == {c: v for c, v in w.items() if v}
         assert all(type(v) is int for v in got.values())
     assert SubspaceQ.from_vectors(6, rows).rows() == SubspaceQ.from_vectors(6, as_ints).rows()
+
+
+@st.composite
+def caller_rows(draw, max_dim=8):
+    """Rows as a caller passes them: all-int dicts with no zero entry, some
+    of them multiples of an earlier one or an earlier one with its tail
+    changed, so that their reduction eliminates; and rows with zero,
+    Fraction and bool entries."""
+    n = draw(st.integers(min_value=1, max_value=max_dim))
+    col = st.integers(min_value=0, max_value=n - 1)
+    nonzero = st.integers(min_value=-6, max_value=6).filter(bool)
+    ints = st.dictionaries(col, nonzero, max_size=5)
+    mixed = st.dictionaries(col, st.one_of(_integral_entry, _mixed_entry), max_size=5)
+    rows = draw(st.lists(st.one_of(ints, mixed), max_size=n + 2))
+    for r in draw(st.lists(st.sampled_from(rows), max_size=3)) if rows else ():
+        k = draw(nonzero)
+        rows.append({c: k * x for c, x in r.items()}
+                    if draw(st.booleans()) else {**r, n - 1: draw(nonzero)})
+    return n, rows
+
+
+@given(caller_rows())
+@example((3, [{0: 1, 1: 2}, {0: 2, 1: 1}, {0: 3, 1: 6}, {0: 0, 1: True, 2: Fraction(1, 2)}]))
+@example((2, [{1: -2}, {0: 1, 1: 4}, {0: 1, 1: 3}]))
+@settings(max_examples=150, deadline=None)
+def test_caller_rows_are_never_changed_or_held(data):
+    # add reduces an all-int row copy-on-write and may file the caller's
+    # dict itself; no SubspaceQ may hold one, so a caller that changes its
+    # rows afterwards changes no subspace built from them.
+    n, rows = data
+    before = [dict(r) for r in rows]
+    eb = EchelonBasis(n)
+    for r in rows:
+        eb.add(r)
+        assert rows == before
+    built = [SubspaceQ.from_echelon(eb), SubspaceQ.from_vectors(n, rows), kernel_basis(rows, n)]
+    assert rows == before
+    kept = [([dict(r) for r in s.rows()], hash(s)) for s in built]
+    ids = {id(r) for r in rows}
+    for s in built:
+        assert not ids & _reachable(s)
+    for r in rows:
+        for c in r:
+            r[c] += 1
+        r[n] = 5
+    want = SubspaceQ.from_vectors(n, before)
+    for s, (srows, h), ref in zip(built, kept, (want, want, want.perp())):
+        assert s.rows() == srows and hash(s) == h
+        assert s == ref and hash(s) == hash(ref)
+
+
+def _reference_strip(row, lead):
+    """Reference: the gcd of every value, with the sign of the lead."""
+    g = functools.reduce(math.gcd, row.values(), 0)
+    return {c: x // (g if row[lead] > 0 else -g) for c, x in row.items()}
+
+
+@st.composite
+def int_rows_in_any_column_order(draw):
+    """Nonzero int rows stored in a random column order, with a common
+    factor half the time, and a value of plus or minus 1 first a third of
+    the time, ahead of larger ones and of a lead of either sign."""
+    cols = draw(st.lists(st.integers(min_value=0, max_value=9), min_size=1, max_size=6,
+                         unique=True))
+    vals = draw(st.lists(st.integers(min_value=-30, max_value=30).filter(bool),
+                         min_size=len(cols), max_size=len(cols)))
+    k = draw(st.sampled_from((1, 1, 2, -3, 6)))
+    vals = [k * v for v in vals]
+    if draw(st.integers(min_value=0, max_value=2)) == 0:
+        vals[0] = draw(st.sampled_from((1, -1)))
+    return dict(zip(cols, vals))
+
+
+@given(int_rows_in_any_column_order(), st.booleans())
+@example({3: 1, 0: -4, 1: 6}, False)
+@example({2: -1, 0: 6, 1: 4}, True)
+@example({4: 1, 1: 12, 0: -18}, True)
+@example({0: -6, 1: 4}, False)
+def test_strip_content_matches_the_full_gcd(row, pass_lead):
+    # _strip_content ends its gcd scan once the gcd reaches 1, so a row
+    # whose first value is plus or minus 1 is decided by its lead alone.
+    lead = min(row)
+    before = dict(row)
+    got = _strip_content(row, lead if pass_lead else None)
+    assert got == _reference_strip(before, lead)
+    assert list(got) == list(before)
+    assert row == before
+    assert _strip_content({}) == {}
 
 
 def test_invert_matrix_roundtrip():
