@@ -134,9 +134,6 @@ class QuadOperad:
             add_scaled(out, cols[c], coeff)
         return out
 
-    def parse(self, text: str) -> Vec:
-        return parse_relation(self.space, text)
-
     def show_relations(self) -> list[str]:
         return [pretty_print(self.space, row) for row in self.relations.basis()]
 

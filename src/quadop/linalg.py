@@ -23,11 +23,13 @@ entry 1 or a canonical row that truncated(n) does not cut is kept as it is.
   nonzero residual.
 * SubspaceQ: the canonical form, and the only class that reads it.  Its
   rows, keyed by pivot, are the reduced row echelon form (pivot columns
-  cleared in every other row), each scaled to its primitive integer row.
-  That form is unique for a given subspace, so equality and hashing are
-  structural.  contains_rows() is the one membership test: it decides
-  each fresh row at its leading column, outside when that is not a pivot
-  and inside when the row is plus or minus the canonical row there, and
+  cleared in every other row), each scaled to its primitive integer row;
+  the order of a row's entries is not part of it.  That form is unique
+  for a given subspace, so equality and hashing are structural (the hash
+  takes each row as a set of entries).  contains_rows() is the one
+  membership test: it decides each fresh row at its leading column,
+  outside when that is not a pivot and inside when the row is plus or
+  minus the canonical row there, and
   hands any other row to reduce(), the one reduction against canonical
   rows: one elimination per pivot column in a row's support, and the row
   lies in the span exactly when nothing is left.  contains() is that test
@@ -51,10 +53,10 @@ entry 1 or a canonical row that truncated(n) does not cut is kept as it is.
   canonicalised with from_vectors they give a second route to it that
   shares no elimination with perp().  truncated(n), the projection onto
   the first n columns, reads the canonical rows with no elimination and
-  shares each row that ends before column n.
+  shares each row whose largest column is below n.
   from_echelon reaches the canonical form by column-indexed
   back-substitution, whose cost follows the rows' nonzeros, not the square
-  of the rank.
+  of the rank, and copies each reduced row once, as it is.
 
 kernel_basis, the kernel of a row list, is the perp() of the rows' span.
 """
@@ -207,17 +209,17 @@ class SubspaceQ:
 
     _rows maps each pivot column to its row, in pivot order: the reduced
     row echelon form (pivot columns cleared in all other rows), each row a
-    primitive integer row with its entries in column order.  This form is
-    unique for a given subspace, so __eq__ and __hash__ compare subspaces,
-    not presentations, and contains_rows() is the one membership test
-    against it.
+    primitive integer row (content 1, positive pivot entry), its entries in
+    any order.  This form is unique for a given subspace, so __eq__ and
+    __hash__ compare subspaces, not presentations, and contains_rows() is
+    the one membership test against it.
     """
 
     __slots__ = ("ambient_dim", "_rows", "_perp_of")
 
     def __init__(self, ambient_dim: int, rows: dict[int, IntRow]):
         # Not meant to be called directly; use from_vectors / from_echelon.
-        # rows must be canonical: pivot order, entries in column order.
+        # rows must be canonical, in pivot order; entry order is free.
         self.ambient_dim = ambient_dim
         self._rows = rows
         # The subspace this one is the complement of, when perp() made it.
@@ -233,7 +235,7 @@ class SubspaceQ:
     @classmethod
     def from_echelon(cls, eb: EchelonBasis) -> "SubspaceQ":
         reduced = _back_substitute(eb)
-        return cls(eb.ambient_dim, {p: dict(sorted(reduced[p].items())) for p in reversed(reduced)})
+        return cls(eb.ambient_dim, {p: dict(reduced[p]) for p in reversed(reduced)})
 
     @property
     def dim(self) -> int:
@@ -307,12 +309,11 @@ class SubspaceQ:
         the rows with pivot < n, cut at column n.  A reduced row cut at a
         column prefix stays reduced and rows with pivot >= n project to 0,
         so only the content is divided out again, and only in a row that
-        reaches past n.  A row that ends before n (its entries are in
-        column order) is kept as it is, shared with this subspace as
-        rows() shares it."""
+        reaches past n.  A row whose largest column is below n is kept as
+        it is, shared with this subspace as rows() shares it."""
         if not 0 <= n <= self.ambient_dim:
             raise ValueError(f"cannot truncate Q^{self.ambient_dim} to Q^{n}")
-        return SubspaceQ(n, {p: r if next(reversed(r)) < n
+        return SubspaceQ(n, {p: r if max(r) < n
                              else _strip_content({c: v for c, v in r.items() if c < n}, p)
                              for p, r in self._rows.items() if p < n})
 
@@ -384,7 +385,7 @@ class SubspaceQ:
         return self.ambient_dim == other.ambient_dim and self._rows == other._rows
 
     def __hash__(self) -> int:
-        return hash((self.ambient_dim, tuple(tuple(r.items()) for r in self._rows.values())))
+        return hash((self.ambient_dim, tuple(frozenset(r.items()) for r in self._rows.values())))
 
     def __repr__(self) -> str:
         return f"SubspaceQ(dim={self.dim}, ambient={self.ambient_dim})"

@@ -110,7 +110,7 @@ def test_criterion_02_special_np_provenance():
     assert special_np.dim_p3 == 10
     assert report.verdict == "NotDong"
     assert report.kernel_dim == 1
-    assert not NP.relations.contains(NP.parse(special))
+    assert not NP.relations.contains(parse_relation(NP.space, special))
 
 
 def test_criterion_03_preas_kernel_witness():
@@ -118,9 +118,8 @@ def test_criterion_03_preas_kernel_witness():
     preAs = catalog("preAs")
     dual = dual_operad(preAs)
     report = dong_verdict(preAs, dual)
-    witness = dual.parse(
-        "(x1 {p1*m1} x2) {p1*m1} x3 - (x1 {p2*m1} x2) {p1*m1} x3"
-    )
+    witness = parse_relation(
+        dual.space, "(x1 {p1*m1} x2) {p1*m1} x3 - (x1 {p2*m1} x2) {p1*m1} x3")
     _budget(t0, 1)
     assert report.verdict == "NotDong"
     assert printed_kernel(report, dual.space).contains(witness)
@@ -206,7 +205,7 @@ def test_criterion_08_black_leib_nov_identities():
     ]
     for template in identities:
         text = template.replace("{D}", "{%s}" % D).replace("{V}", "{%s}" % V)
-        assert B.relations.contains(B.parse(text)), text
+        assert B.relations.contains(parse_relation(B.space, text)), text
     assert B.dim_relations == white_product(catalog("Perm"), catalog("Nov")).dim_relations
     _budget(t0, 60)
 

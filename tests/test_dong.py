@@ -106,7 +106,7 @@ def test_witnesses_parse_back_into_the_kernel():
         D = dual_operad(P)
         assert printed_kernel(report, D.space).dim == report.kernel_dim
         for w in report.witnesses:
-            vec = D.parse(w)
+            vec = parse_relation(D.space, w)
             assert max(vec) < P.dim_gens ** 2
             assert D.relations.contains(vec)
 
@@ -147,9 +147,9 @@ def test_off_block_witness_is_in_the_dual_relations():
     # vector moved by (123) still lies in the dual relations.
     Zinb = catalog("Zinb")
     D = dual_operad(Zinb)
-    assert D.relations.contains(D.parse(ZINB_WITNESS))
+    assert D.relations.contains(parse_relation(D.space, ZINB_WITNESS))
     assert D.relations.contains(
-        D.parse("(x2 {z1'} x3) {z2'} x1 - (x2 {z2'} x3) {z2'} x1"))
+        parse_relation(D.space, "(x2 {z1'} x3) {z2'} x1 - (x2 {z2'} x3) {z2'} x1"))
 
 
 def test_verdict_raises_when_a_printed_witness_is_wrong(monkeypatch):

@@ -8,6 +8,7 @@ from helpers import fresh_perp, pairing_equivariant, random_operad
 from quadop.core.catalog import catalog, catalog_names
 from quadop.core.free3 import s3_closure
 from quadop.core.operad import make_operad
+from quadop.core.parser import parse_relation
 from quadop.core.perms import S3, sign
 from quadop.koszul import dual_operad, verify_jacobi_duality
 
@@ -98,7 +99,7 @@ def test_dual_of_leibniz_is_zinbiel():
     left = (f"(x1 {{{z2}}} x2) {{{z2}}} x3 - x1 {{{z2}}} (x2 {{{z2}}} x3)"
             f" - x1 {{{z2}}} (x3 {{{z2}}} x2)")
     for ident in (right, left):
-        v = D.parse(ident)
+        v = parse_relation(D.space, ident)
         assert D.relations.contains(v)
         assert s3_closure(D.space, [v]) == D.relations
 
@@ -108,7 +109,7 @@ def test_dual_of_perm_is_right_symmetric():
     g = P.space.names[1]
     ident = (f"(x1 {{{g}}} x2) {{{g}}} x3 - x1 {{{g}}} (x2 {{{g}}} x3)"
              f" - (x1 {{{g}}} x3) {{{g}}} x2 + x1 {{{g}}} (x3 {{{g}}} x2)")
-    v = P.parse(ident)
+    v = parse_relation(P.space, ident)
     assert P.relations.contains(v)
     assert s3_closure(P.space, [v]) == P.relations
 

@@ -10,6 +10,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from quadop import catalog
+from quadop.core.catalog import catalog_names
 from quadop.linalg import (
     EchelonBasis,
     SubspaceQ,
@@ -230,8 +232,12 @@ def test_from_echelon_matches_dense_rref(data):
     assert canon.pivots == tuple(pivots)
     assert canon.basis() == [{c: x for c, x in enumerate(r) if x} for r in dense]
     assert canon.rows() == [reference_primitive(b) for b in canon.basis()]
-    for row in canon.rows():
-        assert list(row) == sorted(row)
+    _assert_canonical(canon)
+    # The dense rows, made primitive and stored as they are, with no use of
+    # this package's elimination.
+    ref = SubspaceQ(n, {p: reference_primitive({c: x for c, x in enumerate(r) if x})
+                        for p, r in zip(pivots, dense)})
+    assert canon == ref and hash(canon) == hash(ref)
     for p, row, vec in zip(canon.pivots, canon.rows(), canon.basis()):
         assert {type(x) for x in vec.values()} == ({int} if row[p] == 1 else {Fraction})
         assert vec is not row
@@ -284,15 +290,23 @@ def test_perp_is_involutive(data):
     _assert_canonical_copy(p, fresh_perp(s))
 
 
-def _assert_canonical_copy(got, want):
-    """got equals want down to the order its canonical form is stored in:
-    rows in ascending pivot order, int entries in column order within each
-    row (dict equality alone ignores both orders; the hash reads them)."""
-    assert got == want and hash(got) == hash(want)
-    assert list(got.pivots) == sorted(got.pivots)
-    for row in got.rows():
-        assert list(row) == sorted(row)
+def _assert_canonical(s):
+    """s is stored in its canonical form: rows in ascending pivot order
+    (dict equality ignores it; the hash reads it), each an int row with
+    content 1, led by a positive entry at its pivot, and holding no other
+    pivot column.  The order of a row's entries is not part of the form."""
+    assert list(s.pivots) == sorted(s.pivots)
+    for p, row in zip(s.pivots, s.rows()):
         assert all(type(x) is int for x in row.values())
+        assert min(row) == p and row[p] > 0
+        assert math.gcd(*row.values()) == 1
+        assert not any(q in row for q in s.pivots if q != p)
+
+
+def _assert_canonical_copy(got, want):
+    """got is stored in its canonical form and equals want, hash too."""
+    _assert_canonical(got)
+    assert got == want and hash(got) == hash(want)
 
 
 def _reachable(obj) -> set[int]:
@@ -433,6 +447,31 @@ def test_truncated_is_the_span_of_the_cut_rows(data, draw):
     for bad in (n + 1, -1):
         with pytest.raises(ValueError):
             s.truncated(bad)
+
+
+def _shuffled_entries(s, rng):
+    """s with each canonical row's entries stored in a random order."""
+    rows = {}
+    for p, row in zip(s.pivots, s.rows()):
+        items = list(row.items())
+        rng.shuffle(items)
+        rows[p] = dict(items)
+    return SubspaceQ(s.ambient_dim, rows)
+
+
+@pytest.mark.parametrize("name", catalog_names())
+def test_entry_order_is_not_part_of_the_canonical_form(name):
+    # The entries of each row go in shuffled, so a truncation that tests a
+    # row's last entry for its end, or a hash that reads the entries in
+    # order, tells the two apart.
+    s = catalog(name).relations
+    rng = random.Random(name)
+    for _ in range(3):
+        t = _shuffled_entries(s, rng)
+        _assert_canonical_copy(t, s)
+        for n in range(s.ambient_dim + 1):
+            _assert_canonical_copy(t.truncated(n), s.truncated(n))
+        _assert_canonical_copy(t.perp(), s.perp())
 
 
 def test_integer_rows_are_copied_without_their_zero_entries():

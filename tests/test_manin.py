@@ -8,6 +8,7 @@ import pytest
 
 from quadop.core.catalog import catalog, catalog_names
 from quadop.core.operad import make_operad
+from quadop.core.parser import parse_relation
 from quadop.dong import dong_verdict
 from quadop.errors import InputError
 from quadop.koszul import dual_operad
@@ -158,7 +159,7 @@ def test_diassociative_dictionary():
         f"(x1 {{{L}}} x2) {{{R}}} x3 - (x1 {{{R}}} x2) {{{R}}} x3",
         f"(x1 {{{R}}} x2) {{{R}}} x3 - x1 {{{R}}} (x2 {{{R}}} x3)",
     ):
-        assert diAs.relations.contains(diAs.parse(ident)), ident
+        assert diAs.relations.contains(parse_relation(diAs.space, ident)), ident
 
 
 # -- black ------------------------------------------------------------

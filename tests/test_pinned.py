@@ -12,8 +12,9 @@ in one byte format:
 
 A pinned value changes only with evidence that can fail independently of
 the code that computes it (ROADMAP aim 3).  On a mismatch, the assertion
-shows the digest the test computed.  The last test is a lint over the
-source tree: no module imports another module's private names.
+shows the digest the test computed.  The last two tests are lints over
+the source tree: no module imports another module's private names, and no
+module but linalg.py calls the SubspaceQ constructor.
 """
 
 import ast
@@ -210,12 +211,35 @@ def test_selfcheck_is_pinned(flags, want):
     assert got == (0, want, ""), got
 
 
+SRC = Path(__file__).resolve().parents[1] / "src" / "quadop"
+
+
+def source_nodes():
+    """Every module under src/quadop with the AST nodes of its source."""
+    for path in sorted(SRC.rglob("*.py")):
+        yield path, ast.walk(ast.parse(path.read_text(), str(path)))
+
+
 def test_no_module_imports_another_modules_private_names():
-    src = Path(__file__).resolve().parents[1] / "src" / "quadop"
     bad = []
-    for path in sorted(src.rglob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+    for path, nodes in source_nodes():
+        for node in nodes:
             if isinstance(node, ast.ImportFrom):
                 bad += [f"{path}:{node.lineno}: {node.module}.{a.name}"
                         for a in node.names if a.name.startswith("_")]
+    assert bad == []
+
+
+def test_only_linalg_calls_the_subspace_constructor():
+    """from_vectors, from_echelon, perp and truncated are the only ways to
+    make a canonical form, so its contract has one home, linalg.py."""
+    bad = []
+    for path, nodes in source_nodes():
+        if path == SRC / "linalg.py":
+            continue
+        for node in nodes:
+            if isinstance(node, ast.Call):
+                f = node.func
+                if (f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)) == "SubspaceQ":
+                    bad.append(f"{path}:{node.lineno}")
     assert bad == []
