@@ -20,22 +20,32 @@ integer row acts to an integer row.  Derived spaces are built from column
 dicts by from_columns, the one place that transposes.  Neither the action on
 a vector's support nor the involution check costs a dense d**3 pass.
 
+The action has one body, act_all: one loop that builds the images of a
+whole list of vectors and returns them as a list, reading the space's
+block moves (already scaled to flat offsets, one table per dimension) and
+monomial_swap once; act is that loop on one vector.  When every swap
+column has one nonzero entry (every catalog entry, product, dual and
+split), no two image terms can meet, so each is written once as
+coefficient times scale; any other swap accumulates terms and drops those
+that cancel.
+
 s3_closure is a worklist over an EchelonBasis: each vector that grows the
 span queues its (12) and (123) images once, so the span ends S3-stable
-without a last round that only confirms it.  act_all applies a permutation
-to a sequence of vectors, reading the space's constants once, and act to
-one vector; both run one per-vector body.  is_s3_stable hands the images of
-all canonical rows under one generator to SubspaceQ.contains_rows, which
-decides most of them at their leading column and reduces the rest, and the
-QuadOperad constructor runs it on every operad, closures included.
-Neither reads the canonical form itself: SubspaceQ is its only home.
+without a last round that only confirms it.  is_s3_stable hands the images
+of all canonical rows under one generator to SubspaceQ.contains_rows,
+which decides most of them at their leading column and reduces the rest,
+and the QuadOperad constructor runs it on every operad, closures included.
+The images are built in full before contains_rows reads them, so its early
+exit saves only decisions, and only on the failing path, which the
+constructor turns into an InternalCheckError.  Neither reads the canonical
+form itself: SubspaceQ is its only home.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property, partial
+from functools import cache, cached_property
 
 from quadop.core.perms import (
     CYC123, IDENT, REP_INDEX, REPS, S3, SWAP12, Perm, compose, coset_decompose,
@@ -46,12 +56,39 @@ from quadop.linalg import EchelonBasis, SubspaceQ, primitive_row
 Vec = dict[int, int | Fraction]
 
 
+@cache
+def _block_moves(d: int) -> dict[Perm, tuple]:
+    """For each permutation perm: d, d*d, and for each sigma-block s the
+    flat offset that moves it onto its target block and whether the inner
+    generator is swapped on the way (perm . REPS[s] = rep . (12)).  One
+    table per dimension, shared by every space of that dimension."""
+    dd = d * d
+    table = {}
+    for perm in S3:
+        moves = []
+        for s, sigma in enumerate(REPS):
+            rep, tail = coset_decompose(compose(perm, sigma))
+            moves.append(((REP_INDEX[rep] - s) * dd, tail != IDENT))
+        table[perm] = (d, dd, tuple(moves))
+    return table
+
+
 @dataclass(frozen=True)
 class GeneratorSpace:
-    """A finite-dimensional S2-module with a chosen basis of named generators."""
+    """A finite-dimensional S2-module with a chosen basis of named generators.
+
+    The constructor also records two facts of the swap.  monomial_swap:
+    when every swap column has one nonzero entry, so that (12) . e_j =
+    scale * e_(j + offset), the (offset, scale) pair of every column j, and
+    None for any other swap.  integral_swap: whether every swap coefficient
+    is an integer, so that the action maps integer rows to integer rows."""
 
     names: tuple[str, ...]
     swap: tuple[tuple[int | Fraction, ...], ...]
+    monomial_swap: tuple[tuple[int, int | Fraction], ...] | None = field(
+        init=False, repr=False, compare=False)
+    integral_swap: bool = field(init=False, repr=False, compare=False)
+    _moves: dict[Perm, tuple] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         d = len(self.names)
@@ -76,6 +113,12 @@ class GeneratorSpace:
                     acc[i] = acc.get(i, 0) + y * x
             if {i: v for i, v in acc.items() if v} != {j: 1}:
                 raise InputError("swap matrix is not an involution")
+        # No column of an involution is empty, so d pairs mean one per column.
+        mono = tuple([(m - j, x) for j, col in enumerate(cols) for m, x in col])
+        object.__setattr__(self, "monomial_swap", mono if len(mono) == d else None)
+        object.__setattr__(self, "integral_swap",
+                           all(type(x) is int for col in cols for _, x in col))
+        object.__setattr__(self, "_moves", _block_moves(d))
 
     @property
     def dim(self) -> int:
@@ -127,57 +170,45 @@ class GeneratorSpace:
         return cls(tuple(names), swap)
 
 
-def _block_map(perm: Perm) -> tuple[tuple[int, bool], ...]:
-    """For each sigma-block s: how many blocks on perm moves it (the index
-    of its target block minus s), and whether the inner generator is swapped
-    on the way (perm . REPS[s] = rep . (12))."""
-    out = []
-    for s, sigma in enumerate(REPS):
-        rep, tail = coset_decompose(compose(perm, sigma))
-        out.append((REP_INDEX[rep] - s, tail != IDENT))
-    return tuple(out)
-
-
-_BLOCK_MAP = {perm: _block_map(perm) for perm in S3}
-
-
-def _act(d: int, dd: int, moves, cols, vec: Vec) -> Vec:
-    """The image of one vector, given the space's dimension d, dd = d*d,
-    perm's block moves and the swap columns: a fresh dict that touches only
-    the vector's support.  Distinct sigma-blocks go to distinct blocks, so
-    only inner swaps inside one block can make two terms meet."""
-    out: Vec = {}
-    for c, coeff in vec.items():
-        if not coeff:
-            continue
-        shift, swapped = moves[c // dd]
-        if not swapped:
-            out[c + shift * dd] = coeff
-            continue
-        inner = c % d
-        base = c + shift * dd - inner
-        for m, entry in cols[inner]:
-            row = base + m
-            val = out.get(row, 0) + coeff * entry
-            if val:
-                out[row] = val
-            elif row in out:
-                del out[row]
-    return out
-
-
-def act_all(space: GeneratorSpace, perm: Perm, vecs):
+def act_all(space: GeneratorSpace, perm: Perm, vecs) -> list[Vec]:
     """Apply perm to each weight-3 vector of vecs, given as {flat index:
-    coefficient}: an iterator of the images in order, each a fresh dict,
-    made lazily.  The space's constants are read once for the sequence."""
-    d = space.dim
-    return map(partial(_act, d, d * d, _BLOCK_MAP[perm], space.swap_columns), vecs)
+    coefficient}: a list of the images in order, each a fresh dict that
+    touches only its vector's support.  One loop builds them all, not
+    lazily, reading the space's block moves and monomial_swap once.
+    Distinct sigma-blocks go to distinct blocks, so only inner swaps inside
+    one block can make two terms meet; under a monomial swap none can, and
+    each term is written once."""
+    d, dd, moves = space._moves[perm]
+    mono = space.monomial_swap
+    images = []
+    for vec in vecs:
+        out: Vec = {}
+        for c, coeff in vec.items():
+            if not coeff:
+                continue
+            shift, swapped = moves[c // dd]
+            if not swapped:
+                out[c + shift] = coeff
+            elif mono is not None:
+                offset, scale = mono[c % d]
+                out[c + shift + offset] = coeff * scale
+            else:
+                inner = c % d
+                base = c + shift - inner
+                for m, entry in space.swap_columns[inner]:
+                    row = base + m
+                    val = out.get(row, 0) + coeff * entry
+                    if val:
+                        out[row] = val
+                    elif row in out:
+                        del out[row]
+        images.append(out)
+    return images
 
 
 def act(space: GeneratorSpace, perm: Perm, vec: Vec) -> Vec:
-    """Apply perm to one weight-3 vector: act_all's body on it alone."""
-    d = space.dim
-    return _act(d, d * d, _BLOCK_MAP[perm], space.swap_columns, vec)
+    """Apply perm to one weight-3 vector: act_all's loop on it alone."""
+    return act_all(space, perm, (vec,))[0]
 
 
 def s3_closure(space: GeneratorSpace, vectors) -> SubspaceQ:
@@ -202,10 +233,9 @@ def is_s3_stable(space: GeneratorSpace, sub: SubspaceQ) -> bool:
     integer rows (through primitive_row when the swap has a non-integral
     entry), and go to SubspaceQ.contains_rows in one pass, which decides
     most of them at their leading column and reduces the rest."""
-    integral = all(type(x) is int for col in space.swap_columns for _, x in col)
     rows = sub.rows()
     for g in (SWAP12, CYC123):
         images = act_all(space, g, rows)
-        if not sub.contains_rows(images if integral else map(primitive_row, images)):
+        if not sub.contains_rows(images if space.integral_swap else map(primitive_row, images)):
             return False
     return True

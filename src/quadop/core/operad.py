@@ -25,7 +25,7 @@ import copy
 import json
 from fractions import Fraction
 
-from quadop.core.free3 import GeneratorSpace, Vec, act, is_s3_stable, s3_closure
+from quadop.core.free3 import GeneratorSpace, Vec, act_all, is_s3_stable, s3_closure
 from quadop.core.parser import parse_relation, pretty_print
 from quadop.core.perms import SWAP12
 from quadop.errors import InputError, InternalCheckError
@@ -107,9 +107,9 @@ class QuadOperad:
                 eb.add({(2 - c // n) * n + c % n: v for c, v in row.items()})
             M = [(min(r), {c - 2 * n: v for c, v in r.items() if c >= 2 * n})
                  for r in eb.rows() if min(r) >= n]
+            U = [u for _, u in M]
             Z = (SubspaceQ.from_vectors(n, (u for pivot, u in M if pivot >= 2 * n)),
-                 SubspaceQ.from_vectors(n, [u for _, u in M]
-                                        + [act(self.space, SWAP12, u) for _, u in M]),
+                 SubspaceQ.from_vectors(n, U + act_all(self.space, SWAP12, U)),
                  self.relations.truncated(n))
             units = [Zl.unit_columns() for Zl in Z]
             self._block = Z, tuple(next((level for level, u in enumerate(units) if c in u), 3)

@@ -14,11 +14,15 @@ Generator names are read verbatim between braces, so product names like
 once per monomial.
 
 A left comb (xa {g} xb) {h} xc is the basis-adjacent shape: with sigma the
-permutation (a, b, c) it is sigma acting on the monomial (id, h, g).  A right
-comb xc {h} (xa {g} xb) is rewritten through the (12)-symmetry of the outer
-generator: e_h(xc, w) = ((12)e_h)(w, xc), so sigma acts once on the
-identity-block vector whose outer entries are the swap column of h.  Each
-comb's vector is scaled by its signed coefficient in one add_scaled call.
+permutation (a, b, c) it is sigma acting on the monomial (id, h, g).  For
+sigma in the transversal REPS that is the basis monomial (sigma, h, g)
+itself, returned as a unit with no action, so every printed relation, all
+of whose terms are such combs, parses with no action applied; the other
+three orders apply act once.  A right comb xc {h} (xa {g} xb) is rewritten
+through the (12)-symmetry of the outer generator: e_h(xc, w) =
+((12)e_h)(w, xc), so sigma acts once on the identity-block vector whose
+outer entries are the swap column of h.  Each comb's vector is scaled by
+its signed coefficient in one add_scaled call.
 
 pretty_print emits terms in flat-index order and parse_relation inverts it
 exactly; "0" is the empty vector.  Each term is read off its flat index by
@@ -40,7 +44,7 @@ import re
 from fractions import Fraction
 
 from quadop.core.free3 import GeneratorSpace, Vec, act
-from quadop.core.perms import IDENT, REPS, S3, Perm
+from quadop.core.perms import IDENT, REP_INDEX, REPS, S3, Perm
 from quadop.errors import InputError
 from quadop.linalg import add_scaled
 
@@ -68,8 +72,10 @@ def _left_comb(space: GeneratorSpace, a, g, b, h, c) -> Vec:
     sigma: Perm = (a, b, c)
     if sigma not in _PERMS:
         raise InputError(f"each of x1, x2, x3 must occur exactly once, got x{a}, x{b}, x{c}")
-    unit = {space.flat(IDENT, space.gen_index(h), space.gen_index(g)): 1}
-    return act(space, sigma, unit)
+    hi, gi = space.gen_index(h), space.gen_index(g)
+    if sigma in REP_INDEX:  # the basis monomial (sigma, h, g) itself
+        return {space.flat(sigma, hi, gi): 1}
+    return act(space, sigma, {space.flat(IDENT, hi, gi): 1})
 
 
 def _right_comb(space: GeneratorSpace, c, h, a, g, b) -> Vec:

@@ -22,6 +22,14 @@ from quadop.locality import ResidueSpec
 from quadop.manin import _product_space
 
 
+# A swap that is not monomial: (12) e_0 = e_0 + 1/2 e_1 and (12) e_1 = -e_1,
+# so the images of two terms of a vector can land on one monomial.
+MIXING = GeneratorSpace(
+    ("s", "t"),
+    ((Fraction(1), Fraction(0)), (Fraction(1, 2), Fraction(-1))),
+)
+
+
 def random_involutive_space(rng, d):
     """A random rational S2-module: conjugate of a diagonal sign matrix by a
     random invertible integer matrix."""
@@ -96,20 +104,32 @@ def free3_action(space, perm):
     return cols
 
 
+def apply_columns(cols, vec):
+    """A column-sparse matrix such as free3_action's applied to a vector,
+    term by term, with the zero entries dropped at the end."""
+    out = {}
+    for c, coeff in vec.items():
+        for row, entry in cols[c]:
+            out[row] = out.get(row, 0) + coeff * entry
+    return {row: val for row, val in out.items() if val}
+
+
 def reference_is_s3_stable(space, sub):
     """The S3-stability guard as a plain membership loop: the canonical rows
     are swept into an EchelonBasis, and every row's image under (12) and
-    (123) is tested with EchelonBasis.contains, which searches for the
-    smallest column on every step.  Kept as the reference for
-    SubspaceQ.contains_rows, the one-pass reduction that is_s3_stable
-    calls, which decides most images at their leading column; the two
-    share only act and the single elimination step."""
+    (123), read off the dense columns of free3_action, is tested with
+    EchelonBasis.contains, which searches for the smallest column on every
+    step.  Kept as the reference for is_s3_stable, which builds the images
+    with act_all and decides most of them at their leading column in
+    SubspaceQ.contains_rows; the two share only the single elimination
+    step."""
     eb = EchelonBasis(sub.ambient_dim)
     for row in sub.rows():
         eb.add(row)
     for g in (SWAP12, CYC123):
+        cols = free3_action(space, g)
         for row in sub.rows():
-            if not eb.contains(act(space, g, row)):
+            if not eb.contains(apply_columns(cols, row)):
                 return False
     return True
 

@@ -8,14 +8,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quadop.core.catalog import _TEXTUAL, catalog, catalog_names
-from quadop.core.free3 import GeneratorSpace, act, is_s3_stable, s3_closure
+from quadop.core.free3 import GeneratorSpace, act, act_all, is_s3_stable, s3_closure
 from quadop.core.parser import parse_relation
 from quadop.core.perms import IDENT, REPS, S3, SWAP12, compose
 from quadop.errors import InputError
 from quadop.koszul import dual_operad
 from quadop.linalg import SubspaceQ
 from quadop.manin import replicate, white_product
-from helpers import free3_action, random_involutive_space, reference_is_s3_stable
+from helpers import (
+    MIXING, apply_columns, free3_action, random_involutive_space, reference_is_s3_stable,
+)
 
 SYM = GeneratorSpace(("m",), ((Fraction(1),),))
 ANTI = GeneratorSpace(("b",), ((Fraction(-1),),))
@@ -24,15 +26,11 @@ PAIR = GeneratorSpace(
     ((Fraction(0), Fraction(1)), (Fraction(1), Fraction(0))),
 )
 # Swaps that are not signed permutation matrices.  RESCALE: (12) e_0 =
-# 1/2 e_1 and (12) e_1 = 2 e_0.  MIXING: (12) e_0 = e_0 + 1/2 e_1 and
-# (12) e_1 = -e_1, so two terms of a vector can land on one monomial.
+# 1/2 e_1 and (12) e_1 = 2 e_0, a monomial swap.  MIXING (tests/helpers.py)
+# is not monomial: two terms of a vector can land on one monomial.
 RESCALE = GeneratorSpace(
     ("u", "v"),
     ((Fraction(0), Fraction(2)), (Fraction(1, 2), Fraction(0))),
-)
-MIXING = GeneratorSpace(
-    ("s", "t"),
-    ((Fraction(1), Fraction(0)), (Fraction(1, 2), Fraction(-1))),
 )
 
 
@@ -137,26 +135,56 @@ def _random_vec(space, rng, k=4):
     return vec
 
 
-def _apply_matrix(cols, vec):
-    out = {}
-    for c, coeff in vec.items():
-        for row, entry in cols[c]:
-            out[row] = out.get(row, 0) + coeff * entry
-    return {row: val for row, val in out.items() if val}
+def _monomial_involution(rng, d):
+    """A swap that moves each generator onto one generator: e_i -> +-e_i,
+    or e_i -> a e_j and e_j -> e_i / a for a pair.  Integral when every
+    scale a is +-1, so these spaces give int swaps as well as Fraction ones."""
+    cols = [None] * d
+    free = list(range(d))
+    rng.shuffle(free)
+    while free:
+        i = free.pop()
+        if free and rng.random() < 0.6:
+            j = free.pop()
+            a = Fraction(rng.choice((1, -1, 1, -1, 2, -3)))
+            cols[i], cols[j] = {j: a}, {i: 1 / a}
+        else:
+            cols[i] = {i: rng.choice((1, -1))}
+    return GeneratorSpace.from_columns([f"g{i}" for i in range(d)], cols)
+
+
+# Monomial swaps with a Fraction scale (a pair e_i -> a e_j, e_j -> e_i / a
+# with a = 2 or -3) and with integral ones only.
+_MONOMIAL = [_monomial_involution(random.Random(seed), d)
+             for seed, d in ((3, 2), (5, 3), (8, 4), (1, 3))]
 
 
 @pytest.mark.parametrize(
     "space",
-    [SYM, ANTI, PAIR, RESCALE, MIXING, catalog("diAs").space, catalog("NP").space],
-    ids=["SYM", "ANTI", "PAIR", "RESCALE", "MIXING", "diAs", "NP"],
+    [SYM, ANTI, PAIR, RESCALE, MIXING, catalog("diAs").space, catalog("NP").space, *_MONOMIAL],
+    ids=["SYM", "ANTI", "PAIR", "RESCALE", "MIXING", "diAs", "NP",
+         *(f"monomial{k}" for k in range(len(_MONOMIAL)))],
 )
 def test_support_action_matches_matrix(space):
+    # One act_all call on a list of several vectors, integer ones, an empty
+    # one and one with explicit zero entries, against the dense column
+    # matrix, and act on each vector alone; integer rows must stay int on
+    # an integral swap, through either branch of the loop.
     rng = random.Random(11)
-    vecs = [_random_vec(space, rng, k) for k in (1, 4, space.free3_dim) for _ in range(3)]
+    n = space.free3_dim
+    vecs = [_random_vec(space, rng, k) for k in (1, 4, n) for _ in range(3)]
+    vecs += [{c: rng.choice((1, -2, 3)) for c in rng.sample(range(n), k=min(5, n))}
+             for _ in range(3)]
+    vecs += [{}, {0: 0, n - 1: 3, 1: Fraction(0)}]
     for p in S3:
         cols = free3_action(space, p)
-        for v in vecs:
-            assert act(space, p, v) == _apply_matrix(cols, v)
+        images = act_all(space, p, vecs)
+        assert images == [apply_columns(cols, v) for v in vecs]
+        assert [act(space, p, v) for v in vecs] == images
+        if space.integral_swap:
+            for v, image in zip(vecs, images):
+                if all(type(x) is int for x in v.values()):
+                    assert all(type(x) is int for x in image.values()), (p, v)
 
 
 def test_action_is_a_group_homomorphism():
@@ -194,22 +222,16 @@ def test_instability_detected():
     assert not is_s3_stable(ANTI, one)
 
 
-def _monomial_involution(rng, d):
-    """A swap that moves each generator onto one generator: e_i -> +-e_i,
-    or e_i -> a e_j and e_j -> e_i / a for a pair.  Integral when every
-    scale a is +-1, so these spaces give int swaps as well as Fraction ones."""
-    cols = [None] * d
-    free = list(range(d))
-    rng.shuffle(free)
-    while free:
-        i = free.pop()
-        if free and rng.random() < 0.6:
-            j = free.pop()
-            a = Fraction(rng.choice((1, -1, 1, -1, 2, -3)))
-            cols[i], cols[j] = {j: a}, {i: 1 / a}
-        else:
-            cols[i] = {i: rng.choice((1, -1))}
-    return GeneratorSpace.from_columns([f"g{i}" for i in range(d)], cols)
+def test_monomial_and_integral_swap_facts():
+    assert RESCALE.monomial_swap == ((1, Fraction(1, 2)), (-1, 2))
+    assert not RESCALE.integral_swap
+    diAs = catalog("diAs").space
+    assert diAs.monomial_swap is not None and diAs.integral_swap
+    assert MIXING.monomial_swap is None and not MIXING.integral_swap
+    assert any(not space.integral_swap for space in _MONOMIAL)
+    assert any(space.integral_swap for space in _MONOMIAL)
+    for space in _MONOMIAL:
+        assert space.monomial_swap is not None
 
 
 def _perturbed(sub, rng, how):
@@ -279,7 +301,7 @@ def _orbit_span(space, seeds):
     """Reference for s3_closure: the span of every seed's images under all
     six permutations, each read off the dense column matrix of
     free3_action, so it shares neither act nor the worklist."""
-    images = [_apply_matrix(free3_action(space, p), v) for p in S3 for v in seeds]
+    images = [apply_columns(free3_action(space, p), v) for p in S3 for v in seeds]
     return SubspaceQ.from_vectors(space.free3_dim, images)
 
 

@@ -9,11 +9,18 @@ from hypothesis import strategies as st
 from quadop.core.catalog import catalog, resolve
 from quadop.core.free3 import GeneratorSpace
 from quadop.core.parser import parse_relation, pretty_print
-from quadop.core.perms import CYC123, IDENT, S3
+from quadop.core.perms import CYC123, IDENT, REPS, S3
 from quadop.errors import InputError
 from quadop.linalg import add_scaled
 from quadop.manin import black_product
-from helpers import random_involutive_space, reference_parse, reference_pretty_print
+from helpers import (
+    MIXING,
+    apply_columns,
+    free3_action,
+    random_involutive_space,
+    reference_parse,
+    reference_pretty_print,
+)
 
 SYM = GeneratorSpace(("m",), ((Fraction(1),),))
 LIE = GeneratorSpace(("b",), ((Fraction(-1),),))
@@ -44,6 +51,25 @@ def test_left_comb_is_a_basis_monomial():
     assert v == {SYM.flat(IDENT, 0, 0): Fraction(1)}
     v = parse_relation(SYM, "(x2 {m} x3) {m} x1")
     assert v == {SYM.flat(CYC123, 0, 0): Fraction(1)}
+    # (xa {g} xb) {h} xc is sigma = (a, b, c) acting on the unit (id, h, g),
+    # in all six orders and for every generator pair: for sigma in the
+    # transversal it is the basis monomial (sigma, h, g) with int
+    # coefficient 1, and for the other three orders it goes through the
+    # swap.  The token-by-token reference reads every comb the same way.
+    for space in (MIXING, catalog("diAs").space):
+        names = space.names
+        for sigma in S3:
+            a, b, c = sigma
+            cols = free3_action(space, sigma)
+            for h in range(space.dim):
+                for g in range(space.dim):
+                    text = f"(x{a} {{{names[g]}}} x{b}) {{{names[h]}}} x{c}"
+                    read = _outcome(parse_relation, space, text)
+                    assert parse_relation(space, text) == apply_columns(
+                        cols, {space.flat(IDENT, h, g): 1}), text
+                    if sigma in REPS:
+                        assert read == [(space.flat(sigma, h, g), "int", 1)], text
+                    assert read == _outcome(reference_parse, space, text), text
 
 
 def test_right_comb_rewrites_through_the_swap():
