@@ -8,19 +8,22 @@ band-structured systems are never touched.
 One row type: every row is a primitive integer row (content 1, positive
 leading value).  Input entries may be int or Fraction; their numerators and
 denominators are read directly, so an int vector never becomes a Fraction.
-A row is copied, stripped of its content or rescaled only when a step
-changes it: EchelonBasis.add reduces a caller's all-int row copy-on-write,
-the content scan stops once the gcd is 1, and a complement row with pivot
-entry 1 or a canonical row that truncated(n) does not cut is kept as it is.
+The kernel owns every row it holds: a caller's row is copied once, where
+it enters, and never changed or held.  A row is copied again only where
+back-substitution changes it and where basis() hands it out, and it is
+stripped of its content or rescaled only when a step changes it: the
+content scan stops once the gcd is 1, and a complement row with pivot
+entry 1 or a canonical row that truncated(n) does not cut is kept as it
+is.
 
 * EchelonBasis: an incremental, order-dependent echelon form.  Cheap add and
-  membership, no canonical form: the builder that from_vectors, intersect
-  and the S3 closure's worklist add rows to (add reports whether the rank
-  grew, and the worklist queues on that), and that perp() reduces its own
-  fresh rows into.  Elimination is integer-preserving: each step forms
-  a*v - b*row in place (on a copy of a caller's row, made before its first
-  step), and the content is divided out once, when a reduction ends in a
-  nonzero residual.
+  membership, no canonical form: the builder that from_vectors, intersect,
+  identity_block and the S3 closure's worklist add rows to (add reports
+  whether the rank grew, and the worklist queues on that), and that perp()
+  reduces its own fresh rows into.  Elimination is integer-preserving:
+  each step forms a*v - b*row in place on the basis's own copy, and the
+  content is divided out once, when a reduction ends in a nonzero
+  residual.
 * SubspaceQ: the canonical form, and the only class that reads it.  Its
   rows, keyed by pivot, are the reduced row echelon form (pivot columns
   cleared in every other row), each scaled to its primitive integer row;
@@ -56,7 +59,7 @@ entry 1 or a canonical row that truncated(n) does not cut is kept as it is.
   shares each row whose largest column is below n.
   from_echelon reaches the canonical form by column-indexed
   back-substitution, whose cost follows the rows' nonzeros, not the square
-  of the rank, and copies each reduced row once, as it is.
+  of the rank, and takes its reduced rows as they are.
 
 kernel_basis, the kernel of a row list, is the perp() of the rows' span.
 """
@@ -70,20 +73,16 @@ from math import gcd, lcm
 IntRow = dict[int, int]
 
 
-def _as_int_row(vec, fresh: bool = True) -> IntRow:
+def _as_int_row(vec) -> IntRow:
     """Clear the denominators of a vector (dense sequence or {col: value}
     mapping, entries int or Fraction); the content is not divided out.
-    Returns a fresh dict, which the caller may reduce in place, except
-    that with fresh=False an all-int dict with no zero entry is returned
-    as it is, and the caller must copy it before changing it."""
+    Returns a fresh dict, which the caller may reduce in place."""
     if isinstance(vec, dict):
         for v in vec.values():
             if type(v) is not int:
                 break
         else:  # all int (not bool): only copy, dropping zeros
-            if not fresh and 0 not in vec.values():
-                return vec
-            return {c: v for c, v in vec.items() if v}
+            return dict(vec) if 0 not in vec.values() else {c: v for c, v in vec.items() if v}
     items = vec.items() if isinstance(vec, dict) else enumerate(vec)
     terms = []
     denom_lcm = 1
@@ -163,21 +162,17 @@ class EchelonBasis:
     def rank(self) -> int:
         return len(self._rows)
 
-    def _reduce(self, v: IntRow, shared: bool = False) -> tuple[IntRow, int | None]:
-        """Reduce the integer row v against the current rows, in place
-        unless it is shared (the caller's): a shared row is copied just
-        before its first elimination, so one that no step changes is
-        returned as it is.  Returns the reduced row and its leading column,
-        which no row has as pivot, or None when it reduces to zero.  The
-        content is left in place."""
+    def _reduce(self, v: IntRow) -> tuple[IntRow, int | None]:
+        """Reduce the integer row v, which the basis owns, in place against
+        the current rows.  Returns it and its leading column, which no row
+        has as pivot, or None when it reduces to zero.  The content is
+        left in place."""
         rows = self._rows
         while v:
             col = min(v)
             row = rows.get(col)
             if row is None:
                 return v, col
-            if shared:
-                v, shared = dict(v), False
             _eliminate(v, row, col)
         return v, None
 
@@ -186,14 +181,9 @@ class EchelonBasis:
 
     def add(self, vec) -> bool:
         """Add vec to the span, filed under the pivot its reduction ends
-        on.  Returns True if the rank grew.  vec is never changed.  An
-        all-int dict with no zero entry is reduced copy-on-write, so when
-        no step changes it, its content is 1 and its lead is positive, the
-        basis files vec itself: the caller must not change vec while the
-        basis is in use.
-        from_echelon builds fresh rows, so no SubspaceQ holds it."""
-        v = _as_int_row(vec, fresh=False)
-        v, col = self._reduce(v, v is vec)
+        on.  Returns True if the rank grew.  vec is never changed, never
+        held: the basis reduces and files its own copy."""
+        v, col = self._reduce(_as_int_row(vec))
         if col is None:
             return False
         self._rows[col] = _strip_content(v, col)
@@ -235,7 +225,7 @@ class SubspaceQ:
     @classmethod
     def from_echelon(cls, eb: EchelonBasis) -> "SubspaceQ":
         reduced = _back_substitute(eb)
-        return cls(eb.ambient_dim, {p: dict(reduced[p]) for p in reversed(reduced)})
+        return cls(eb.ambient_dim, dict(reversed(reduced.items())))
 
     @property
     def dim(self) -> int:
@@ -365,9 +355,9 @@ class SubspaceQ:
         eb = EchelonBasis(self.ambient_dim)
         for p, r in self._rows.items():
             if p not in units:
-                # A fresh row, reduced in place (add would copy it before
-                # its first elimination); the rows are independent, so each
-                # reduction ends on a new pivot.
+                # A fresh row, reduced in place (add would copy it once
+                # more); the rows are independent, so each reduction ends
+                # on a new pivot.
                 v, col = eb._reduce({last - c: x for c, x in r.items()})
                 eb._rows[col] = _strip_content(v, col)
         reduced = _back_substitute(eb)
@@ -426,7 +416,9 @@ def _back_substitute(eb: EchelonBasis) -> dict[int, IntRow]:
     order.  A reduced row holds no pivot column but its own, so clearing
     the later pivot columns in row p's own support with the reduced rows
     introduces no new ones: one pass per row, then its content is divided
-    out.  A row with no later pivot in its support is kept as it is."""
+    out.  A row with no later pivot in its support is kept as it is, shared
+    with the basis; any other is reduced on a copy, so the basis and the
+    subspaces that share its rows never see a row change."""
     reduced: dict[int, IntRow] = {}
     for p in sorted(eb._rows, reverse=True):
         row = eb._rows[p]
@@ -468,8 +460,6 @@ def _free_column_rows(rows: dict[int, IntRow], free: list[int], off: int = 0, si
 def kernel_basis(rows, ncols: int) -> SubspaceQ:
     """Kernel of the linear map Q^ncols -> Q^len(rows) given by a row list:
     the perp() of the rows' span, which it returns when asked for its own
-    perp().  The span's echelon form files an all-int row that no step
-    changes without copying it (a white product's tensor rows are all
-    independent and reduced), and its canonical rows are fresh dicts, so
+    perp().  The span's echelon form files its own copy of each row, so
     neither result holds or changes a caller's row."""
     return SubspaceQ.from_vectors(ncols, rows).perp()

@@ -12,7 +12,7 @@ import pytest
 
 import quadop
 from quadop.cli import main
-from quadop.core.catalog import catalog_names
+from quadop.core.catalog import catalog, catalog_names
 from quadop.locality import LocalityInstance
 
 
@@ -454,11 +454,28 @@ def test_help_exits_0(capsys):
     assert "usage: quadop" in capsys.readouterr().out
 
 
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
 def test_readme_dong_transcript(capsys):
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text().splitlines()
+    readme = README.read_text().splitlines()
     start = readme.index("$ quadop dong preLie") + 1
     code, out, _ = run(capsys, "dong", "preLie")
     assert code == 0
     assert readme[start + 4] == "```"
     assert out == "\n".join(readme[start:start + 4]) + "\n"
     assert "  witness: (x1 {p1} x2) {p1} x3 - (x1 {p2} x2) {p1} x3" in readme[start:start + 4]
+
+
+def test_readme_python_block(capsys):
+    # The fenced python block under "## Python" runs as printed, and does
+    # what its comments say.
+    section = README.read_text().split("\n## Python\n", 1)[1]
+    block = section.split("```python\n", 1)[1].split("\n```", 1)[0]
+    names: dict = {}
+    exec(block, names)
+    assert names["zinb"].dims() == catalog("Zinb").dims()
+    printed = capsys.readouterr().out.splitlines()
+    assert len(printed) == 2
+    assert printed[0] == f"Dong {names['report'].dims}"
+    assert printed[1] == "Dong"

@@ -532,19 +532,23 @@ def caller_rows(draw, max_dim=8):
 @example((2, [{1: -2}, {0: 1, 1: 4}, {0: 1, 1: 3}]))
 @settings(max_examples=150, deadline=None)
 def test_caller_rows_are_never_changed_or_held(data):
-    # add reduces an all-int row copy-on-write and may file the caller's
-    # dict itself; no SubspaceQ may hold one, so a caller that changes its
-    # rows afterwards changes no subspace built from them.
+    # add copies each caller's row once, on entry, and reduces and files
+    # that copy: no caller dict is reachable from the basis or from any
+    # subspace built from the rows, so a caller that changes its rows
+    # afterwards changes none of them.  A row that no step changes (the
+    # second row of the second example) is where holding the caller's dict
+    # would show.
     n, rows = data
     before = [dict(r) for r in rows]
+    ids = {id(r) for r in rows}
     eb = EchelonBasis(n)
     for r in rows:
         eb.add(r)
         assert rows == before
+    assert not ids & _reachable(eb)
     built = [SubspaceQ.from_echelon(eb), SubspaceQ.from_vectors(n, rows), kernel_basis(rows, n)]
     assert rows == before
     kept = [([dict(r) for r in s.rows()], hash(s)) for s in built]
-    ids = {id(r) for r in rows}
     for s in built:
         assert not ids & _reachable(s)
     for r in rows:
