@@ -15,9 +15,15 @@ table.
 A NotDong verdict prints that kernel's canonical basis in the dual generators
 as witnesses, and each is replayed with dot products only (replay_witnesses).
 A failed replay is an internal bug, not a property of the input.  The replay
-indexes R's entries by column on the block columns only: a witness off the
-block is refused by the block test before its dot products matter, so
-leaving the other columns out changes no verdict.
+indexes R's entries by column on the block columns only, and only of the
+rows pivoted below the block, where it stops: a witness off the block is
+refused by the block test before its dot products matter, and a row
+pivoted at or past the block has no entry on it, so leaving the rest out
+changes no verdict.
+
+A dual passed in only names the witnesses' generators, so it must carry
+P's sign-twisted dual generator space (names may differ); any other is
+refused with InputError before a witness is printed.
 """
 
 from __future__ import annotations
@@ -56,16 +62,20 @@ def replay_witnesses(P: QuadOperad, dspace: GeneratorSpace, witnesses: list[str]
     identity block with a leading column no earlier witness has, and pair to
     zero with every canonical relation row of P.  Raises InternalCheckError.
 
-    The column index holds only R's entries on the block, c < d*d: a
-    witness with an entry off the block fails the block test whatever its
-    dot products, and the dot products of one on the block read no column
-    past it, so the verdict is the one a full index gives.  Every witness
-    is still parsed and dotted with every relation row that meets the
-    block.
+    The column index holds only R's entries on the block, c < d*d, of the
+    rows pivoted below it: a witness with an entry off the block fails the
+    block test whatever its dot products, and the dot products of one on
+    the block read no column past it, so the verdict is the one a full
+    index gives.  A row's pivot is its smallest column and the canonical
+    rows come in ascending pivot order, so the index stops at the first
+    pivot >= d*d: no later row meets the block.  Every witness is still
+    parsed and dotted with every relation row that meets the block.
     """
     block = P.dim_gens ** 2
     by_col: dict[int, list[tuple[int, int]]] = {}
-    for k, row in enumerate(P.relations.rows()):
+    for k, (p, row) in enumerate(zip(P.relations.pivots, P.relations.rows())):
+        if p >= block:
+            break
         for c, a in row.items():
             if c < block:
                 by_col.setdefault(c, []).append((k, a))
@@ -91,9 +101,24 @@ def dong_verdict(P: QuadOperad, dual: QuadOperad | None = None) -> DongReport:
 
     Witnesses are the canonical basis of the block kernel, printed in the
     generators of `dual` when it is given and of dual_generators(P.space)
-    otherwise; they parse back to kernel elements.
+    otherwise; they parse back to kernel elements.  A given dual must have
+    P's sign-twisted dual generator space: as many generators, and as
+    column i of its swap, column i of -S^T (row i of P's swap S, negated).
+    Its names may differ.  Any other raises InputError.
     """
-    dspace = dual.space if dual is not None else dual_generators(P.space)
+    if dual is None:
+        dspace = dual_generators(P.space)
+    else:
+        dspace = dual.space
+        # Row m of S, negated, read off S's sparse columns in column order.
+        twisted: list[list] = [[] for _ in range(P.dim_gens)]
+        for j, col in enumerate(P.space.swap_columns):
+            for m, x in col:
+                twisted[m].append((j, -x))
+        if dspace.dim != P.dim_gens or any(
+                tuple(want) != got for want, got in zip(twisted, dspace.swap_columns)):
+            raise InputError(f"{dual.name} is not a Koszul dual of {P.name}: its generators "
+                             f"are not the sign-twisted dual of {P.name}'s")
     vectors = P.relations.truncated(P.dim_gens ** 2).perp().basis()
     witnesses = [pretty_print(dspace, w) for w in vectors]
     replay_witnesses(P, dspace, witnesses)

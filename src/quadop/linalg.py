@@ -12,9 +12,13 @@ The kernel owns every row it holds: a caller's row is copied once, where
 it enters, and never changed or held.  A row is copied again only where
 back-substitution changes it and where basis() hands it out, and it is
 stripped of its content or rescaled only when a step changes it: the
-content scan stops once the gcd is 1, and a complement row with pivot
-entry 1 or a canonical row that truncated(n) does not cut is kept as it
-is.
+content scan stops once the gcd is 1, a row leading with plus or minus 1
+is at most negated, and a complement row with pivot entry 1 or a
+canonical row that truncated(n) does not cut is kept as it is.  A row
+that needs no elimination skips the bookkeeping of one that does: add()
+files a copy whose leading column holds no pivot at once, perp() files a
+mirrored canonical row that leads at a free column with only its sign
+fixed, and an elimination against a row with pivot entry 1 takes no gcd.
 
 * EchelonBasis: an incremental, order-dependent echelon form.  Cheap add and
   membership, no canonical form: the builder that from_vectors, intersect,
@@ -56,7 +60,8 @@ is.
   canonicalised with from_vectors they give a second route to it that
   shares no elimination with perp().  truncated(n), the projection onto
   the first n columns, reads the canonical rows with no elimination and
-  shares each row whose largest column is below n.
+  shares each row whose largest column is below n; it stops at the first
+  pivot >= n.
   from_echelon reaches the canonical form by column-indexed
   back-substitution, whose cost follows the rows' nonzeros, not the square
   of the rank, and takes its reduced rows as they are.
@@ -108,17 +113,24 @@ def primitive_row(vec) -> IntRow:
 
 def _strip_content(row: IntRow, lead: int | None = None) -> IntRow:
     """Divide out the gcd of the values; make the leading value positive.
-    A caller that knows the leading column passes it as lead."""
+    A caller that knows the leading column passes it as lead.  The content
+    divides the leading value, so a row that leads with 1 is returned as it
+    is and one that leads with -1 is only negated, with no gcd scan."""
     if not row:
         return row
+    if lead is None:
+        lead = min(row)
+    x = row[lead]
+    if x == 1:
+        return row
+    if x == -1:
+        return {c: -v for c, v in row.items()}
     g = 0
     for v in row.values():
         g = gcd(g, v)
         if g == 1:
             break
-    if lead is None:
-        lead = min(row)
-    if row[lead] < 0:
+    if x < 0:
         g = -g
     if g != 1:
         row = {c: v // g for c, v in row.items()}
@@ -128,15 +140,18 @@ def _strip_content(row: IntRow, lead: int | None = None) -> IntRow:
 def _eliminate(vec: IntRow, row: IntRow, col: int) -> None:
     """Replace vec by a*vec - b*row in place, with the smallest factors that
     cancel column `col`.  Both must be nonzero at `col`, and row[col] > 0.
+    A pivot entry of 1, which every canonical row of a catalog-derived
+    operad has, gives a = 1 and b = vec[col] with no gcd and no division.
     The content of the result is left in place."""
     a, b = row[col], vec[col]
-    g = gcd(a, b)
-    fa, fb = a // g, b // g
-    if fa != 1:
-        for c, v in vec.items():
-            vec[c] = fa * v
+    if a != 1:
+        g = gcd(a, b)
+        a, b = a // g, b // g
+        if a != 1:
+            for c, v in vec.items():
+                vec[c] = a * v
     for c, v in row.items():
-        w = vec.get(c, 0) - fb * v
+        w = vec.get(c, 0) - b * v
         if w:
             vec[c] = w
         else:
@@ -182,10 +197,17 @@ class EchelonBasis:
     def add(self, vec) -> bool:
         """Add vec to the span, filed under the pivot its reduction ends
         on.  Returns True if the rank grew.  vec is never changed, never
-        held: the basis reduces and files its own copy."""
-        v, col = self._reduce(_as_int_row(vec))
-        if col is None:
+        held: the basis reduces and files its own copy.  A copy whose
+        leading column holds no pivot needs no reduction and is filed at
+        once."""
+        v = _as_int_row(vec)
+        if not v:
             return False
+        col = min(v)
+        if col in self._rows:
+            v, col = self._reduce(v)
+            if col is None:
+                return False
         self._rows[col] = _strip_content(v, col)
         return True
 
@@ -300,12 +322,17 @@ class SubspaceQ:
         column prefix stays reduced and rows with pivot >= n project to 0,
         so only the content is divided out again, and only in a row that
         reaches past n.  A row whose largest column is below n is kept as
-        it is, shared with this subspace as rows() shares it."""
+        it is, shared with this subspace as rows() shares it.  The rows
+        come in ascending pivot order, so the read stops at the first
+        pivot >= n."""
         if not 0 <= n <= self.ambient_dim:
             raise ValueError(f"cannot truncate Q^{self.ambient_dim} to Q^{n}")
-        return SubspaceQ(n, {p: r if max(r) < n
-                             else _strip_content({c: v for c, v in r.items() if c < n}, p)
-                             for p, r in self._rows.items() if p < n})
+        rows = {}
+        for p, r in self._rows.items():
+            if p >= n:
+                break
+            rows[p] = r if max(r) < n else _strip_content({c: v for c, v in r.items() if c < n}, p)
+        return SubspaceQ(n, rows)
 
     def intersect(self, other: "SubspaceQ") -> "SubspaceQ":
         """Zassenhaus: echelonise rows [u|u] for u in self and [w|0] for w in
@@ -347,19 +374,32 @@ class SubspaceQ:
         because the reduced rows come in descending pivot order.  A unit
         row e_p only sets coordinate p of the complement to 0: no other
         canonical row holds column p, so it takes no part in the
-        elimination, and rho(p) is neither a pivot nor a free column."""
+        elimination, and rho(p) is neither a pivot nor a free column.
+        A rho-image that leads at a column no earlier image was filed
+        under needs no elimination: a canonical row is primitive and
+        relabelling its columns keeps it primitive, so it is filed with
+        only its sign fixed."""
         if self._perp_of is not None:
             return self._perp_of
         last = self.ambient_dim - 1
         units = self.unit_columns()
         eb = EchelonBasis(self.ambient_dim)
+        filed = eb._rows
         for p, r in self._rows.items():
             if p not in units:
-                # A fresh row, reduced in place (add would copy it once
-                # more); the rows are independent, so each reduction ends
-                # on a new pivot.
-                v, col = eb._reduce({last - c: x for c, x in r.items()})
-                eb._rows[col] = _strip_content(v, col)
+                # A fresh row, filed directly (add would copy it once
+                # more).  One that leads at a column no row is filed under
+                # is r relabelled, primitive already, so only its sign is
+                # fixed; any other
+                # is reduced in place, and as the rows are independent
+                # each reduction ends on a new pivot.
+                v = {last - c: x for c, x in r.items()}
+                col = min(v)
+                if col in filed:
+                    v, col = eb._reduce(v)
+                    filed[col] = _strip_content(v, col)
+                else:
+                    filed[col] = v if v[col] > 0 else {c: -x for c, x in v.items()}
         reduced = _back_substitute(eb)
         free = [f for f in range(last, -1, -1) if f not in reduced and last - f not in units]
         # A row with pivot entry 1 already has content 1 and a positive lead.

@@ -3,16 +3,18 @@
 import dataclasses
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
 import quadop.dong
 from quadop.core.catalog import catalog, catalog_names, resolve
-from quadop.core.operad import make_operad
+from quadop.core.free3 import GeneratorSpace
+from quadop.core.operad import QuadOperad, make_operad
 from quadop.core.parser import parse_relation, pretty_print
 from quadop.core.perms import IDENT
 from quadop.dong import dong_verdict, replay_witnesses
-from quadop.errors import InternalCheckError
+from quadop.errors import InputError, InternalCheckError
 from quadop.koszul import dual_generators, dual_operad
 from quadop.linalg import SubspaceQ
 from quadop.manin import white_product
@@ -140,6 +142,61 @@ def test_replay_rejects_tampered_witnesses(witnesses):
     Zinb = catalog("Zinb")
     with pytest.raises(InternalCheckError):
         replay_witnesses(Zinb, dual_generators(Zinb.space), witnesses)
+
+
+class _WatchedRow(dict):
+    """A relation row that records its pivot in `read` when its entries
+    are read."""
+
+    def __init__(self, row, read):
+        super().__init__(row)
+        self.read = read
+
+    def items(self):
+        self.read.append(min(self))
+        return super().items()
+
+
+def test_replay_reads_only_the_rows_pivoted_below_the_block():
+    # Zinb's block is columns 0..3; its canonical rows are pivoted at 0, 1,
+    # 2, exactly 4, and past it at 5 and 6.  No row pivoted at or past the
+    # block has an entry on it, so the replay stops before reading one.
+    Zinb = catalog("Zinb")
+    R = Zinb.relations
+    assert R.pivots == (0, 1, 2, 4, 5, 6)
+    read: list[int] = []
+    watched = SimpleNamespace(name=Zinb.name, dim_gens=Zinb.dim_gens, relations=SimpleNamespace(
+        pivots=R.pivots, rows=lambda: [_WatchedRow(r, read) for r in R.rows()]))
+    dspace = dual_generators(Zinb.space)
+    replay_witnesses(watched, dspace, [ZINB_WITNESS])
+    assert read == [0, 1, 2]
+    read.clear()
+    with pytest.raises(InternalCheckError):
+        replay_witnesses(watched, dspace, ["(x1 {z1'} x2) {z2'} x3"])
+    assert read == [0, 1, 2]
+
+
+@pytest.mark.parametrize("other", ["Lie", "Pois", "Zinb"])
+def test_verdict_refuses_a_dual_without_the_twisted_generators(other):
+    # Lie has one generator to Zinb's two; Pois has two, but its swap is
+    # not the negated transpose of Zinb's, nor is Zinb's own.
+    with pytest.raises(InputError, match="not a Koszul dual of Zinb"):
+        dong_verdict(catalog("Zinb"), catalog(other))
+
+
+def test_verdict_prints_in_the_generators_of_a_true_dual():
+    Zinb = catalog("Zinb")
+    D = dual_operad(Zinb)
+    assert dong_verdict(Zinb, D).witnesses == [ZINB_WITNESS]
+    renamed = QuadOperad("renamed", GeneratorSpace(("a", "b"), D.space.swap), D.relations)
+    report = dong_verdict(Zinb, renamed)
+    assert report.witnesses == ["(x1 {a} x2) {b} x3 - (x1 {b} x2) {b} x3"]
+    assert report.as_dict() | {"witnesses": []} == dong_verdict(Zinb).as_dict() | {"witnesses": []}
+
+
+def test_verdict_of_a_white_product_with_its_dual():
+    W = white_product(catalog("diAs"), catalog("diAs"))
+    assert dong_verdict(W, dual_operad(W)) == dong_verdict(W)
 
 
 def test_off_block_witness_is_in_the_dual_relations():

@@ -5,17 +5,20 @@ import gc
 import math
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import quadop.linalg
 from quadop import catalog
 from quadop.core.catalog import catalog_names
 from quadop.linalg import (
     EchelonBasis,
     SubspaceQ,
     _as_int_row,
+    _eliminate,
     _strip_content,
     add_scaled,
     invert_matrix,
@@ -588,16 +591,138 @@ def int_rows_in_any_column_order(draw):
 @example({2: -1, 0: 6, 1: 4}, True)
 @example({4: 1, 1: 12, 0: -18}, True)
 @example({0: -6, 1: 4}, False)
+@example({0: 1, 3: 12, 5: -18}, True)
+@example({0: -1, 3: 12, 5: -18}, True)
+@example({0: -1, 3: 12, 5: -18}, False)
+@example({5: -18, 3: 12, 1: -1}, True)
+@example({5: -18, 3: 12, 1: -1}, False)
+@example({2: 1, 4: -1, 6: 30}, False)
+@example({0: -6, 2: 1}, True)
 def test_strip_content_matches_the_full_gcd(row, pass_lead):
-    # _strip_content ends its gcd scan once the gcd reaches 1, so a row
-    # whose first value is plus or minus 1 is decided by its lead alone.
+    # _strip_content ends its gcd scan once the gcd reaches 1, and a row
+    # led by plus or minus 1 is decided by its lead alone: returned as it
+    # is, or negated.
     lead = min(row)
     before = dict(row)
     got = _strip_content(row, lead if pass_lead else None)
     assert got == _reference_strip(before, lead)
     assert list(got) == list(before)
     assert row == before
+    if got == before:
+        assert got is row
     assert _strip_content({}) == {}
+
+
+# Rows that need no elimination: each branch that skips work, tested next
+# to the branch that does it.
+
+
+def test_add_files_rows_with_and_without_reduction_as_the_reference_echelon():
+    rows = [
+        {2: -1, 5: 3},       # leads at a free column with -1: only negated
+        {0: 4, 3: -6},       # free lead, content 2
+        {1: 1, 4: 7},        # free lead 1: filed as it is
+        {0: 2, 2: 5},        # leads at pivot 0: reduced twice, ends at column 3
+        {2: 3, 5: -9},       # a multiple of the row at pivot 2: nothing left
+        {4: -5, 5: 10},      # free lead -5
+        {0: -6, 3: 9, 4: 2},  # leads at pivot 0 with the opposite sign
+        {6: Fraction(-1, 2), 7: 2},  # free lead -1 once the denominator is cleared
+    ]
+    want = [{2: 1, 5: -3}, {0: 2, 3: -3}, {1: 1, 4: 7}, {3: 1, 5: 5}, {}, {4: 1, 5: -2},
+            {5: 1}, {6: 1, 7: -4}]
+    eb = EchelonBasis(8)
+    ref: dict[int, dict] = {}
+    for vec, filed in zip(rows, want):
+        before = dict(vec)
+        residual = reference_residual(SimpleNamespace(rows=lambda: list(ref.values())), vec)
+        assert residual == filed
+        grew = eb.add(vec)
+        assert vec == before
+        assert grew == bool(residual)
+        if residual:
+            ref[min(residual)] = residual
+        assert {min(r): r for r in eb.rows()} == ref
+        assert all(r is not vec for r in eb.rows())
+    assert eb.rank == 7
+
+
+_small_entries = st.integers(min_value=-9, max_value=9).filter(bool)
+
+
+@given(st.dictionaries(st.integers(min_value=0, max_value=6), _small_entries, min_size=1,
+                       max_size=5),
+       st.dictionaries(st.integers(min_value=0, max_value=6), _small_entries, max_size=4),
+       st.sampled_from((1, 1, 1, 2, 3, 6)))
+@settings(max_examples=150, deadline=None)
+@example(vec={0: 3, 1: 5, 2: -2}, rest={2: 4}, a=1)
+@example(vec={0: -4, 2: 6, 3: 1}, rest={3: 2}, a=1)
+@example(vec={0: 7, 5: 49}, rest={5: 7}, a=1)
+@example(vec={0: 4, 1: 1}, rest={1: 3}, a=6)
+def test_eliminate_is_a_times_v_minus_b_times_row(vec, rest, a):
+    # row has pivot entry a at the column col = min(vec), half the time 1,
+    # where the result is v - b*row with b = v[col].
+    col = min(vec)
+    row = {col: a, **{c + col + 1: x for c, x in rest.items()}}
+    b = vec[col]
+    g = math.gcd(a, b)
+    want = {c: x for c in set(vec) | set(row)
+            if (x := a // g * vec.get(c, 0) - b // g * row.get(c, 0))}
+    before = dict(row)
+    v = dict(vec)
+    _eliminate(v, row, col)
+    assert v == want and col not in v
+    assert row == before
+
+
+def _filed_by_perp(s):
+    """s.perp() and the rows perp() files in its echelon basis, read where
+    it hands them to back-substitution."""
+    filed = []
+    real = quadop.linalg._back_substitute
+
+    def spy(eb):
+        filed.extend(eb.rows())
+        return real(eb)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(quadop.linalg, "_back_substitute", spy)
+        p = s.perp()
+    return p, filed
+
+
+@given(subspace_and_ambient())
+@settings(max_examples=60, deadline=None)
+# Spans with a canonical row whose rho-image leads (at the row's largest
+# column) with a negative entry, -3 or -1.
+@example((3, [[1, 0, -3]]))
+@example((4, [[1, 0, 0, -1], [0, 1, 2, -5]]))
+@example((5, [[2, 1, 0, 0, -3], [0, 0, 1, -1, 0], [0, 0, 0, 1, -2]]))
+@example((5, [[1, 0, 0, 0, -1], [0, 1, 0, 0, -1], [0, 0, 1, 0, 0], [0, 0, 0, 3, 1]]))
+def test_perp_files_primitive_rows_with_a_positive_lead(data):
+    n, vecs = data
+    s = _span(n, *vecs)
+    want = fresh_perp(s)
+    dense = _span(n, *_dense_kernel([dict(enumerate(v)) for v in vecs], n))
+    p, filed = _filed_by_perp(s)
+    # perp() files one row per canonical row that is not a unit row, each
+    # a primitive integer row with a positive lead, as add() would.
+    assert len(filed) == s.dim - len(s.unit_columns())
+    for r in filed:
+        assert r[min(r)] > 0 and math.gcd(*r.values()) == 1
+    _assert_canonical_copy(p, want)
+    assert p == dense
+
+
+def test_truncated_drops_the_rows_pivoted_at_or_past_the_cut():
+    s = SubspaceQ.from_vectors(6, [{0: 1, 4: 2}, {1: 2, 2: 6, 5: 1}, {3: 1, 5: 1}, {4: 1, 5: 2}])
+    assert s.pivots == (0, 1, 3, 4)
+    for n, pivots in ((3, (0, 1)), (4, (0, 1, 3)), (5, (0, 1, 3, 4))):
+        cut = s.truncated(n)
+        assert cut.pivots == pivots and cut.ambient_dim == n
+        assert cut == SubspaceQ.from_vectors(n, [{c: x for c, x in r.items() if c < n}
+                                                 for r in s.rows()])
+        _assert_canonical(cut)
+    assert s.truncated(3).rows() == [{0: 1}, {1: 1, 2: 3}]
 
 
 def test_invert_matrix_roundtrip():

@@ -12,9 +12,10 @@ in one byte format:
 
 A pinned value changes only with evidence that can fail independently of
 the code that computes it (ROADMAP aim 3).  On a mismatch, the assertion
-shows the digest the test computed.  The last two tests are lints over
-the source tree: no module imports another module's private names, and no
-module but linalg.py calls the SubspaceQ constructor.
+shows the digest the test computed.  The last tests are lints over the
+source tree: no module imports another module's private names, and no
+module but linalg.py calls the SubspaceQ constructor or reads the kernel's
+private attributes.
 """
 
 import ast
@@ -243,3 +244,25 @@ def test_only_linalg_calls_the_subspace_constructor():
                 if (f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)) == "SubspaceQ":
                     bad.append(f"{path}:{node.lineno}")
     assert bad == []
+
+
+# The attributes that hold or reach the kernel's rows: reading them from
+# another module would bypass the row-ownership rule and the canonical form.
+KERNEL_PRIVATE_ATTRIBUTES = {"_rows", "_reduce", "_perp_of"}
+
+
+def kernel_private_reads(nodes):
+    """The line numbers at which AST nodes read a kernel private attribute."""
+    return [node.lineno for node in nodes
+            if isinstance(node, ast.Attribute) and node.attr in KERNEL_PRIVATE_ATTRIBUTES]
+
+
+def test_only_linalg_reads_the_kernels_private_attributes():
+    bad = [f"{path}:{line}" for path, nodes in source_nodes() if path != SRC / "linalg.py"
+           for line in kernel_private_reads(nodes)]
+    assert bad == []
+
+
+def test_the_private_attribute_lint_sees_a_read():
+    source = "def rows(P):\n    return P.relations._rows, P.relations.rows()\n"
+    assert kernel_private_reads(ast.walk(ast.parse(source))) == [2]
