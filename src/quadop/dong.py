@@ -22,7 +22,8 @@ pivoted at or past the block has no entry on it, so leaving the rest out
 changes no verdict.
 
 A dual passed in only names the witnesses' generators, so it must carry
-P's sign-twisted dual generator space (names may differ); any other is
+P's sign-twisted dual generator space (names may differ): its swap must be
+koszul.twisted_columns of P's, the one place -S^T is formed.  Any other is
 refused with InputError before a witness is printed.
 """
 
@@ -36,7 +37,7 @@ from quadop.core.free3 import GeneratorSpace
 from quadop.core.operad import QuadOperad
 from quadop.core.parser import parse_relation, pretty_print
 from quadop.errors import InputError, InternalCheckError
-from quadop.koszul import dual_generators
+from quadop.koszul import dual_generators, twisted_columns
 
 
 @dataclass
@@ -102,21 +103,15 @@ def dong_verdict(P: QuadOperad, dual: QuadOperad | None = None) -> DongReport:
     Witnesses are the canonical basis of the block kernel, printed in the
     generators of `dual` when it is given and of dual_generators(P.space)
     otherwise; they parse back to kernel elements.  A given dual must have
-    P's sign-twisted dual generator space: as many generators, and as
-    column i of its swap, column i of -S^T (row i of P's swap S, negated).
+    P's sign-twisted dual generator space: its swap_columns must be
+    twisted_columns(P.space), -S^T, so it has as many generators as P.
     Its names may differ.  Any other raises InputError.
     """
     if dual is None:
         dspace = dual_generators(P.space)
     else:
         dspace = dual.space
-        # Row m of S, negated, read off S's sparse columns in column order.
-        twisted: list[list] = [[] for _ in range(P.dim_gens)]
-        for j, col in enumerate(P.space.swap_columns):
-            for m, x in col:
-                twisted[m].append((j, -x))
-        if dspace.dim != P.dim_gens or any(
-                tuple(want) != got for want, got in zip(twisted, dspace.swap_columns)):
+        if dspace.swap_columns != twisted_columns(P.space):
             raise InputError(f"{dual.name} is not a Koszul dual of {P.name}: its generators "
                              f"are not the sign-twisted dual of {P.name}'s")
     vectors = P.relations.truncated(P.dim_gens ** 2).perp().basis()

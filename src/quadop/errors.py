@@ -19,5 +19,6 @@ class InputError(QuadopError):
 class InternalCheckError(QuadopError):
     """A check the code performs on its own results failed: the S3-stability
     guard on a constructed relation space, the replay of a Dong witness, or
-    one of the ``selfcheck`` cross-checks (for example dual(dual(P)) == P).
+    one of the ``selfcheck`` cross-checks (for example dual(dual(P)) == P),
+    or the echelon reduction's check that each elimination clears its column.
     This never indicates bad input; it indicates a convention bug."""

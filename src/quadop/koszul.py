@@ -2,10 +2,15 @@
 
 The dual generator space is V* twisted by the sign representation.  In the
 paired coordinate basis this means the dual swap matrix is the negated
-transpose of the original.  The weight-3 pairing between the dual free space
-and the free space is then the identity on matching (sigma, outer, inner)
-monomials, and is S3-invariant up to the sign of the permutation; that sign
-is checked in the tests, not re-derived here.
+transpose of the original, -S^T.  The weight-3 pairing between the dual
+free space and the free space is then the identity on matching (sigma,
+outer, inner) monomials, and is S3-invariant up to the sign of the
+permutation; that sign is checked in the tests, not re-derived here.
+
+twisted_columns is the one place that forms -S^T, from S's sparse columns:
+dual_generators builds the dual space from it, and dong_verdict tests a
+given dual's swap against it.  verify_jacobi_duality checks the convention
+on its own terms, as the sparse product swap_dual . S^T = -I.
 
 The dual relation space is the annihilator of R under this pairing, which in
 coordinates is a plain kernel computation: SubspaceQ.perp(), one elimination
@@ -18,9 +23,10 @@ constructor, so its S3-stability guard runs on every dual.
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 from quadop.core.free3 import GeneratorSpace
 from quadop.core.operad import QuadOperad
-from quadop.errors import InternalCheckError
 from quadop.linalg import add_scaled
 
 
@@ -32,8 +38,20 @@ def _strippable_primes(name: str) -> int:
     return len(name) - len(base) - (not base or base != base.strip())
 
 
+def twisted_columns(space: GeneratorSpace) -> tuple[tuple[tuple[int, int | Fraction], ...], ...]:
+    """The swap of the sign-twisted dual, -S^T, in swap_columns form:
+    column i is row i of S, negated, read off S's sparse columns in
+    column order."""
+    cols: list[list] = [[] for _ in range(space.dim)]
+    for j, col in enumerate(space.swap_columns):
+        for m, x in col:
+            cols[m].append((j, -x))
+    return tuple(map(tuple, cols))
+
+
 def dual_generators(space: GeneratorSpace) -> GeneratorSpace:
-    """Sign-twisted dual space in paired coordinates: swap -> -swap^T.
+    """Sign-twisted dual space in paired coordinates: its swap is
+    twisted_columns(space), -S^T.
 
     Names lose a prime when the number of primes all of them can lose
     (_strippable_primes) is odd, and gain one otherwise.  That number
@@ -45,9 +63,7 @@ def dual_generators(space: GeneratorSpace) -> GeneratorSpace:
         names = tuple(n[:-1] for n in space.names)
     else:
         names = tuple(n + "'" for n in space.names)
-    # Column i of -swap^T is row i of swap, negated.
-    cols = [{j: -x for j, x in enumerate(row) if x} for row in space.swap]
-    return GeneratorSpace.from_columns(names, cols)
+    return GeneratorSpace.from_columns(names, [dict(col) for col in twisted_columns(space)])
 
 
 def dual_operad(P: QuadOperad) -> QuadOperad:
@@ -63,7 +79,11 @@ def verify_jacobi_duality(P: QuadOperad, dual: QuadOperad | None = None) -> bool
     """Check the canonical pairing elements behave like a bracket.
 
     Degree 2: r = sum_i e_i' (x) e_i must be (12)-antisymmetric, which is the
-    matrix identity swap_dual . swap^T = -I.
+    matrix identity swap_dual . S^T = -I.  It is summed over the nonzeros of
+    the two spaces' swap columns: entry (i, j) gathers a * b for each (i, a)
+    in column m of the dual's and (j, b) in column m of S.  It does not go
+    through twisted_columns, so it also tests the dual that dual_operad
+    builds from it.  A dual with another generator count fails this test.
 
     Degree 3: the Jacobiator
         J = sum_{c < 3d^2} e_c' (x) e_c
@@ -75,17 +95,12 @@ def verify_jacobi_duality(P: QuadOperad, dual: QuadOperad | None = None) -> bool
     """
     if dual is None:
         dual = dual_operad(P)
-    space = P.space
-    dspace = dual.space
-    d = space.dim
-    if dspace.dim != d:
-        raise InternalCheckError("dual generator count differs from the original")
-
-    for i in range(d):
-        for j in range(d):
-            acc = sum(dspace.swap[i][m] * space.swap[j][m] for m in range(d))
-            if acc != (-1 if i == j else 0):
-                return False
+    prod: dict[tuple[int, int], int | Fraction] = {}
+    add_scaled(prod, (((i, j), a * b)
+                      for dcol, col in zip(dual.space.swap_columns, P.space.swap_columns)
+                      for i, a in dcol for j, b in col))
+    if dual.dim_gens != P.dim_gens or prod != {(i, i): -1 for i in range(P.dim_gens)}:
+        return False
 
     jac = {}
     for u, v in zip(dual.p3_projection(), P.p3_projection()):

@@ -19,6 +19,9 @@ that needs no elimination skips the bookkeeping of one that does: add()
 files a copy whose leading column holds no pivot at once, perp() files a
 mirrored canonical row that leads at a free column with only its sign
 fixed, and an elimination against a row with pivot entry 1 takes no gcd.
+EchelonBasis's reduction checks that each elimination clears the leading
+column, so a broken elimination raises InternalCheckError instead of
+looping forever.
 
 * EchelonBasis: an incremental, order-dependent echelon form.  Cheap add and
   membership, no canonical form: the builder that from_vectors, intersect,
@@ -73,6 +76,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
+
+from quadop.errors import InternalCheckError
 
 # An integer row: column index -> nonzero integer value.
 IntRow = dict[int, int]
@@ -173,15 +178,13 @@ class EchelonBasis:
         self.ambient_dim = ambient_dim
         self._rows: dict[int, IntRow] = {}
 
-    @property
-    def rank(self) -> int:
-        return len(self._rows)
-
     def _reduce(self, v: IntRow) -> tuple[IntRow, int | None]:
         """Reduce the integer row v, which the basis owns, in place against
         the current rows.  Returns it and its leading column, which no row
         has as pivot, or None when it reduces to zero.  The content is
-        left in place."""
+        left in place.  Each elimination must clear the leading column;
+        one that leaves it in v raises InternalCheckError, where the loop
+        would otherwise run forever."""
         rows = self._rows
         while v:
             col = min(v)
@@ -189,6 +192,8 @@ class EchelonBasis:
             if row is None:
                 return v, col
             _eliminate(v, row, col)
+            if col in v:
+                raise InternalCheckError(f"an elimination left column {col} in the row")
         return v, None
 
     def contains(self, vec) -> bool:

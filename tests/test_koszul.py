@@ -3,14 +3,18 @@
 import random
 
 import pytest
-from helpers import fresh_perp, pairing_equivariant, random_operad
+from helpers import fresh_perp, pairing_equivariant, random_involutive_space, random_operad
 
+from quadop import koszul
 from quadop.core.catalog import catalog, catalog_names
-from quadop.core.free3 import s3_closure
-from quadop.core.operad import make_operad
+from quadop.core.free3 import GeneratorSpace, s3_closure
+from quadop.core.operad import QuadOperad, make_operad
 from quadop.core.parser import parse_relation
 from quadop.core.perms import S3, sign
-from quadop.koszul import dual_operad, verify_jacobi_duality
+from quadop.dong import dong_verdict
+from quadop.errors import InputError
+from quadop.koszul import dual_generators, dual_operad, twisted_columns, verify_jacobi_duality
+from quadop.linalg import SubspaceQ
 
 
 @pytest.mark.parametrize("name", sorted(catalog_names()))
@@ -72,6 +76,44 @@ def test_pairing_sign_equivariance(name):
         assert pairing_equivariant(space, p, sign(p))
 
 
+def test_twisted_dual_matches_a_dense_reference():
+    # Random rational swaps, most of them neither monomial nor symmetric,
+    # unlike every catalog entry.  The dual's swap is -S^T; a space whose
+    # swap is -S is refused as a dual unless S is symmetric.  P is free, so
+    # its duals have every weight-3 relation and only the degree-2 part of
+    # verify_jacobi_duality can fail.
+    rng = random.Random(40)
+    asymmetric = 0
+    for _ in range(40):
+        d = rng.randint(1, 4)
+        space = random_involutive_space(rng, d)
+        S = space.swap
+        minus_st = tuple(tuple(-S[j][i] for j in range(d)) for i in range(d))
+        D = dual_generators(space)
+        assert D.swap == minus_st
+        assert twisted_columns(space) == D.swap_columns
+
+        n = space.free3_dim
+        P = QuadOperad("P", space, SubspaceQ.from_vectors(n, ()))
+        everything = SubspaceQ.from_vectors(n, [{c: 1} for c in range(n)])
+        assert verify_jacobi_duality(P)
+        assert verify_jacobi_duality(P, QuadOperad("D", D, everything))
+        untwisted = GeneratorSpace(D.names, tuple(tuple(-x for x in row) for row in D.swap))
+        assert not verify_jacobi_duality(P, QuadOperad("U", untwisted, everything))
+
+        negated = GeneratorSpace(D.names, tuple(tuple(-x for x in row) for row in S))
+        wrong = QuadOperad("W", negated, SubspaceQ.from_vectors(n, ()))
+        if negated.swap == minus_st:
+            assert dong_verdict(P, wrong) == dong_verdict(P)
+        else:
+            asymmetric += 1
+            with pytest.raises(InputError, match="not a Koszul dual of P"):
+                dong_verdict(P, wrong)
+        assert verify_jacobi_duality(P, QuadOperad("W", negated, everything)) == (
+            negated.swap == minus_st)
+    assert asymmetric >= 20
+
+
 def test_jacobi_duality_passes_on_catalog():
     for name in catalog_names():
         assert verify_jacobi_duality(catalog(name)), name
@@ -89,6 +131,34 @@ def test_jacobi_duality_fails_on_mismatched_pair():
         ],
     )
     assert not verify_jacobi_duality(broken, dual=dual_operad(catalog("Pois")))
+
+
+def test_jacobi_duality_checks_the_dual_it_builds(monkeypatch):
+    # With no dual given, the degree-2 check runs on the dual that
+    # dual_generators builds through twisted_columns, so it must not test
+    # that dual against twisted_columns itself: a twist that drops the
+    # sign has to fail it.
+    def transposed(space):
+        cols = [[] for _ in range(space.dim)]
+        for j, col in enumerate(space.swap_columns):
+            for m, x in col:
+                cols[m].append((j, x))
+        return tuple(map(tuple, cols))
+
+    rng = random.Random(41)
+    spaces = [random_involutive_space(rng, d) for d in (1, 2, 3)]
+    free = [QuadOperad("P", s, SubspaceQ.from_vectors(s.free3_dim, ())) for s in spaces]
+    assert all(verify_jacobi_duality(P) for P in free)
+    monkeypatch.setattr(koszul, "twisted_columns", transposed)
+    assert not any(verify_jacobi_duality(P) for P in free)
+
+
+@pytest.mark.parametrize("name, dual_name", [
+    ("Zinb", "Lie"),  # another generator count
+    ("Com", "Com"),  # the untwisted sign: Com's swap is +1, its dual's must be -1
+])
+def test_jacobi_duality_fails_without_the_twisted_swap(name, dual_name):
+    assert not verify_jacobi_duality(catalog(name), catalog(dual_name))
 
 
 def test_dual_of_leibniz_is_zinbiel():

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 import quadop.linalg
 from quadop import catalog
 from quadop.core.catalog import catalog_names
+from quadop.errors import InternalCheckError
 from quadop.linalg import (
     EchelonBasis,
     SubspaceQ,
@@ -389,9 +390,28 @@ def test_echelon_rank_matches_subspace_dim():
     assert eb.add({0: 1, 1: 1})
     assert not eb.add({0: 2, 1: 2})
     assert eb.add({2: 1})
-    assert eb.rank == 2
+    assert len(eb.rows()) == 2
     assert eb.contains({0: Fraction(3), 1: Fraction(3), 2: Fraction(-1)})
     assert not eb.contains({3: Fraction(1)})
+
+
+def test_reduce_raises_when_an_elimination_leaves_the_leading_column(monkeypatch):
+    # An elimination that does not clear its column would keep the reduction
+    # on that column forever; the fake stops after 100 calls so that such a
+    # loop fails the test instead of hanging it.
+    calls = []
+
+    def stuck(vec, row, col):
+        calls.append(col)
+        if len(calls) > 100:
+            raise AssertionError("the reduction kept eliminating the same column")
+
+    eb = EchelonBasis(3)
+    eb.add({0: 1})
+    monkeypatch.setattr(quadop.linalg, "_eliminate", stuck)
+    with pytest.raises(InternalCheckError, match="column 0"):
+        eb.add({0: 2, 1: 1})
+    assert calls == [0]
 
 
 def test_kernel_basis_kills_rows():
@@ -643,7 +663,7 @@ def test_add_files_rows_with_and_without_reduction_as_the_reference_echelon():
             ref[min(residual)] = residual
         assert {min(r): r for r in eb.rows()} == ref
         assert all(r is not vec for r in eb.rows())
-    assert eb.rank == 7
+    assert len(eb.rows()) == 7
 
 
 _small_entries = st.integers(min_value=-9, max_value=9).filter(bool)

@@ -549,7 +549,7 @@ def test_summand_codimension_matches_the_reference_block(name):
         ref = SummandDecomposition(lab)
         for T in range(-3 * K, 3 * K + 1):
             index, basis = hub_block(lab, T)
-            assert _codimension(ref, K, T) == P.dim_p3 * len(index) - basis.rank, (K, T)
+            assert _codimension(ref, K, T) == P.dim_p3 * len(index) - len(basis.rows()), (K, T)
 
 
 def _blocks(max_window):
@@ -587,7 +587,7 @@ def test_plane_block_is_cut_out_by_three_functionals():
         for row in plane_generators(lines, npts):
             for phi in functionals:
                 assert sum(c * phi[col] for col, c in row.items()) == 0, (K, T)
-        codim = 2 * npts - hub_plane(lines, npts).rank
+        codim = 2 * npts - len(hub_plane(lines, npts).rows())
         assert codim == (2 if npts == 1 else 3), (K, T)
 
 
@@ -608,7 +608,7 @@ def test_codimension_grows_by_six_kernel_dims_per_unit_of_window():
             lab = LocalityInstance(P, K)
             ref = SummandDecomposition(lab)
             index, basis = hub_block(lab, 0)
-            codim[K] = P.dim_p3 * len(index) - basis.rank
+            codim[K] = P.dim_p3 * len(index) - len(basis.rows())
             types = _types(ref)
             predicted = (sum(c for S, c in types.items() if len(S) >= 2)
                          + 3 * len(ref.planes)
