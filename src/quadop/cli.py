@@ -263,7 +263,7 @@ def cmd_selfcheck(args) -> tuple[dict, list[str]]:
             raise InternalCheckError("black(As, Lie) failed the tensor check")
         for P, Q, B in ((As, Lie, B), (Leib, Nov, black_product(Leib, Nov))):
             D = dual_operad(white_product(dual_operad(P), dual_operad(Q)))
-            if (B.space.swap, B.relations) != (D.space.swap, D.relations):
+            if (B.space.swap_columns, B.relations) != (D.space.swap_columns, D.relations):
                 raise InternalCheckError(
                     f"black({P.name}, {Q.name}) is not the dual of white(dual, dual)"
                 )

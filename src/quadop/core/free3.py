@@ -10,15 +10,17 @@ basis indexed by triples (sigma, outer, inner):
 where sigma runs over the transversal REPS = {id, (123), (132)} of the inner
 (12)-symmetry.  Flat index: sigma_idx * d*d + outer * d + inner.
 
-The S2 action on V is recorded as a matrix in column convention:
+The S2 action on V is a matrix S in column convention,
 
-    (12) . e_j = sum_m swap[m][j] e_m.
+    (12) . e_j = sum_m S[m][j] e_m,
 
-Everything but the dense `swap` field reads one sparse form, swap_columns:
-the nonzeros of each column as (m, coeff), an int where integral, so an
-integer row acts to an integer row.  Derived spaces are built from column
-dicts by from_columns, the one place that transposes.  Neither the action on
-a vector's support nor the involution check costs a dense d**3 pass.
+held only in sparse form, swap_columns: the nonzeros of each column as
+(m, coeff), sorted by m, an int where integral, so an integer row acts to an
+integer row.  Derived spaces (products, duals, splits, operad files) hand
+their columns to from_columns, which builds no dense matrix; the dense
+`swap` is a property rebuilt from the columns for readers outside the
+package.  Neither the action on a vector's support nor the involution check
+costs a dense d**3 pass.
 
 The action has one body, act_all: one loop that builds the images of a
 whole list of vectors and returns them as a list, reading the space's
@@ -73,30 +75,59 @@ def _block_moves(d: int) -> dict[Perm, tuple]:
     return table
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class GeneratorSpace:
     """A finite-dimensional S2-module with a chosen basis of named generators.
 
-    The constructor also records two facts of the swap.  monomial_swap:
-    when every swap column has one nonzero entry, so that (12) . e_j =
+    Its data are names and swap_columns, (12) . e_j as the (m, coeff)
+    pairs of column j: sorted by m, zeros dropped, an int for every
+    integral coefficient.  Equality and hashing read those two.
+    GeneratorSpace(names, swap) takes a dense d x d matrix, swap[m][j] the
+    coefficient of e_m in (12) . e_j, and from_columns takes the columns
+    themselves; both end in one validation.
+
+    Two facts of the swap are recorded with it.  monomial_swap: when every
+    swap column has one nonzero entry, so that (12) . e_j =
     scale * e_(j + offset), the (offset, scale) pair of every column j, and
     None for any other swap.  integral_swap: whether every swap coefficient
     is an integer, so that the action maps integer rows to integer rows."""
 
     names: tuple[str, ...]
-    swap: tuple[tuple[int | Fraction, ...], ...]
+    swap_columns: tuple[tuple[tuple[int, int | Fraction], ...], ...]
     monomial_swap: tuple[tuple[int, int | Fraction], ...] | None = field(
-        init=False, repr=False, compare=False)
-    integral_swap: bool = field(init=False, repr=False, compare=False)
-    _moves: dict[Perm, tuple] = field(init=False, repr=False, compare=False)
+        repr=False, compare=False)
+    integral_swap: bool = field(repr=False, compare=False)
+    _moves: dict[Perm, tuple] = field(repr=False, compare=False)
 
-    def __post_init__(self):
-        d = len(self.names)
-        if len(self.swap) != d or any(len(row) != d for row in self.swap):
+    def __init__(self, names, swap):
+        d = len(names)
+        if len(swap) != d or any(len(row) != d for row in swap):
             raise InputError(f"swap matrix must be {d}x{d}")
-        if len(set(self.names)) != d:
+        self._validate(names, [[(m, row[j]) for m, row in enumerate(swap)] for j in range(d)])
+
+    @classmethod
+    def from_columns(cls, names, cols) -> "GeneratorSpace":
+        """The space with (12) . e_j = sum_m cols[j][m] e_m, each cols[j] a
+        {m: coeff} dict or (m, coeff) pairs with distinct m.  No dense
+        matrix is built: the columns are sorted, stripped of zeros and given
+        int coefficients where integral, and stored."""
+        space = cls.__new__(cls)
+        space._validate(names, cols)
+        return space
+
+    def _validate(self, names, cols):
+        names = tuple(names)
+        d = len(names)
+        cols = tuple(
+            tuple(sorted((m, x.numerator if x.denominator == 1 else x)
+                         for m, x in (col.items() if isinstance(col, dict) else col) if x))
+            for col in cols
+        )
+        if len(cols) != d or any(col and not 0 <= col[0][0] <= col[-1][0] < d for col in cols):
+            raise InputError(f"swap matrix must be {d}x{d}")
+        if len(set(names)) != d:
             raise InputError("generator names must be distinct")
-        for name in self.names:
+        for name in names:
             # The relation grammar reads a name verbatim between braces, stripped.
             if not name or "{" in name or "}" in name or name != name.strip():
                 raise InputError(
@@ -105,7 +136,6 @@ class GeneratorSpace:
                 )
         # (12) is an involution, so its matrix must square to the identity:
         # column j of S*S, summed over the nonzeros of S's columns, is e_j.
-        cols = self.swap_columns
         for j, col in enumerate(cols):
             acc: dict[int, Fraction] = {}
             for m, x in col:
@@ -115,10 +145,10 @@ class GeneratorSpace:
                 raise InputError("swap matrix is not an involution")
         # No column of an involution is empty, so d pairs mean one per column.
         mono = tuple([(m - j, x) for j, col in enumerate(cols) for m, x in col])
-        object.__setattr__(self, "monomial_swap", mono if len(mono) == d else None)
-        object.__setattr__(self, "integral_swap",
-                           all(type(x) is int for col in cols for _, x in col))
-        object.__setattr__(self, "_moves", _block_moves(d))
+        self.__dict__.update(
+            names=names, swap_columns=cols, monomial_swap=mono if len(mono) == d else None,
+            integral_swap=all(type(x) is int for col in cols for _, x in col),
+            _moves=_block_moves(d))
 
     @property
     def dim(self) -> int:
@@ -149,25 +179,16 @@ class GeneratorSpace:
         outer, inner = divmod(rest, d)
         return REPS[sigma_idx], outer, inner
 
-    @cached_property
-    def swap_columns(self) -> tuple[tuple[tuple[int, int | Fraction], ...], ...]:
-        """(12) . e_j as (m, coeff) pairs for every column j, computed once
-        per space; an integral coefficient is an int."""
-        d = self.dim
-        return tuple(
-            tuple((m, x.numerator if x.denominator == 1 else x)
-                  for m in range(d) if (x := self.swap[m][j]))
-            for j in range(d)
-        )
-
-    @classmethod
-    def from_columns(cls, names, cols) -> "GeneratorSpace":
-        """The space with (12) . e_j = sum_m cols[j][m] e_m, cols a list of
-        {m: coeff} dicts: the one place that transposes swap columns into
-        the row-major matrix.  Entries are stored as given."""
-        d = len(cols)
-        swap = tuple(tuple(col.get(m, 0) for col in cols) for m in range(d))
-        return cls(tuple(names), swap)
+    @property
+    def swap(self) -> tuple[tuple[int | Fraction, ...], ...]:
+        """The dense matrix, swap[m][j] the coefficient of e_m in (12) . e_j,
+        rebuilt from swap_columns on every read.  Only the public API and
+        the tests read it; the package reads swap_columns."""
+        rows = [[0] * self.dim for _ in self.names]
+        for j, col in enumerate(self.swap_columns):
+            for m, x in col:
+                rows[m][j] = x
+        return tuple(map(tuple, rows))
 
 
 def act_all(space: GeneratorSpace, perm: Perm, vecs) -> list[Vec]:

@@ -160,17 +160,17 @@ class QuadOperad:
 def _swap_matrix(gen_specs: list[tuple[str, object]]) -> GeneratorSpace:
     names = tuple(name for name, _ in gen_specs)
     index = {name: i for i, name in enumerate(names)}
-    cols: list[dict[int, int | Fraction]] = [{} for _ in names]
+    cols: list[list[tuple[int, int | Fraction]]] = [[] for _ in names]
     for j, (name, sym) in enumerate(gen_specs):
         if sym == "sym":
-            cols[j][j] = 1
+            cols[j].append((j, 1))
         elif sym == "antisym":
-            cols[j][j] = -1
+            cols[j].append((j, -1))
         elif isinstance(sym, dict) and set(sym) == {"pair"}:
             partner = sym["pair"]
             if not isinstance(partner, str) or partner not in index:
                 raise InputError(f"generator {name!r} pairs with unknown {partner!r}")
-            cols[j][index[partner]] = 1
+            cols[j].append((index[partner], 1))
         elif isinstance(sym, dict) and set(sym) == {"swap"}:
             image = sym["swap"]
             if not isinstance(image, dict):
@@ -188,7 +188,7 @@ def _swap_matrix(gen_specs: list[tuple[str, object]]) -> GeneratorSpace:
                             f"swap coefficient {coeff!r} of {name!r} has an exponent "
                             f"beyond {_MAX_EXPONENT} in magnitude"
                         )
-                    cols[j][index[target]] = Fraction(text)
+                    cols[j].append((index[target], Fraction(text)))
                 except (ValueError, ZeroDivisionError):
                     raise InputError(
                         f"swap coefficient {coeff!r} of {name!r} is not a rational"
@@ -198,7 +198,7 @@ def _swap_matrix(gen_specs: list[tuple[str, object]]) -> GeneratorSpace:
                 f"bad symmetry {sym!r} for generator {name!r}; "
                 f"expected one of {_SYMMETRY_KINDS}"
             )
-    # cols[j][m] is the coefficient of e_m in (12)e_j.
+    # cols[j] holds (m, the coefficient of e_m in (12)e_j).
     return GeneratorSpace.from_columns(names, cols)
 
 
@@ -278,12 +278,13 @@ def change_basis(P: QuadOperad, T) -> QuadOperad:
     Tinv = invert_matrix(T)
     if Tinv is None:
         raise InputError("basis change matrix is singular")
-    for i in range(d):
-        for j in range(d):
-            lhs = sum((T[i][m] * space.swap[m][j] for m in range(d)), Fraction(0))
-            rhs = sum((space.swap[i][m] * T[m][j] for m in range(d)), Fraction(0))
-            if lhs != rhs:
-                raise InputError("basis change matrix does not commute with the swap")
+    # Column j of T S and of S T, summed over the nonzeros of S's columns.
+    cols = space.swap_columns
+    for j in range(d):
+        ts = add_scaled({}, ((i, T[i][m] * x) for m, x in cols[j] for i in range(d) if T[i][m]))
+        st = add_scaled({}, ((i, y * T[m][j]) for m in range(d) if T[m][j] for i, y in cols[m]))
+        if ts != st:
+            raise InputError("basis change matrix does not commute with the swap")
     moved = []
     for row in P.relations.rows():
         out: Vec = {}

@@ -16,13 +16,15 @@ once per monomial.
 A left comb (xa {g} xb) {h} xc is the basis-adjacent shape: with sigma the
 permutation (a, b, c) it is sigma acting on the monomial (id, h, g).  For
 sigma in the transversal REPS that is the basis monomial (sigma, h, g)
-itself, returned as a unit with no action, so every printed relation, all
-of whose terms are such combs, parses with no action applied; the other
-three orders apply act once.  A right comb xc {h} (xa {g} xb) is rewritten
-through the (12)-symmetry of the outer generator: e_h(xc, w) =
-((12)e_h)(w, xc), so sigma acts once on the identity-block vector whose
-outer entries are the swap column of h.  Each comb's vector is scaled by
-its signed coefficient in one add_scaled call.
+itself: its flat index is read off the space's name index as the term is
+matched, and the evaluation adds the signed coefficient there, with no
+action and no vector built.  Every printed relation is made only of such
+terms.  The other three orders apply act once.  A right comb
+xc {h} (xa {g} xb) is rewritten through the (12)-symmetry of the outer
+generator: e_h(xc, w) = ((12)e_h)(w, xc), so sigma acts once on the
+identity-block vector whose outer entries are the swap column of h.  A
+comb evaluated by act is scaled by its signed coefficient in one add_scaled
+call.
 
 pretty_print emits terms in flat-index order and parse_relation inverts it
 exactly; "0" is the empty vector.  Each term is read off its flat index by
@@ -72,10 +74,7 @@ def _left_comb(space: GeneratorSpace, a, g, b, h, c) -> Vec:
     sigma: Perm = (a, b, c)
     if sigma not in _PERMS:
         raise InputError(f"each of x1, x2, x3 must occur exactly once, got x{a}, x{b}, x{c}")
-    hi, gi = space.gen_index(h), space.gen_index(g)
-    if sigma in REP_INDEX:  # the basis monomial (sigma, h, g) itself
-        return {space.flat(sigma, hi, gi): 1}
-    return act(space, sigma, {space.flat(IDENT, hi, gi): 1})
+    return act(space, sigma, {space.flat(IDENT, space.gen_index(h), space.gen_index(g)): 1})
 
 
 def _right_comb(space: GeneratorSpace, c, h, a, g, b) -> Vec:
@@ -101,10 +100,15 @@ def parse_relation(space: GeneratorSpace, text: str) -> Vec:
     Every term is matched, and its integers and names read, before any is
     evaluated, so text that breaks the grammar anywhere is refused for that,
     ahead of an unknown generator, a repeated variable or a zero denominator.
+    A left comb in a REPS order over known names gets its flat index while
+    it is matched (module docstring); any other term keeps its comb, which
+    raises those errors when it is evaluated.
     """
     zero = _ZERO_RE.fullmatch(text)
     if zero is not None and _integer(zero, 1) == 0:
         return {}
+    index = space._name_index
+    d = space.dim
     terms = []
     pos = 0
     while True:
@@ -120,23 +124,32 @@ def parse_relation(space: GeneratorSpace, text: str) -> Vec:
             raise InputError(f"a relation cannot open with '+' (position {m.start(1)})")
         num = 1 if num is None else _integer(m, 2)
         den = 1 if den is None else _integer(m, 3)
+        flat = None
         if la is not None:
-            comb, args = _left_comb, (_VAR[la], lg.strip(), _VAR[lb], lh.strip(), _VAR[lc])
+            a, g, b, h, c = args = _VAR[la], lg.strip(), _VAR[lb], lh.strip(), _VAR[lc]
+            comb, s = _left_comb, REP_INDEX.get((a, b, c))
+            if s is not None and g in index and h in index:  # the basis monomial (sigma, h, g)
+                flat = (s * d + index[h]) * d + index[g]
         else:
             comb, args = _right_comb, (_VAR[rc], rh.strip(), _VAR[ra], rg.strip(), _VAR[rb])
         if not args[1] or not args[3]:
             raise InputError("empty generator name in braces")
-        terms.append((-1 if sign == "-" else 1, num, den, comb, args))
+        terms.append((-1 if sign == "-" else 1, num, den, flat, comb, args))
         pos = m.end()
         if pos == len(text):
             break
     out: Vec = {}
-    for sign, num, den, comb, args in terms:
+    for sign, num, den, flat, comb, args in terms:
         if den == 0:
             raise InputError("zero denominator")
         # n/1 is the int n and n/n the int 1, so a unit coefficient keeps int values int.
-        add_scaled(out, comb(space, *args),
-                   sign * (num // den if den in (1, num) else Fraction(num, den)))
+        coeff = sign * (num // den if den in (1, num) else Fraction(num, den))
+        if flat is None:
+            add_scaled(out, comb(space, *args), coeff)
+        elif val := out.get(flat, 0) + coeff:
+            out[flat] = val
+        else:  # the term cancels an earlier one, or its coefficient is 0
+            out.pop(flat, None)
     return out
 
 

@@ -63,7 +63,7 @@ def dual_generators(space: GeneratorSpace) -> GeneratorSpace:
         names = tuple(n[:-1] for n in space.names)
     else:
         names = tuple(n + "'" for n in space.names)
-    return GeneratorSpace.from_columns(names, [dict(col) for col in twisted_columns(space)])
+    return GeneratorSpace.from_columns(names, twisted_columns(space))
 
 
 def dual_operad(P: QuadOperad) -> QuadOperad:

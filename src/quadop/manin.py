@@ -53,7 +53,7 @@ def _product_space(P: QuadOperad, Q: QuadOperad, fmt: str, sign: int) -> Generat
     names = tuple(made)
     e = Q.dim_gens
     cols = [
-        {m * e + q: sign * a * b for m, a in col_P for q, b in col_Q}
+        [(m * e + q, sign * a * b) for m, a in col_P for q, b in col_Q]
         for col_P in P.space.swap_columns
         for col_Q in Q.space.swap_columns
     ]

@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from quadop.core.catalog import _TEXTUAL, catalog, catalog_names
@@ -347,13 +347,30 @@ def test_catalog_swaps_keep_integer_rows_integer():
 
 @given(st.integers(min_value=0, max_value=2**32), st.integers(min_value=1, max_value=4))
 @settings(max_examples=100, deadline=None)
+@example(0, 1)  # a one-generator swap is +-1, held as an integral Fraction
 def test_from_columns_reproduces_the_swap_matrix(seed, d):
     space = random_involutive_space(random.Random(seed), d)
-    cols = [{m: space.swap[m][j] for m in range(d) if space.swap[m][j]} for j in range(d)]
+    # Every entry a Fraction, integral ones included, as a dense matrix holds them.
+    cols = [{m: Fraction(space.swap[m][j]) for m in range(d) if space.swap[m][j]}
+            for j in range(d)]
     rebuilt = GeneratorSpace.from_columns(space.names, cols)
     assert rebuilt.names == space.names
     assert rebuilt.swap == space.swap
+    assert rebuilt == space and hash(rebuilt) == hash(space)
     assert [dict(col) for col in rebuilt.swap_columns] == cols
-    for col in rebuilt.swap_columns:
+    for col in space.swap_columns + rebuilt.swap_columns:
+        assert [m for m, _ in col] == sorted(m for m, _ in col)
         for _, x in col:
             assert type(x) is int or x.denominator != 1
+    # Pairs in any order, with a zero among them, give the same space.
+    pairs = [sorted(col.items(), reverse=True) + [(0, Fraction(0))] for col in cols]
+    assert GeneratorSpace.from_columns(space.names, pairs) == space
+    for attr, value in (("names", ()), ("swap_columns", ()), ("swap", ())):
+        with pytest.raises(AttributeError):
+            setattr(rebuilt, attr, value)
+
+
+def test_from_columns_refuses_a_column_outside_the_space():
+    for cols in ([{0: 1}], [{0: 1}, {1: 1}, {2: 1}], [{0: 1}, {2: 1}], [{0: 1}, {-1: 1}]):
+        with pytest.raises(InputError, match="swap matrix must be 2x2"):
+            GeneratorSpace.from_columns(("a", "b"), cols)

@@ -7,15 +7,16 @@ import tempfile
 from fractions import Fraction
 
 import pytest
-from helpers import TABLE_ORDERS, random_involutive_space, random_operad
+from helpers import MIXING, TABLE_ORDERS, random_involutive_space, random_operad
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quadop.cli import main
 from quadop.core.catalog import catalog, catalog_names, resolve
-from quadop.core.free3 import GeneratorSpace
+from quadop.core.free3 import GeneratorSpace, s3_closure
 from quadop.core.operad import QuadOperad, change_basis, load_operad_file, make_operad
 from quadop.core.parser import pretty_print
+from quadop.core.perms import IDENT
 from quadop.errors import InputError, InternalCheckError
 from quadop.linalg import SubspaceQ
 
@@ -314,3 +315,11 @@ def test_change_basis_rejects_bad_matrices():
         change_basis(catalog("As"), [[1]])
     with pytest.raises(InputError, match="must be 2x2"):
         change_basis(P, [[1, 0], [0, 1], [0, 0]])
+    # A swap that is not monomial: T = 2I + S commutes with S and is
+    # invertible, and a T that does not commute is refused as above.
+    M = QuadOperad("mixing", MIXING, s3_closure(MIXING, [{MIXING.flat(IDENT, 0, 1): 1}]))
+    S = MIXING.swap
+    moved = change_basis(M, [[2 * (i == j) + S[i][j] for j in range(2)] for i in range(2)])
+    assert (moved.space, moved.dims()) == (M.space, M.dims())
+    with pytest.raises(InputError, match="does not commute with the swap"):
+        change_basis(M, [[1, 1], [0, 1]])

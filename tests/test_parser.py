@@ -386,6 +386,9 @@ def relation_texts(draw):
 # A coefficient written n/n scales int values to ints, as 1 does.
 @example((TRIPLE, "- 2/2 * (x1 {p} x2) {p} x3 + 3/3 * x3 {c1} (x1 {p} x2)"))
 @example((MIXED, "x3 {g0} (x1 {g1} x2) - 2 * x1 {g2} (x3 {g1} x2)"))
+# A 0 coefficient on a basis monomial, and two such monomials that cancel.
+@example((TRIPLE, "0 * (x1 {p} x2) {c1} x3 + (x2 {c2} x3) {p} x1"))
+@example((TRIPLE, "(x3 {c1} x1) {p} x2 - 1/2 * (x1 {p} x2) {c2} x3 - (x3 {c1} x1) {p} x2"))
 @example((MIXED, "- 2/2 * x3 {g1} (x2 {g0} x1) + 3/2 * x2 {g2} (x1 {g2} x3)"))
 def test_the_term_path_agrees_with_the_token_path(case):
     # parse_relation and the token-by-token reference give the same vector,

@@ -266,3 +266,22 @@ def test_only_linalg_reads_the_kernels_private_attributes():
 def test_the_private_attribute_lint_sees_a_read():
     source = "def rows(P):\n    return P.relations._rows, P.relations.rows()\n"
     assert kernel_private_reads(ast.walk(ast.parse(source))) == [2]
+
+
+def dense_swap_reads(nodes):
+    """The line numbers at which AST nodes read a `.swap` attribute."""
+    return [node.lineno for node in nodes
+            if isinstance(node, ast.Attribute) and node.attr == "swap"]
+
+
+def test_only_free3_reads_the_dense_swap():
+    """A GeneratorSpace holds only its sparse swap_columns; the dense swap
+    property is rebuilt on every read, for the public API and the tests."""
+    bad = [f"{path}:{line}" for path, nodes in source_nodes() if path != SRC / "core" / "free3.py"
+           for line in dense_swap_reads(nodes)]
+    assert bad == []
+
+
+def test_the_dense_swap_lint_sees_a_read():
+    source = "def same(P, Q):\n    return (P.space.swap_columns,\n            Q.space.swap)\n"
+    assert dense_swap_reads(ast.walk(ast.parse(source))) == [3]
